@@ -96,40 +96,6 @@ module Gc_report = struct
   let current : agg option ref = ref None
   let finished : agg list ref = ref []
 
-  let add_counters (into : Stats.counters) (c : Stats.counters) =
-    into.Stats.objects_copied <- into.Stats.objects_copied + c.Stats.objects_copied;
-    into.Stats.words_copied <- into.Stats.words_copied + c.Stats.words_copied;
-    into.Stats.words_swept <- into.Stats.words_swept + c.Stats.words_swept;
-    into.Stats.root_words <- into.Stats.root_words + c.Stats.root_words;
-    into.Stats.dirty_segments_scanned <-
-      into.Stats.dirty_segments_scanned + c.Stats.dirty_segments_scanned;
-    into.Stats.cards_scanned <- into.Stats.cards_scanned + c.Stats.cards_scanned;
-    into.Stats.card_words_swept <-
-      into.Stats.card_words_swept + c.Stats.card_words_swept;
-    into.Stats.dirty_candidate_words <-
-      into.Stats.dirty_candidate_words + c.Stats.dirty_candidate_words;
-    into.Stats.guardian_pend_checks <-
-      into.Stats.guardian_pend_checks + c.Stats.guardian_pend_checks;
-    into.Stats.protected_entries_visited <-
-      into.Stats.protected_entries_visited + c.Stats.protected_entries_visited;
-    into.Stats.guardian_resurrections <-
-      into.Stats.guardian_resurrections + c.Stats.guardian_resurrections;
-    into.Stats.guardian_entries_promoted <-
-      into.Stats.guardian_entries_promoted + c.Stats.guardian_entries_promoted;
-    into.Stats.guardian_entries_dropped <-
-      into.Stats.guardian_entries_dropped + c.Stats.guardian_entries_dropped;
-    into.Stats.weak_pairs_scanned <-
-      into.Stats.weak_pairs_scanned + c.Stats.weak_pairs_scanned;
-    into.Stats.weak_pointers_broken <-
-      into.Stats.weak_pointers_broken + c.Stats.weak_pointers_broken;
-    into.Stats.ephemerons_scanned <-
-      into.Stats.ephemerons_scanned + c.Stats.ephemerons_scanned;
-    into.Stats.ephemerons_broken <-
-      into.Stats.ephemerons_broken + c.Stats.ephemerons_broken;
-    into.Stats.segments_freed <- into.Stats.segments_freed + c.Stats.segments_freed;
-    into.Stats.segments_allocated <-
-      into.Stats.segments_allocated + c.Stats.segments_allocated
-
   (* Subscribe the heap's telemetry to the running benchmark's aggregate. *)
   let instrument_heap h =
     match !current with
@@ -151,7 +117,7 @@ module Gc_report = struct
                     agg.phase_work.(i) <-
                       agg.phase_work.(i) + Telemetry.phase_work_last tel ph)
                   Telemetry.all_phases;
-                add_counters agg.totals counters
+                Stats.add ~into:agg.totals counters
             | _ -> ()))
 
   let start bench =

@@ -120,6 +120,7 @@ let rstr r =
 (* Writer                                                              *)
 
 let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
+  Heap.check_poisoned h;
   if h.Heap.in_collection then
     raise (Error "gbc-image: cannot save during a collection");
   if h.Heap.alloc_forbidden then
@@ -460,7 +461,6 @@ let load_string ?config s =
   h.Heap.global_free <- List.rev !free;
   for g = 0 to max_generation do
     let n = ru32 r in
-    let p = h.Heap.protected.(g) in
     for _ = 1 to n do
       let obj = fix (ri64 r) in
       let rep = fix (ri64 r) in
@@ -468,10 +468,7 @@ let load_string ?config s =
       let gid = ru32 r in
       if gid >= nguardians then
         raise (Error "gbc-image: bad guardian id in a protected list");
-      Vec.Int.push p.Heap.p_objs obj;
-      Vec.Int.push p.Heap.p_reps rep;
-      Vec.Int.push p.Heap.p_tconcs tconc;
-      Vec.Int.push p.Heap.p_gids gid
+      Heap.protected_add_gen h ~generation:g ~gid ~obj ~rep ~tconc
     done
   done;
   h.Heap.gc_epoch <- gc_epoch;

@@ -75,7 +75,8 @@ val save_string :
     under the {!Telemetry.Image_save} phase and bumps the image
     counters.
     @raise Error when called during a collection or from a finalization
-    thunk, or if a root/slot points into a dead segment. *)
+    thunk, or if a root/slot points into a dead segment.
+    @raise Heap.Poisoned if a collection of the heap was aborted. *)
 
 val load_string : ?config:Config.t -> string -> loaded
 (** Rebuild a fresh heap from image bytes.  [config] must agree with the

@@ -24,6 +24,11 @@
     + run registered weak scanners (support for baseline mechanisms);
     + free the condemned segments.
 
+    One sweep ([sweep]) serves both the Cheney scan and the dirty-card scan
+    of the remembered set; the only difference is the offset its object
+    walk starts from.  One test ([forwarded]/[forward_address]) answers
+    "has this object survived" for every pass.
+
     The collector does no allocation except copies and the fresh tconc cells
     it appends (which go straight to the target generation). *)
 
@@ -121,28 +126,25 @@ let copy t ~target w =
 (* ------------------------------------------------------------------ *)
 (* Sweeping                                                            *)
 
-(* Generation of a word for remembered-set recomputation. *)
-let ref_gen t w = if Word.is_pointer w then (info_of_word t w).generation else max_int
-
-let push_dirty t seg =
-  let si = info t seg in
-  if si.min_ref_gen < si.generation && not si.on_dirty_list then begin
-    si.on_dirty_list <- true;
-    Vec.Int.push t.dirty seg
-  end
-
-(* Sweep the words of [seg] in [from, to_) as strong references: rewrite
-   each traced slot through [copy] and note the referenced generations in
-   the card table (which keeps min_ref_gen in sync).  Weak-space segments
-   trace only cdr fields. *)
-let sweep_range t ~target seg ~from ~upto =
+(* The one sweep, shared by the Cheney scan and the dirty-card scan: sweep
+   the words of [seg] in [from, upto) as strong references, rewriting each
+   traced slot through [copy] and noting the referenced generations in the
+   card table (which keeps min_ref_gen in sync).  Weak-space segments trace
+   only cdr fields.  [start] is where the typed-space object walk begins:
+   [from] itself for the Cheney scan, and for a dirty card the crossing-map
+   header of the object covering the card's first word — typed objects can
+   straddle card boundaries, so traced fields are clamped to
+   [from, upto). *)
+let sweep t ~target seg ~start ~from ~upto =
   let si = info t seg in
   let stats = (Heap.stats t).last in
   let fwd addr =
     let w = copy t ~target (load t addr) in
     store t addr w;
-    note_ref t ~addr ~gen:(ref_gen t w)
+    note_ref t ~addr ~gen:(generation_of_word t w)
   in
+  (* Cards are >= 8 words and a power of two: two-word cells never
+     straddle, so the cell spaces walk from [from]. *)
   (match si.space with
   | Space.Pair ->
       let off = ref from in
@@ -168,12 +170,11 @@ let sweep_range t ~target seg ~from ~upto =
         off := !off + 2
       done
   | Space.Typed ->
-      let off = ref from in
+      let off = ref start in
       while !off < upto do
-        let hdr = load t (addr_of ~seg ~off:!off) in
-        let len = Obj.header_len hdr in
-        for i = 1 to len do
-          fwd (addr_of ~seg ~off:(!off + i))
+        let len = Obj.header_len (load t (addr_of ~seg ~off:!off)) in
+        for i = max (!off + 1) from to min (!off + len) (upto - 1) do
+          fwd (addr_of ~seg ~off:i)
         done;
         off := !off + 1 + len
       done
@@ -192,29 +193,21 @@ let process_ephemerons t ~target =
   for i = 0 to n - 1 do
     let addr = Vec.Int.get pending i in
     let key = load t addr in
-    let resolved_key =
-      if not (Word.is_pointer key) then Some key
-      else begin
-        let ksi = info_of_word t key in
-        if not ksi.condemned then Some key
-        else if Word.equal (load t (Word.addr key)) Word.forward_marker then
-          Some (load t (Word.addr key + 1))
-        else None
-      end
-    in
-    match resolved_key with
-    | Some key' ->
-        progress := true;
-        stats.ephemerons_scanned <- stats.ephemerons_scanned + 1;
-        store t addr key';
-        (* The key is reachable: the value is strong after all. *)
-        let v = copy t ~target (load t (addr + 1)) in
-        store t (addr + 1) v;
-        note_ref t ~addr ~gen:(ref_gen t key');
-        note_ref t ~addr:(addr + 1) ~gen:(ref_gen t v)
-    | None ->
-        Vec.Int.set pending !write addr;
-        incr write
+    if forwarded t key then begin
+      progress := true;
+      stats.ephemerons_scanned <- stats.ephemerons_scanned + 1;
+      let key' = forward_address t key in
+      store t addr key';
+      (* The key is reachable: the value is strong after all. *)
+      let v = copy t ~target (load t (addr + 1)) in
+      store t (addr + 1) v;
+      note_ref t ~addr ~gen:(generation_of_word t key');
+      note_ref t ~addr:(addr + 1) ~gen:(generation_of_word t v)
+    end
+    else begin
+      Vec.Int.set pending !write addr;
+      incr write
+    end
   done;
   Vec.Int.truncate pending !write;
   !progress
@@ -248,7 +241,7 @@ let kleene_sweep t ~target =
       while si.live && si.scan < si.used do
         progress := true;
         let upto = si.used in
-        sweep_range t ~target seg ~from:si.scan ~upto;
+        sweep t ~target seg ~start:si.scan ~from:si.scan ~upto;
         si.scan <- upto
       done;
       incr i
@@ -317,45 +310,43 @@ let guardian_pass t ~g ~target =
       end)
     !pend_final;
   pend_final := [];
+  (* No cleanup on exceptions: a collection that raises poisons the heap,
+     which never collects again (see [collect]). *)
   t.gc_log_forwards <- true;
   Vec.Int.clear t.gc_forward_log;
-  Fun.protect
-    ~finally:(fun () ->
-      t.gc_log_forwards <- false;
-      Vec.Int.clear t.gc_forward_log)
-    (fun () ->
-      while not (Queue.is_empty work) do
-        while not (Queue.is_empty work) do
-          let e = Queue.pop work in
-          let rep = copy t ~target e.rep in
-          let tc = forward_address t e.tconc in
-          Tconc.enqueue_with t
-            ~alloc_pair:(fun a d ->
-              let addr = gc_alloc t ~space:Space.Pair ~generation:target 2 in
-              store t addr a;
-              store t (addr + 1) d;
-              Word.pair_ptr addr)
-            tc rep;
-          stats.guardian_resurrections <- stats.guardian_resurrections + 1;
-          (* Latency bookkeeping: the entry becomes retrievable at the
-             epoch following this collection. *)
-          Telemetry.record_resurrection t.telemetry ~gid:e.gid
-            ~epoch:(t.gc_epoch + 1)
-        done;
-        kleene_sweep t ~target;
-        (* Tconcs forwarded by the saves above release their waiters. *)
-        Vec.Int.iter t.gc_forward_log ~f:(fun addr ->
-            match Hashtbl.find_opt waiters addr with
-            | Some r ->
-                Hashtbl.remove waiters addr;
-                List.iter
-                  (fun e ->
-                    stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
-                    Queue.add e work)
-                  (List.rev !r)
-            | None -> ());
-        Vec.Int.clear t.gc_forward_log
-      done);
+  while not (Queue.is_empty work) do
+    while not (Queue.is_empty work) do
+      let e = Queue.pop work in
+      let rep = copy t ~target e.rep in
+      let tc = forward_address t e.tconc in
+      Tconc.enqueue_with t
+        ~alloc_pair:(fun a d ->
+          let addr = gc_alloc t ~space:Space.Pair ~generation:target 2 in
+          store t addr a;
+          store t (addr + 1) d;
+          Word.pair_ptr addr)
+        tc rep;
+      stats.guardian_resurrections <- stats.guardian_resurrections + 1;
+      (* Latency bookkeeping: the entry becomes retrievable at the
+         epoch following this collection. *)
+      Telemetry.record_resurrection t.telemetry ~gid:e.gid
+        ~epoch:(t.gc_epoch + 1)
+    done;
+    kleene_sweep t ~target;
+    (* Tconcs forwarded by the saves above release their waiters. *)
+    Vec.Int.iter t.gc_forward_log ~f:(fun addr ->
+        match Hashtbl.find_opt waiters addr with
+        | Some r ->
+            Hashtbl.remove waiters addr;
+            List.iter
+              (fun e ->
+                stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
+                Queue.add e work)
+              (List.rev !r)
+        | None -> ());
+    Vec.Int.clear t.gc_forward_log
+  done;
+  t.gc_log_forwards <- false;
   (* Entries still waiting: their guardian itself died. *)
   Hashtbl.iter
     (fun _ r ->
@@ -398,20 +389,14 @@ let process_weak_car t addr =
   let stats = (Heap.stats t).last in
   stats.weak_pairs_scanned <- stats.weak_pairs_scanned + 1;
   let w = load t addr in
-  if Word.is_pointer w then begin
-    let wsi = info_of_word t w in
-    if wsi.condemned then begin
-      if Word.equal (load t (Word.addr w)) Word.forward_marker then begin
-        let w' = load t (Word.addr w + 1) in
-        store t addr w';
-        note_ref t ~addr ~gen:(ref_gen t w')
-      end
-      else begin
-        store t addr Word.false_;
-        stats.weak_pointers_broken <- stats.weak_pointers_broken + 1
-      end
-    end
-    else note_ref t ~addr ~gen:(ref_gen t w)
+  if forwarded t w then begin
+    let w' = forward_address t w in
+    store t addr w';
+    note_ref t ~addr ~gen:(generation_of_word t w')
+  end
+  else begin
+    store t addr Word.false_;
+    stats.weak_pointers_broken <- stats.weak_pointers_broken + 1
   end
 
 let weak_pass t ~dirty_weak_cards =
@@ -434,58 +419,6 @@ let weak_pass t ~dirty_weak_cards =
 
 (* ------------------------------------------------------------------ *)
 (* Dirty (remembered-set) scan                                         *)
-
-(* Sweep one dirty card of a remembered segment: the words of [seg] in
-   [from, upto) — clamped to the slots that actually belong to the card —
-   as strong references.  Typed-space objects can straddle card
-   boundaries, so the scan starts from the object covering the card's
-   first word (the crossing map) and clamps the traced fields to the
-   card. *)
-let sweep_card t ~target seg ~from ~upto =
-  let si = info t seg in
-  let stats = (Heap.stats t).last in
-  let fwd addr =
-    let w = copy t ~target (load t addr) in
-    store t addr w;
-    note_ref t ~addr ~gen:(ref_gen t w)
-  in
-  (match si.space with
-  | Space.Pair ->
-      (* Cards are >= 8 words and a power of two: cells never straddle. *)
-      let off = ref from in
-      while !off < upto do
-        fwd (addr_of ~seg ~off:!off);
-        fwd (addr_of ~seg ~off:(!off + 1));
-        off := !off + 2
-      done
-  | Space.Weak ->
-      let off = ref from in
-      while !off < upto do
-        (* car is weak: left alone here, handled by the weak pass. *)
-        fwd (addr_of ~seg ~off:(!off + 1));
-        off := !off + 2
-      done
-  | Space.Ephemeron ->
-      let off = ref from in
-      while !off < upto do
-        Vec.Int.push t.gc_ephemerons (addr_of ~seg ~off:!off);
-        off := !off + 2
-      done
-  | Space.Typed ->
-      let off = ref (card_object_start t ~seg ~card:(card_of_off t from)) in
-      while !off < upto do
-        let hdr = load t (addr_of ~seg ~off:!off) in
-        let len = Obj.header_len hdr in
-        let lo = max (!off + 1) from in
-        let hi = min (!off + len) (upto - 1) in
-        for i = lo to hi do
-          fwd (addr_of ~seg ~off:i)
-        done;
-        off := !off + 1 + len
-      done
-  | Space.Data -> ());
-  stats.card_words_swept <- stats.card_words_swept + (upto - from);
-  stats.words_swept <- stats.words_swept + (upto - from)
 
 (* Sweep the remembered segments of generations older than [g] as roots —
    card-granularly: only cards recorded as possibly reaching into the
@@ -514,7 +447,9 @@ let dirty_scan t ~g ~target =
               Bytes.set_uint8 si.cards c card_clean;
               let from = c * cw in
               let upto = min si.used (from + cw) in
-              sweep_card t ~target seg ~from ~upto;
+              stats.card_words_swept <- stats.card_words_swept + (upto - from);
+              sweep t ~target seg ~from ~upto
+                ~start:(card_object_start t ~seg ~card:c);
               if si.space = Space.Weak then
                 weak_cards := (seg, from, upto) :: !weak_cards
             end
@@ -527,7 +462,7 @@ let dirty_scan t ~g ~target =
           (* Still dirty, but only with respect to generations not being
              collected: keep it remembered, no scanning needed — this is the
              "no additional overhead for older objects" property. *)
-          push_dirty t seg
+          remember t seg
       end)
     old_dirty;
   !weak_cards
@@ -543,41 +478,23 @@ let root_scan t ~target =
           copy t ~target w))
 
 let weak_root_scan t =
-  let lookup w =
-    if not (Word.is_pointer w) then Some w
-    else begin
-      let si = info_of_word t w in
-      if not si.condemned then Some w
-      else if Word.equal (load t (Word.addr w)) Word.forward_marker then
-        Some (load t (Word.addr w + 1))
-      else None
-    end
-  in
+  let lookup w = if forwarded t w then Some (forward_address t w) else None in
   iter_weak_scanners t ~f:(fun scan -> scan lookup)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 
-let collect ?weak_pass_first t ~gen:g =
-  if t.in_collection then invalid_arg "Collector.collect: already collecting";
-  let cfg = Heap.config t in
-  if g < 0 || g > cfg.max_generation then invalid_arg "Collector.collect: bad generation";
-  let t0 = Unix_time.now_ns () in
-  t.in_collection <- true;
-  Stats.begin_collection (Heap.stats t);
-  let tel = t.telemetry in
+(* The phases of a collection of generations [0..g], run with
+   [in_collection] set. *)
+let collect_generations ?weak_pass_first t ~g ~target =
   let stats = (Heap.stats t).last in
-  let target = cfg.promote ~gen:g ~max_generation:cfg.max_generation in
-  Telemetry.collection_begin tel
-    ~ordinal:((Heap.stats t).total.Stats.collections + 1)
-    ~generation:g ~target;
   (* Each phase reports the delta of its work counter, so the attribution
      is exact even for counters several phases bump (e.g. words_swept). *)
   let phase ph work_counter body =
     let before = work_counter () in
-    Telemetry.phase_begin tel ph;
+    Telemetry.phase_begin t.telemetry ph;
     let r = body () in
-    Telemetry.phase_end tel ph ~work:(work_counter () - before);
+    Telemetry.phase_end t.telemetry ph ~work:(work_counter () - before);
     r
   in
   Vec.Int.clear t.gc_new_segs;
@@ -605,12 +522,10 @@ let collect ?weak_pass_first t ~gen:g =
   phase Telemetry.Cheney_copy
     (fun () -> stats.words_swept)
     (fun () -> kleene_sweep t ~target);
-  let guardian_phase () =
+  let guardian_phases () =
     phase Telemetry.Guardian_pass
       (fun () -> stats.protected_entries_visited)
-      (fun () -> guardian_pass t ~g ~target)
-  in
-  let ephemeron_phase () =
+      (fun () -> guardian_pass t ~g ~target);
     phase Telemetry.Ephemeron_fixpoint
       (fun () -> stats.ephemerons_scanned)
       (fun () -> break_ephemerons t)
@@ -623,15 +538,8 @@ let collect ?weak_pass_first t ~gen:g =
   (* Guardian pass, then weak pass — in that order, so that weak pointers to
      objects saved by guardians survive (paper Section 4).  The switchable
      order exists only to demonstrate the breakage in tests (DESIGN.md D2). *)
-  (match weak_pass_first with
-  | Some true ->
-      weak_phase ();
-      guardian_phase ();
-      ephemeron_phase ()
-  | _ ->
-      guardian_phase ();
-      ephemeron_phase ();
-      weak_phase ());
+  if weak_pass_first = Some true then (weak_phase (); guardian_phases ())
+  else (guardian_phases (); weak_phase ());
   phase Telemetry.Segment_reclaim
     (fun () -> stats.segments_freed)
     (fun () ->
@@ -641,10 +549,32 @@ let collect ?weak_pass_first t ~gen:g =
       (* Remember any to-space segment left pointing at a younger generation
          (possible under non-default promotion policies). *)
       Vec.Int.iter t.gc_new_segs ~f:(fun seg ->
-          if (info t seg).live then push_dirty t seg);
+          if (info t seg).live then remember t seg);
       (* Reclaim from-space. *)
       Vec.Int.iter condemned ~f:(fun seg -> release_segment t seg);
-      reset_cursors t.mutator_cursors);
+      reset_cursors t.mutator_cursors)
+
+let collect ?weak_pass_first t ~gen:g =
+  check_poisoned t;
+  if t.in_collection then invalid_arg "Collector.collect: already collecting";
+  let cfg = Heap.config t in
+  if g < 0 || g > cfg.max_generation then invalid_arg "Collector.collect: bad generation";
+  let t0 = Unix_time.now_ns () in
+  let tel = t.telemetry in
+  let target = cfg.promote ~gen:g ~max_generation:cfg.max_generation in
+  t.in_collection <- true;
+  Stats.begin_collection (Heap.stats t);
+  Telemetry.collection_begin tel
+    ~ordinal:((Heap.stats t).total.Stats.collections + 1)
+    ~generation:g ~target;
+  (* An exception out of a phase (a raising scanner, say) leaves the heap
+     half-collected.  Poison it, so that later collections, safepoints and
+     image saves fail loudly instead of finding [in_collection] stuck. *)
+  (try collect_generations ?weak_pass_first t ~g ~target
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     t.poisoned <- Some (Printexc.to_string e);
+     Printexc.raise_with_backtrace e bt);
   t.stats.words_allocated_since_gc <- 0;
   t.gc_epoch <- t.gc_epoch + 1;
   t.last_gc_generation <- g;
@@ -654,7 +584,7 @@ let collect ?weak_pass_first t ~gen:g =
      someone is listening. *)
   if Telemetry.enabled tel then begin
     let s = Heap.stats t in
-    Telemetry.collection_end tel ~counters:(Stats.copy stats)
+    Telemetry.collection_end tel ~counters:(Stats.copy s.Stats.last)
       ~live_words:(live_words t) ~barrier_calls:s.Stats.barrier_calls
       ~barrier_hits:s.Stats.barrier_hits ~cards_dirtied:s.Stats.cards_dirtied ()
   end;

@@ -6,7 +6,9 @@
     root scan + remembered-set scan, Cheney sweep to a fixpoint, the
     {b guardian pass} (paper Section 4: pend-hold / pend-final /
     kleene-sweep), the {b weak pass} (after the guardian pass, so weak
-    pointers to saved objects survive), weak scanners, reclamation. *)
+    pointers to saved objects survive), weak scanners, reclamation.  One
+    sweep serves both the Cheney scan and the dirty-card scan; they
+    differ only in the offset the object walk starts from. *)
 
 type outcome = {
   generation : int;  (** oldest generation collected *)
@@ -14,25 +16,16 @@ type outcome = {
   duration_ns : float;
 }
 
-val forwarded : Heap.t -> Word.t -> bool
-(** True when the word needs no further copying: immediates, pointers into
-    generations not being collected, and already-copied objects. *)
-
-val forward_address : Heap.t -> Word.t -> Word.t
-(** New location of a forwarded word ([w] itself if it never moved).  Only
-    meaningful when [forwarded] holds. *)
-
-val copy : Heap.t -> target:int -> Word.t -> Word.t
-(** Copy the object to the target generation if it is an uncopied pointer
-    into from-space; returns the (possibly unchanged) word.  Collector
-    internal, exposed for tests. *)
-
 val collect : ?weak_pass_first:bool -> Heap.t -> gen:int -> outcome
 (** Run a collection of generations [0..gen].
 
     [weak_pass_first] (default false) swaps the guardian and weak passes;
     it exists {e only} so tests can demonstrate that the paper's order is
     essential (a weak pointer to a guardian-saved object would be broken).
+
+    An exception out of a collection (a raising root or weak scanner,
+    say) is re-raised after poisoning the heap: from then on this
+    function raises {!Heap.Poisoned}, naming that exception.
 
     @raise Invalid_argument if already collecting or [gen] is out of
     range. *)

@@ -26,6 +26,11 @@ exception Out_of_memory
     ceiling would be exceeded.  Collections are exempt (copying transiently
     needs both spaces). *)
 
+exception Poisoned of string
+(** Raised by {!Collector.collect}, {!Runtime.safepoint} and image saving
+    once a collection has been aborted by an exception, which leaves the
+    heap half-collected; the payload names that exception. *)
+
 let stride_bits = 20
 let max_segment_words = 1 lsl stride_bits
 
@@ -112,6 +117,7 @@ type t = {
   mutable weak_scanners : (int * ((Word.t -> Word.t option) -> unit)) list;
   mutable next_scanner_id : int;
   mutable in_collection : bool;
+  mutable poisoned : string option;  (** the exception that aborted a GC *)
   mutable alloc_forbidden : bool;
   mutable segment_words_live : int;  (** capacity of all live segments *)
   mutable gc_epoch : int;  (** bumped at the end of every collection *)
@@ -187,6 +193,7 @@ let create ?(config = Config.default) () =
     weak_scanners = [];
     next_scanner_id = 0;
     in_collection = false;
+    poisoned = None;
     alloc_forbidden = false;
     segment_words_live = 0;
     gc_epoch = 0;
@@ -203,6 +210,7 @@ let create ?(config = Config.default) () =
       };
   }
 
+let check_poisoned t = match t.poisoned with Some e -> raise (Poisoned e) | None -> ()
 let config t = t.config
 let faults t = t.faults
 let stats t = t.stats
@@ -426,6 +434,15 @@ let reset_cursors cursors = Array.iter (fun c -> c.seg <- -1) cursors
 (* ------------------------------------------------------------------ *)
 (* Remembered set (card-marked dirty segments)                         *)
 
+(** Put [seg] on the dirty list if it may reference a younger generation
+    and is not there already. *)
+let remember t seg =
+  let si = t.infos.(seg) in
+  if si.min_ref_gen < si.generation && not si.on_dirty_list then begin
+    si.on_dirty_list <- true;
+    Vec.Int.push t.dirty seg
+  end
+
 (* Lower the card byte covering [addr] to [gen] and remember the segment.
    [gen < si.generation] must already hold. *)
 let mark_card t si ~addr ~gen =
@@ -437,10 +454,7 @@ let mark_card t si ~addr ~gen =
     Bytes.set_uint8 si.cards c g
   end;
   if gen < si.min_ref_gen then si.min_ref_gen <- gen;
-  if not si.on_dirty_list then begin
-    si.on_dirty_list <- true;
-    Vec.Int.push t.dirty (seg_of_addr addr)
-  end
+  remember t (seg_of_addr addr)
 
 (** Record (collector-side) that the slot at [addr] references generation
     [gen]: marks the covering card and keeps the segment summary in sync.
@@ -479,10 +493,7 @@ let refresh_remembered t seg =
     if b < !m then m := b
   done;
   si.min_ref_gen <- !m;
-  if si.min_ref_gen < si.generation && not si.on_dirty_list then begin
-    si.on_dirty_list <- true;
-    Vec.Int.push t.dirty seg
-  end
+  remember t seg
 
 (** {2 Card introspection} (tests, {!Verify}) *)
 
@@ -563,25 +574,21 @@ let with_cell t w f =
 (* ------------------------------------------------------------------ *)
 (* Protected lists (guardian registrations)                            *)
 
-(** Register [obj] with the guardian whose tconc is [tconc]: a new entry is
-    added to the protected list for generation 0, exactly as in the paper.
-    [rep] is what the collector will enqueue when [obj] proves
-    inaccessible. *)
-let protected_add t ~gid ~obj ~rep ~tconc =
-  let p = t.protected.(0) in
-  Vec.Int.push p.p_objs obj;
-  Vec.Int.push p.p_reps rep;
-  Vec.Int.push p.p_tconcs tconc;
-  Vec.Int.push p.p_gids gid;
-  t.stats.registrations <- t.stats.registrations + 1;
-  Telemetry.record_registration t.telemetry ~gid
-
 let protected_add_gen t ~generation ~gid ~obj ~rep ~tconc =
   let p = t.protected.(generation) in
   Vec.Int.push p.p_objs obj;
   Vec.Int.push p.p_reps rep;
   Vec.Int.push p.p_tconcs tconc;
   Vec.Int.push p.p_gids gid
+
+(** Register [obj] with the guardian whose tconc is [tconc]: a new entry is
+    added to the protected list for generation 0, exactly as in the paper.
+    [rep] is what the collector will enqueue when [obj] proves
+    inaccessible. *)
+let protected_add t ~gid ~obj ~rep ~tconc =
+  protected_add_gen t ~generation:0 ~gid ~obj ~rep ~tconc;
+  t.stats.registrations <- t.stats.registrations + 1;
+  Telemetry.record_registration t.telemetry ~gid
 
 let protected_length t generation =
   Vec.Int.length t.protected.(generation).p_objs

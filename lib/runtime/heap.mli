@@ -19,6 +19,13 @@ exception Out_of_memory
 (** Raised by mutator allocation once [Config.max_heap_words] would be
     exceeded.  Collections are exempt. *)
 
+exception Poisoned of string
+(** Raised by {!Collector.collect}, {!Runtime.safepoint} and
+    [Image.save_string] once a collection has been aborted by an
+    exception (a raising root scanner, say).  Such a heap is
+    half-collected and never collects again; the payload names the
+    original exception, which the aborted collection itself re-raised. *)
+
 val stride_bits : int
 val max_segment_words : int
 
@@ -104,6 +111,7 @@ type t = {
   mutable weak_scanners : (int * ((Word.t -> Word.t option) -> unit)) list;
   mutable next_scanner_id : int;
   mutable in_collection : bool;
+  mutable poisoned : string option;  (** the exception that aborted a GC *)
   mutable alloc_forbidden : bool;
   mutable segment_words_live : int;  (** capacity of all live segments *)
   mutable gc_epoch : int;
@@ -117,6 +125,9 @@ type t = {
 val create : ?config:Config.t -> unit -> t
 val config : t -> Config.t
 val stats : t -> Stats.t
+
+val check_poisoned : t -> unit
+(** @raise Poisoned if a collection of this heap was aborted. *)
 
 val faults : t -> faults
 (** The heap's fault-injection state (all zeroes unless armed). *)
@@ -182,6 +193,10 @@ val note_ref : t -> addr:int -> gen:int -> unit
     generation [gen], marking the covering card and keeping the segment
     summary in sync.  The slot's own write is the caller's. *)
 
+val remember : t -> int -> unit
+(** Put a segment on the dirty list if its [min_ref_gen] reaches into a
+    younger generation and it is not on the list already. *)
+
 val refresh_remembered : t -> int -> unit
 (** Recompute a segment's [min_ref_gen] from its card bytes and put it
     back on the dirty list if some card still reaches into a younger
@@ -246,6 +261,8 @@ val protected_add :
 
 val protected_add_gen :
   t -> generation:int -> gid:int -> obj:Word.t -> rep:Word.t -> tconc:Word.t -> unit
+(** Add an entry to a generation's protected list without counting a
+    registration: the collector's promotion and the image loader. *)
 
 val protected_length : t -> int -> int
 val protected_total : t -> int

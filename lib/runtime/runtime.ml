@@ -49,6 +49,7 @@ let request_collect h =
 (** Declare a safepoint: no unrooted heap words are live in the caller.  If
     enough allocation has accumulated, serve a collect request. *)
 let safepoint h =
+  Heap.check_poisoned h;
   let stats = Heap.stats h in
   if
     stats.Stats.words_allocated_since_gc

@@ -25,4 +25,5 @@ val request_collect : Heap.t -> unit
 
 val safepoint : Heap.t -> unit
 (** Declare that the caller holds no unrooted heap words; serve a collect
-    request if allocation since the last collection exceeds the trigger. *)
+    request if allocation since the last collection exceeds the trigger.
+    @raise Heap.Poisoned if a collection of the heap was aborted. *)

@@ -124,8 +124,7 @@ let begin_collection t =
   l.segments_freed <- 0;
   l.segments_allocated <- 0
 
-let end_collection t =
-  let l = t.last and g = t.total in
+let add ~into:g l =
   g.collections <- g.collections + l.collections;
   g.objects_copied <- g.objects_copied + l.objects_copied;
   g.words_copied <- g.words_copied + l.words_copied;
@@ -149,6 +148,8 @@ let end_collection t =
   g.ephemerons_broken <- g.ephemerons_broken + l.ephemerons_broken;
   g.segments_freed <- g.segments_freed + l.segments_freed;
   g.segments_allocated <- g.segments_allocated + l.segments_allocated
+
+let end_collection t = add ~into:t.total t.last
 
 let pp_counters ppf c =
   Format.fprintf ppf

@@ -63,6 +63,9 @@ val create : unit -> t
 val begin_collection : t -> unit
 (** Reset [last] at the start of a collection. *)
 
+val add : into:counters -> counters -> unit
+(** Add every field of the second counters into [into]. *)
+
 val end_collection : t -> unit
 (** Fold [last] into [total] at the end of a collection. *)
 

@@ -188,6 +188,78 @@ let test_segment_reuse () =
   (* Freed segments are recycled rather than accumulating. *)
   check "bounded segment count" true (Heap.live_segments h < 100)
 
+(* The numbers [Stats.pp_counters] prints, one per counter field. *)
+let counter_values c =
+  Format.asprintf "%a" Stats.pp_counters c
+  |> String.split_on_char '\n'
+  |> List.map (fun line ->
+         int_of_string (List.hd (List.rev (String.split_on_char ' ' line))))
+
+(* Every counter of [last] must be folded into [total].  The churn touches
+   every counter (kept, resurrected and dropped guardian entries, a broken
+   weak pointer and ephemeron, an old-to-young store into a dirty card), so
+   a field missing from the fold shows up as a mismatch. *)
+let test_total_folds_every_counter () =
+  let h = Heap.create ~config:(Config.v ~segment_words:128 ~card_words:8 ()) () in
+  let s = Heap.stats h in
+  let pp c = Format.asprintf "%a" Stats.pp_counters c in
+  let old = Heap.new_cell h (Obj.make_vector h ~len:64 ~init:Word.nil) in
+  let guardian = Heap.new_cell h (Guardian.make h) in
+  let churn () =
+    let g = Heap.read_cell h guardian and v = Heap.read_cell h old in
+    let kept = Obj.cons h (fx 1) Word.nil in
+    Obj.vector_set h v 0 kept;
+    Guardian.register h g kept;
+    Guardian.register h g (Obj.cons h (fx 2) Word.nil);
+    Guardian.register h (Guardian.make h) (Obj.cons h (fx 3) Word.nil);
+    Obj.vector_set h v 1 (Obj.weak_cons h (Obj.cons h (fx 4) Word.nil) Word.nil);
+    Obj.vector_set h v 2 (Ephemeron.cons h (Obj.cons h (fx 5) Word.nil) (fx 6))
+  in
+  churn ();
+  ignore (Collector.collect h ~gen:0);
+  Alcotest.(check string) "first collection: total = last" (pp s.Stats.last) (pp s.Stats.total);
+  let sum = ref (counter_values s.Stats.total) in
+  List.iter
+    (fun gen ->
+      churn ();
+      ignore (Collector.collect h ~gen);
+      sum := List.map2 ( + ) !sum (counter_values s.Stats.last);
+      Alcotest.(check (list int)) "total = sum of lasts" !sum (counter_values s.Stats.total))
+    [ 0; 0; 1; 0; 2 ];
+  check "every counter exercised" true (List.for_all (fun n -> n > 0) !sum)
+
+exception Scanner_failed
+
+(* A collection aborted by an exception poisons the heap: the exception
+   propagates once, and every later collection, safepoint and image save
+   raises [Heap.Poisoned] naming it instead of finding the heap wedged. *)
+let test_raising_scanner_poisons_heap () =
+  let h = Heap.create ~config:(Config.v ~gen0_trigger_words:256 ()) () in
+  let armed = ref true in
+  ignore
+    (Heap.add_scanner h (fun _ ->
+         if !armed then begin
+           armed := false;
+           raise Scanner_failed
+         end));
+  Alcotest.check_raises "the scanner's exception propagates" Scanner_failed (fun () ->
+      ignore (Collector.collect h ~gen:0));
+  let poisoned what f =
+    match f () with
+    | () -> Alcotest.failf "%s: returned normally" what
+    | exception Heap.Poisoned e ->
+        Alcotest.(check string) (what ^ " names the exception")
+          (Printexc.to_string Scanner_failed) e
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  poisoned "collect" (fun () -> ignore (Collector.collect h ~gen:0));
+  poisoned "safepoint" (fun () ->
+      for i = 0 to 999 do
+        ignore (Obj.cons h (fx i) Word.nil);
+        Runtime.safepoint h
+      done);
+  poisoned "image save" (fun () -> ignore (Gbc_image.Image.save_string h))
+
 (* ------------------------------------------------------------------ *)
 (* Random graph preservation                                           *)
 
@@ -311,6 +383,8 @@ let () =
         [
           Alcotest.test_case "copy work ∝ live" `Quick test_copy_work_proportional_to_live;
           Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
+          Alcotest.test_case "total folds every counter" `Quick test_total_folds_every_counter;
+          Alcotest.test_case "raising scanner poisons" `Quick test_raising_scanner_poisons_heap;
           Alcotest.test_case "schedule" `Quick test_collect_auto_schedule;
           Alcotest.test_case "safepoint trigger" `Quick test_safepoint_triggers;
           Alcotest.test_case "collect-request handler" `Quick test_collect_request_handler;
