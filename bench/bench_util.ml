@@ -78,17 +78,10 @@ module Gc_report = struct
     phase_ns : float array;  (* indexed by Telemetry.phase_index *)
     phase_work : int array;
     totals : Stats.counters;  (* per-collection counters, summed *)
-    (* Session-level mutator counters, summed over this benchmark's heaps
-       when the benchmark finishes (the heaps list is dropped then). *)
+    (* Session counters, summed over this benchmark's heaps when the
+       benchmark finishes (the heaps list is dropped then). *)
     mutable heaps : Heap.t list;
-    mutable polls : int;
-    mutable hits : int;
-    mutable registrations : int;
-    mutable tconc_enqueues : int;
-    mutable tconc_dequeues : int;
-    mutable barrier_calls : int;
-    mutable barrier_hits : int;
-    mutable cards_dirtied : int;
+    mutable session : (string * int) list;
     mutable extras : (string * float) list;
         (* benchmark-specific scalars, emitted under "extra" *)
   }
@@ -131,14 +124,7 @@ module Gc_report = struct
           phase_work = Array.make Telemetry.phase_count 0;
           totals = Stats.zero ();
           heaps = [];
-          polls = 0;
-          hits = 0;
-          registrations = 0;
-          tconc_enqueues = 0;
-          tconc_dequeues = 0;
-          barrier_calls = 0;
-          barrier_hits = 0;
-          cards_dirtied = 0;
+          session = Stats.session_to_list (Stats.create ());
           extras = [];
         }
 
@@ -155,15 +141,11 @@ module Gc_report = struct
     | Some agg ->
         List.iter
           (fun h ->
-            let s = Heap.stats h in
-            agg.polls <- agg.polls + s.Stats.guardian_polls;
-            agg.hits <- agg.hits + s.Stats.guardian_hits;
-            agg.registrations <- agg.registrations + s.Stats.registrations;
-            agg.tconc_enqueues <- agg.tconc_enqueues + s.Stats.tconc_enqueues;
-            agg.tconc_dequeues <- agg.tconc_dequeues + s.Stats.tconc_dequeues;
-            agg.barrier_calls <- agg.barrier_calls + s.Stats.barrier_calls;
-            agg.barrier_hits <- agg.barrier_hits + s.Stats.barrier_hits;
-            agg.cards_dirtied <- agg.cards_dirtied + s.Stats.cards_dirtied)
+            agg.session <-
+              List.map2
+                (fun (name, a) (_, b) -> (name, a + b))
+                agg.session
+                (Stats.session_to_list (Heap.stats h)))
           agg.heaps;
         agg.heaps <- [];
         current := None;
@@ -187,7 +169,14 @@ module Gc_report = struct
         let pauses = Array.of_list agg.pauses_us in
         Array.sort compare pauses;
         let total_phase_ns = Array.fold_left ( +. ) 0.0 agg.phase_ns in
-        let c = agg.totals in
+        let c = Stats.to_list agg.totals in
+        let counter name = List.assoc name c in
+        let session name = List.assoc name agg.session in
+        let ratio a b = float_of_int a /. float_of_int (max 1 b) in
+        (* Every counter under its export name from the [Stats] table. *)
+        let obj l =
+          String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) l)
+        in
         bprintf "    {\n      \"name\": %S,\n" agg.bench;
         bprintf "      \"collections\": %d,\n" agg.collections;
         bprintf
@@ -208,40 +197,22 @@ module Gc_report = struct
               (if i = Gbc_runtime.Telemetry.phase_count - 1 then "" else ","))
           Gbc_runtime.Telemetry.all_phases;
         bprintf "      },\n";
-        bprintf
-          "      \"counters\": {\"words_copied\": %d, \"words_swept\": %d, \
-           \"entries_visited\": %d, \"resurrections\": %d, \"entries_dropped\": \
-           %d, \"weak_broken\": %d, \"ephemerons_broken\": %d, \
-           \"cards_scanned\": %d, \"card_words_swept\": %d, \
-           \"dirty_candidate_words\": %d, \"dirty_segments_scanned\": %d, \
-           \"guardian_pend_checks\": %d},\n"
-          c.Stats.words_copied c.Stats.words_swept
-          c.Stats.protected_entries_visited c.Stats.guardian_resurrections
-          c.Stats.guardian_entries_dropped c.Stats.weak_pointers_broken
-          c.Stats.ephemerons_broken c.Stats.cards_scanned
-          c.Stats.card_words_swept c.Stats.dirty_candidate_words
-          c.Stats.dirty_segments_scanned c.Stats.guardian_pend_checks;
-        bprintf
-          "      \"mutator\": {\"registrations\": %d, \"polls\": %d, \"hits\": \
-           %d, \"tconc_enqueues\": %d, \"tconc_dequeues\": %d},\n"
-          agg.registrations agg.polls agg.hits agg.tconc_enqueues
-          agg.tconc_dequeues;
+        bprintf "      \"counters\": {%s},\n" (obj c);
+        bprintf "      \"mutator\": {%s},\n" (obj agg.session);
         (* Write-barrier profile and the card table's dirty-scan win:
            card_words_swept / dirty_candidate_words is the fraction of a
            segment-granular scan's work the card-granular scan performed. *)
         bprintf
           "      \"barrier\": {\"calls\": %d, \"hits\": %d, \"hit_rate\": \
            %.6f, \"cards_dirtied\": %d},\n"
-          agg.barrier_calls agg.barrier_hits
-          (float_of_int agg.barrier_hits /. float_of_int (max 1 agg.barrier_calls))
-          agg.cards_dirtied;
+          (session "barrier_calls") (session "barrier_hits")
+          (ratio (session "barrier_hits") (session "barrier_calls"))
+          (session "cards_dirtied");
         bprintf
           "      \"dirty_scan\": {\"cards_per_dirty_segment\": %.3f, \
            \"words_ratio\": %.6f},\n"
-          (float_of_int c.Stats.cards_scanned
-          /. float_of_int (max 1 c.Stats.dirty_segments_scanned))
-          (float_of_int c.Stats.card_words_swept
-          /. float_of_int (max 1 c.Stats.dirty_candidate_words));
+          (ratio (counter "cards_scanned") (counter "dirty_segments_scanned"))
+          (ratio (counter "card_words_swept") (counter "dirty_candidate_words"));
         if agg.extras <> [] then begin
           bprintf "      \"extra\": {";
           List.iteri
@@ -255,10 +226,10 @@ module Gc_report = struct
            sweeping work already done.  C2: mutator polls per clean-up
            actually performed (DESIGN.md, Observability). *)
         bprintf "      \"c1_collector_overhead\": %.6f,\n"
-          (float_of_int c.Stats.protected_entries_visited
-          /. float_of_int (max 1 (c.Stats.words_copied + c.Stats.words_swept)));
+          (ratio (counter "entries_visited")
+             (counter "words_copied" + counter "words_swept"));
         bprintf "      \"c2_polls_per_cleanup\": %.6f\n"
-          (float_of_int agg.polls /. float_of_int (max 1 agg.hits));
+          (ratio (session "polls") (session "hits"));
         bprintf "    }%s\n" (if bi = List.length aggs - 1 then "" else ","))
       aggs;
     bprintf "  ]\n}\n";

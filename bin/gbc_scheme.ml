@@ -32,10 +32,8 @@ let print_stats m =
   let open Gbc_runtime in
   let h = Machine.heap m in
   let s = Heap.stats h in
-  Format.printf "@.;; --- collector statistics ---@.%a@." Stats.pp_counters
-    s.Stats.total;
-  Format.printf ";; registrations %d, guardian polls %d, hits %d@."
-    s.Stats.registrations s.Stats.guardian_polls s.Stats.guardian_hits;
+  Format.printf "@.;; --- collector statistics ---@.%a@.%a@." Stats.pp_counters
+    s.Stats.total Stats.pp_values (Stats.session_to_list s);
   Format.printf ";; live words %d, live segments %d@." (Heap.live_words h)
     (Heap.live_segments h);
   Format.printf ";; census: %a@." Census.pp (Census.run h)

@@ -240,7 +240,10 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
   u32 out (crc32 payload ~pos:0 ~len:(String.length payload));
   let s = Buffer.contents out in
   Telemetry.phase_end tel Telemetry.Image_save ~work:!total_words;
-  Telemetry.record_image_save tel ~bytes:(String.length s) ~words:!total_words;
+  let st = Heap.stats h in
+  st.Stats.image_saves <- st.Stats.image_saves + 1;
+  st.Stats.image_bytes_written <- st.Stats.image_bytes_written + String.length s;
+  st.Stats.image_words_written <- st.Stats.image_words_written + !total_words;
   s
 
 (* ------------------------------------------------------------------ *)
@@ -519,7 +522,10 @@ let load_string ?config s =
   end;
   Telemetry.phase_end tel Telemetry.Image_load ~work:!total_words;
   Telemetry.set_enabled tel was_on;
-  Telemetry.record_image_load tel ~bytes:total ~words:!total_words;
+  let st = Heap.stats h in
+  st.Stats.image_loads <- st.Stats.image_loads + 1;
+  st.Stats.image_bytes_read <- st.Stats.image_bytes_read + total;
+  st.Stats.image_words_read <- st.Stats.image_words_read + !total_words;
   {
     heap = h;
     symbols;

@@ -564,6 +564,7 @@ let collect ?weak_pass_first t ~gen:g =
   let target = cfg.promote ~gen:g ~max_generation:cfg.max_generation in
   t.in_collection <- true;
   Stats.begin_collection (Heap.stats t);
+  t.stats.last.collections <- 1;
   Telemetry.collection_begin tel
     ~ordinal:((Heap.stats t).total.Stats.collections + 1)
     ~generation:g ~target;
@@ -582,11 +583,7 @@ let collect ?weak_pass_first t ~gen:g =
   t.in_collection <- false;
   (* The counter snapshot and live-word census are only paid for when
      someone is listening. *)
-  if Telemetry.enabled tel then begin
-    let s = Heap.stats t in
-    Telemetry.collection_end tel ~counters:(Stats.copy s.Stats.last)
-      ~live_words:(live_words t) ~barrier_calls:s.Stats.barrier_calls
-      ~barrier_hits:s.Stats.barrier_hits ~cards_dirtied:s.Stats.cards_dirtied ()
-  end;
+  if Telemetry.enabled tel then
+    Telemetry.collection_end tel ~stats:(Heap.stats t) ~live_words:(live_words t);
   run_post_gc_hooks t;
   { generation = g; target; duration_ns = Unix_time.now_ns () -. t0 }

@@ -328,8 +328,10 @@ let acquire_segment t ~space ~generation ~min_words =
   if Array.length si.crossing < ncards then si.crossing <- Array.make ncards 0;
   t.segment_words_live <- t.segment_words_live + si.size;
   Vec.Int.push t.gen_segs.(generation) seg;
-  if t.in_collection then Vec.Int.push t.gc_new_segs seg;
-  t.stats.last.segments_allocated <- t.stats.last.segments_allocated + 1;
+  if t.in_collection then begin
+    Vec.Int.push t.gc_new_segs seg;
+    t.stats.last.segments_allocated <- t.stats.last.segments_allocated + 1
+  end;
   seg
 
 let release_segment t seg =

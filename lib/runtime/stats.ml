@@ -3,8 +3,10 @@
     The paper's claims are complexity claims ("overhead proportional to the
     work already done", "proportional to the number of clean-up actions
     actually performed"), so the collector and the guardian machinery count
-    the work they do.  [per_gc] counters are reset at the start of each
-    collection; [totals] accumulate over the heap's lifetime. *)
+    the work they do.  [last] is reset at the start of each collection;
+    [total] accumulates over the heap's lifetime.  [rows] and
+    [session_rows] are the one list of counters and their export names:
+    every reset, fold, print and export walks them. *)
 
 type counters = {
   mutable collections : int;
@@ -39,6 +41,7 @@ type counters = {
   mutable ephemerons_broken : int;
   mutable segments_freed : int;
   mutable segments_allocated : int;
+      (** to-space segments acquired by this collection *)
 }
 
 let zero () =
@@ -83,6 +86,12 @@ type t = {
   mutable barrier_calls : int;  (** {!Heap.note_mutation} invocations *)
   mutable barrier_hits : int;  (** calls that stored an old-to-young pointer *)
   mutable cards_dirtied : int;  (** cards taken from clean to dirty *)
+  mutable image_saves : int;
+  mutable image_loads : int;
+  mutable image_bytes_written : int;
+  mutable image_bytes_read : int;
+  mutable image_words_written : int;
+  mutable image_words_read : int;
 }
 
 let create () =
@@ -99,70 +108,101 @@ let create () =
     barrier_calls = 0;
     barrier_hits = 0;
     cards_dirtied = 0;
+    image_saves = 0;
+    image_loads = 0;
+    image_bytes_written = 0;
+    image_bytes_read = 0;
+    image_words_written = 0;
+    image_words_read = 0;
   }
 
-let begin_collection t =
-  let l = t.last in
-  l.collections <- 1;
-  l.objects_copied <- 0;
-  l.words_copied <- 0;
-  l.words_swept <- 0;
-  l.root_words <- 0;
-  l.dirty_segments_scanned <- 0;
-  l.cards_scanned <- 0;
-  l.card_words_swept <- 0;
-  l.dirty_candidate_words <- 0;
-  l.guardian_pend_checks <- 0;
-  l.protected_entries_visited <- 0;
-  l.guardian_resurrections <- 0;
-  l.guardian_entries_promoted <- 0;
-  l.guardian_entries_dropped <- 0;
-  l.weak_pairs_scanned <- 0;
-  l.weak_pointers_broken <- 0;
-  l.ephemerons_scanned <- 0;
-  l.ephemerons_broken <- 0;
-  l.segments_freed <- 0;
-  l.segments_allocated <- 0
+(* ------------------------------------------------------------------ *)
+(* The counter table                                                   *)
 
-let add ~into:g l =
-  g.collections <- g.collections + l.collections;
-  g.objects_copied <- g.objects_copied + l.objects_copied;
-  g.words_copied <- g.words_copied + l.words_copied;
-  g.words_swept <- g.words_swept + l.words_swept;
-  g.root_words <- g.root_words + l.root_words;
-  g.dirty_segments_scanned <- g.dirty_segments_scanned + l.dirty_segments_scanned;
-  g.cards_scanned <- g.cards_scanned + l.cards_scanned;
-  g.card_words_swept <- g.card_words_swept + l.card_words_swept;
-  g.dirty_candidate_words <- g.dirty_candidate_words + l.dirty_candidate_words;
-  g.guardian_pend_checks <- g.guardian_pend_checks + l.guardian_pend_checks;
-  g.protected_entries_visited <-
-    g.protected_entries_visited + l.protected_entries_visited;
-  g.guardian_resurrections <- g.guardian_resurrections + l.guardian_resurrections;
-  g.guardian_entries_promoted <-
-    g.guardian_entries_promoted + l.guardian_entries_promoted;
-  g.guardian_entries_dropped <-
-    g.guardian_entries_dropped + l.guardian_entries_dropped;
-  g.weak_pairs_scanned <- g.weak_pairs_scanned + l.weak_pairs_scanned;
-  g.weak_pointers_broken <- g.weak_pointers_broken + l.weak_pointers_broken;
-  g.ephemerons_scanned <- g.ephemerons_scanned + l.ephemerons_scanned;
-  g.ephemerons_broken <- g.ephemerons_broken + l.ephemerons_broken;
-  g.segments_freed <- g.segments_freed + l.segments_freed;
-  g.segments_allocated <- g.segments_allocated + l.segments_allocated
+type row = {
+  name : string;
+  get : counters -> int;
+  set : counters -> int -> unit;
+}
+
+let row name get set = { name; get; set }
+
+(* An export name is the key the bench JSON or the Chrome args used before
+   the table existed, where there was one, and the field name otherwise. *)
+let rows =
+  [|
+    row "collections" (fun c -> c.collections) (fun c v -> c.collections <- v);
+    row "objects_copied" (fun c -> c.objects_copied) (fun c v ->
+        c.objects_copied <- v);
+    row "words_copied" (fun c -> c.words_copied) (fun c v -> c.words_copied <- v);
+    row "words_swept" (fun c -> c.words_swept) (fun c v -> c.words_swept <- v);
+    row "root_words" (fun c -> c.root_words) (fun c v -> c.root_words <- v);
+    row "dirty_segments_scanned" (fun c -> c.dirty_segments_scanned) (fun c v ->
+        c.dirty_segments_scanned <- v);
+    row "cards_scanned" (fun c -> c.cards_scanned) (fun c v ->
+        c.cards_scanned <- v);
+    row "card_words_swept" (fun c -> c.card_words_swept) (fun c v ->
+        c.card_words_swept <- v);
+    row "dirty_candidate_words" (fun c -> c.dirty_candidate_words) (fun c v ->
+        c.dirty_candidate_words <- v);
+    row "guardian_pend_checks" (fun c -> c.guardian_pend_checks) (fun c v ->
+        c.guardian_pend_checks <- v);
+    row "entries_visited" (fun c -> c.protected_entries_visited) (fun c v ->
+        c.protected_entries_visited <- v);
+    row "resurrections" (fun c -> c.guardian_resurrections) (fun c v ->
+        c.guardian_resurrections <- v);
+    row "guardian_entries_promoted" (fun c -> c.guardian_entries_promoted)
+      (fun c v -> c.guardian_entries_promoted <- v);
+    row "entries_dropped" (fun c -> c.guardian_entries_dropped) (fun c v ->
+        c.guardian_entries_dropped <- v);
+    row "weak_pairs_scanned" (fun c -> c.weak_pairs_scanned) (fun c v ->
+        c.weak_pairs_scanned <- v);
+    row "weak_broken" (fun c -> c.weak_pointers_broken) (fun c v ->
+        c.weak_pointers_broken <- v);
+    row "ephemerons_scanned" (fun c -> c.ephemerons_scanned) (fun c v ->
+        c.ephemerons_scanned <- v);
+    row "ephemerons_broken" (fun c -> c.ephemerons_broken) (fun c v ->
+        c.ephemerons_broken <- v);
+    row "segments_freed" (fun c -> c.segments_freed) (fun c v ->
+        c.segments_freed <- v);
+    row "segments_allocated" (fun c -> c.segments_allocated) (fun c v ->
+        c.segments_allocated <- v);
+  |]
+
+let session_rows =
+  [|
+    ("words_allocated", fun s -> s.words_allocated);
+    ("words_allocated_since_gc", fun s -> s.words_allocated_since_gc);
+    ("polls", fun s -> s.guardian_polls);
+    ("hits", fun s -> s.guardian_hits);
+    ("registrations", fun s -> s.registrations);
+    ("tconc_enqueues", fun s -> s.tconc_enqueues);
+    ("tconc_dequeues", fun s -> s.tconc_dequeues);
+    ("barrier_calls", fun s -> s.barrier_calls);
+    ("barrier_hits", fun s -> s.barrier_hits);
+    ("cards_dirtied", fun s -> s.cards_dirtied);
+    ("image_saves", fun s -> s.image_saves);
+    ("image_loads", fun s -> s.image_loads);
+    ("image_bytes_written", fun s -> s.image_bytes_written);
+    ("image_bytes_read", fun s -> s.image_bytes_read);
+    ("image_words_written", fun s -> s.image_words_written);
+    ("image_words_read", fun s -> s.image_words_read);
+  |]
+
+let to_list c = Array.to_list (Array.map (fun r -> (r.name, r.get c)) rows)
+
+let session_to_list s =
+  Array.to_list (Array.map (fun (name, get) -> (name, get s)) session_rows)
+
+let begin_collection t = Array.iter (fun r -> r.set t.last 0) rows
+
+let add ~into:g l = Array.iter (fun r -> r.set g (r.get g + r.get l)) rows
 
 let end_collection t = add ~into:t.total t.last
 
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "@[<v>collections %d@ objects copied %d@ words copied %d@ words swept %d@ \
-     root words %d@ dirty segments %d@ cards scanned %d@ card words swept %d@ \
-     dirty candidate words %d@ guardian pend checks %d@ protected entries \
-     visited %d@ resurrections %d@ entries promoted %d@ entries dropped %d@ \
-     weak pairs scanned %d@ weak pointers broken %d@ ephemerons scanned %d@ \
-     ephemerons broken %d@ segments freed %d@ segments allocated %d@]"
-    c.collections c.objects_copied c.words_copied c.words_swept c.root_words
-    c.dirty_segments_scanned c.cards_scanned c.card_words_swept
-    c.dirty_candidate_words c.guardian_pend_checks c.protected_entries_visited
-    c.guardian_resurrections c.guardian_entries_promoted
-    c.guardian_entries_dropped c.weak_pairs_scanned c.weak_pointers_broken
-    c.ephemerons_scanned c.ephemerons_broken c.segments_freed
-    c.segments_allocated
+let pp_values ppf l =
+  Format.fprintf ppf "@[<v>%a@]"
+    (Format.pp_print_list (fun ppf (name, v) -> Format.fprintf ppf "%s %d" name v))
+    l
+
+let pp_counters ppf c = pp_values ppf (to_list c)

@@ -34,6 +34,7 @@ type counters = {
   mutable ephemerons_broken : int;
   mutable segments_freed : int;
   mutable segments_allocated : int;
+      (** to-space segments acquired by this collection *)
 }
 
 val zero : unit -> counters
@@ -56,17 +57,52 @@ type t = {
           count mutator activity between collections *)
   mutable barrier_hits : int;  (** calls that stored an old-to-young pointer *)
   mutable cards_dirtied : int;  (** cards taken from clean to dirty *)
+  mutable image_saves : int;  (** heap images serialized from this heap *)
+  mutable image_loads : int;  (** images this heap was rebuilt from *)
+  mutable image_bytes_written : int;  (** on-disk bytes produced by saves *)
+  mutable image_bytes_read : int;  (** image bytes consumed by loads *)
+  mutable image_words_written : int;  (** live heap words serialized *)
+  mutable image_words_read : int;  (** heap words rebuilt by loads *)
 }
 
 val create : unit -> t
 
+(** {1 The counter table}
+
+    The one list of counters.  Every reset, fold, print and export (bench
+    JSON, Chrome trace args, the [--gc-log] line, [--gc-stats]) walks these
+    tables, so a counter added to a record without a row is caught by the
+    table-coverage test rather than silently missing from the exports. *)
+
+type row = {
+  name : string;  (** export name: JSON key, Chrome arg and log label *)
+  get : counters -> int;
+  set : counters -> int -> unit;
+}
+
+val rows : row array
+(** One row per field of {!counters}, in declaration order. *)
+
+val session_rows : (string * (t -> int)) array
+(** One [(export name, getter)] row per integer field of {!t}. *)
+
+val to_list : counters -> (string * int) list
+(** [(export name, value)] for every row, in table order. *)
+
+val session_to_list : t -> (string * int) list
+(** [(export name, value)] for every session row, in table order. *)
+
 val begin_collection : t -> unit
-(** Reset [last] at the start of a collection. *)
+(** Zero [last] at the start of a collection. *)
 
 val add : into:counters -> counters -> unit
-(** Add every field of the second counters into [into]. *)
+(** Add every counter of the second argument into [into]. *)
 
 val end_collection : t -> unit
 (** Fold [last] into [total] at the end of a collection. *)
 
+val pp_values : Format.formatter -> (string * int) list -> unit
+(** One [name value] line per pair. *)
+
 val pp_counters : Format.formatter -> counters -> unit
+(** [pp_values] of {!to_list}. *)

@@ -96,14 +96,16 @@ type event =
       at_ns : float;
       duration_ns : float;
       counters : Stats.counters;
+      session : (string * int) list;
       live_words : int;
-      barrier_calls : int;
-          (** lifetime write-barrier invocations (session counter) *)
-      barrier_hits : int;  (** lifetime old-to-young stores *)
-      cards_dirtied : int;  (** lifetime clean-to-dirty card transitions *)
     }
 
 type sink = event -> unit
+
+(* What a collection-end event exports, by name: the Log line and the
+   Chrome args. *)
+let end_values ~counters ~session ~live_words =
+  Stats.to_list counters @ session @ [ ("live_words", live_words) ]
 
 (* ------------------------------------------------------------------ *)
 (* Pause-time histogram                                                *)
@@ -206,15 +208,6 @@ type t = {
   pauses : Histogram.t;
   mutable guardians : guardian_stats array;  (** indexed by gid *)
   mutable nguardians : int;
-  (* Heap-image I/O counters: plain bumps, always on (like the guardian
-     metrics), so an image round-trip is visible even when phase timing
-     is disabled. *)
-  mutable img_saves : int;
-  mutable img_loads : int;
-  mutable img_bytes_written : int;
-  mutable img_bytes_read : int;
-  mutable img_words_written : int;
-  mutable img_words_read : int;
 }
 
 type telemetry = t
@@ -237,12 +230,6 @@ let create () =
     pauses = Histogram.create ();
     guardians = [||];
     nguardians = 0;
-    img_saves = 0;
-    img_loads = 0;
-    img_bytes_written = 0;
-    img_bytes_read = 0;
-    img_words_written = 0;
-    img_words_read = 0;
   }
 
 let set_enabled t b = t.on <- b
@@ -290,8 +277,7 @@ let phase_end t phase ~work =
       (Phase_end { ordinal = t.cur_ordinal; phase; at_ns = now; duration_ns; work })
   end
 
-let collection_end t ~counters ~live_words ?(barrier_calls = 0)
-    ?(barrier_hits = 0) ?(cards_dirtied = 0) () =
+let collection_end t ~stats ~live_words =
   if t.on then begin
     let now = Unix_time.now_ns () in
     let duration_ns = Float.max 0. (now -. t.cur_begin_ns) in
@@ -305,11 +291,9 @@ let collection_end t ~counters ~live_words ?(barrier_calls = 0)
            target = t.cur_target;
            at_ns = now;
            duration_ns;
-           counters;
+           counters = Stats.copy stats.Stats.last;
+           session = Stats.session_to_list stats;
            live_words;
-           barrier_calls;
-           barrier_hits;
-           cards_dirtied;
          })
   end
 
@@ -395,38 +379,6 @@ let record_poll t ~gid ~hit ~epoch =
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* Heap-image I/O counters                                             *)
-
-type image_counters = {
-  saves : int;
-  loads : int;
-  bytes_written : int;
-  bytes_read : int;
-  words_written : int;
-  words_read : int;
-}
-
-let record_image_save t ~bytes ~words =
-  t.img_saves <- t.img_saves + 1;
-  t.img_bytes_written <- t.img_bytes_written + bytes;
-  t.img_words_written <- t.img_words_written + words
-
-let record_image_load t ~bytes ~words =
-  t.img_loads <- t.img_loads + 1;
-  t.img_bytes_read <- t.img_bytes_read + bytes;
-  t.img_words_read <- t.img_words_read + words
-
-let image_counters t =
-  {
-    saves = t.img_saves;
-    loads = t.img_loads;
-    bytes_written = t.img_bytes_written;
-    bytes_read = t.img_bytes_read;
-    words_written = t.img_words_written;
-    words_read = t.img_words_read;
-  }
-
 let restore_guardian_count t n =
   (* Re-create the id space of a restored heap image: guardian objects in
      the image carry gids in [0 .. n); each must resolve in
@@ -506,18 +458,6 @@ module Ring = struct
     !out
 
   let total_recorded r = r.total
-
-  let pp_record ppf r =
-    Format.fprintf ppf
-      "#%d: gen %d->%d %.1fus, copied %d words (%d objects), guardian \
-       entries %d, resurrected %d, weak broken %d, ephemerons broken %d, \
-       live %d"
-      r.ordinal r.generation r.target (r.duration_ns /. 1e3)
-      r.counters.Stats.words_copied r.counters.Stats.objects_copied
-      r.counters.Stats.protected_entries_visited
-      r.counters.Stats.guardian_resurrections
-      r.counters.Stats.weak_pointers_broken r.counters.Stats.ephemerons_broken
-      r.live_words_after
 end
 
 (* ------------------------------------------------------------------ *)
@@ -527,17 +467,8 @@ module Log = struct
   let attach tel ppf =
     add_sink tel (function
       | Collection_end
-          {
-            ordinal;
-            generation;
-            target;
-            duration_ns;
-            counters;
-            live_words;
-            barrier_calls;
-            barrier_hits;
-            _;
-          } ->
+          { ordinal; generation; target; duration_ns; counters; session; live_words; _ }
+        ->
           Format.fprintf ppf "[gc #%d] gen %d->%d %.1fus |" ordinal generation
             target (duration_ns /. 1e3);
           List.iter
@@ -546,15 +477,11 @@ module Log = struct
                 (phase_ns_last tel ph /. 1e3)
                 (phase_work_last tel ph))
             all_phases;
-          Format.fprintf ppf
-            " | cards %d/%dsegs barrier %d/%d (%.1f%%) | copied %dw/%do \
-             resurrected %d live %dw@."
-            counters.Stats.cards_scanned counters.Stats.dirty_segments_scanned
-            barrier_hits barrier_calls
-            (100.0 *. float_of_int barrier_hits
-            /. float_of_int (max 1 barrier_calls))
-            counters.Stats.words_copied counters.Stats.objects_copied
-            counters.Stats.guardian_resurrections live_words
+          Format.pp_print_string ppf " |";
+          List.iter
+            (fun (name, v) -> Format.fprintf ppf " %s %d" name v)
+            (end_values ~counters ~session ~live_words);
+          Format.fprintf ppf "@."
       | _ -> ())
 end
 
@@ -624,21 +551,11 @@ module Chrome = struct
       | Phase_end { phase; at_ns; work; _ } ->
           write_event w ~name:(phase_name phase) ~ph:"E" ~at_ns
             [ ("work", string_of_int work) ]
-      | Collection_end { at_ns; counters; live_words; _ } ->
+      | Collection_end { at_ns; counters; session; live_words; _ } ->
           write_event w ~name:"collection" ~ph:"E" ~at_ns
-            [
-              ("words_copied", string_of_int counters.Stats.words_copied);
-              ("objects_copied", string_of_int counters.Stats.objects_copied);
-              ( "entries_visited",
-                string_of_int counters.Stats.protected_entries_visited );
-              ( "resurrections",
-                string_of_int counters.Stats.guardian_resurrections );
-              ("weak_broken", string_of_int counters.Stats.weak_pointers_broken);
-              ("cards_scanned", string_of_int counters.Stats.cards_scanned);
-              ( "card_words_swept",
-                string_of_int counters.Stats.card_words_swept );
-              ("live_words", string_of_int live_words);
-            ]
+            (List.map
+               (fun (name, v) -> (name, string_of_int v))
+               (end_values ~counters ~session ~live_words))
     in
     w.sink_id <- add_sink tel sink;
     w

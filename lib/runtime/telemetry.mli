@@ -67,11 +67,9 @@ type event =
       at_ns : float;
       duration_ns : float;
       counters : Stats.counters;  (** snapshot of the collection's counters *)
+      session : (string * int) list;
+          (** snapshot of the session counters, {!Stats.session_to_list} *)
       live_words : int;
-      barrier_calls : int;
-          (** lifetime write-barrier invocations (session counter) *)
-      barrier_hits : int;  (** lifetime old-to-young stores *)
-      cards_dirtied : int;  (** lifetime clean-to-dirty card transitions *)
     }
 
 type sink = event -> unit
@@ -133,18 +131,10 @@ val collection_begin : t -> ordinal:int -> generation:int -> target:int -> unit
 val phase_begin : t -> phase -> unit
 val phase_end : t -> phase -> work:int -> unit
 
-val collection_end :
-  t ->
-  counters:Stats.counters ->
-  live_words:int ->
-  ?barrier_calls:int ->
-  ?barrier_hits:int ->
-  ?cards_dirtied:int ->
-  unit ->
-  unit
-(** [counters] must be a private snapshot (see {!Stats.copy}): sinks may
-    retain it.  The barrier arguments are the session-lifetime
-    write-barrier counters at the end of this collection (default 0). *)
+val collection_end : t -> stats:Stats.t -> live_words:int -> unit
+(** The event carries private snapshots of [stats.last] and of the session
+    counters, taken through the {!Stats} counter table: sinks may retain
+    them. *)
 
 (** {2 Accumulated results} *)
 
@@ -200,26 +190,6 @@ val restore_guardian_count : t -> int -> unit
     {!guardian_stats} (existing ids keep their metrics).  A no-op when
     [n <= guardian_count t]. *)
 
-(** {1 Heap-image I/O counters}
-
-    Always on (plain counter bumps), accumulated by {e every}
-    image save/load against this hub.  The wall-clock side of image I/O
-    uses the {!Image_save}/{!Image_load} phases and is gated on the
-    enable flag like any other phase. *)
-
-type image_counters = {
-  saves : int;
-  loads : int;
-  bytes_written : int;  (** total on-disk bytes produced by saves *)
-  bytes_read : int;  (** total image bytes consumed by loads *)
-  words_written : int;  (** live heap words serialized *)
-  words_read : int;  (** heap words rebuilt by loads *)
-}
-
-val record_image_save : t -> bytes:int -> words:int -> unit
-val record_image_load : t -> bytes:int -> words:int -> unit
-val image_counters : t -> image_counters
-
 (** {1 Sinks} *)
 
 module Ring : sig
@@ -246,20 +216,22 @@ module Ring : sig
   val records : t -> record list  (** oldest first *)
 
   val total_recorded : t -> int
-  val pp_record : Format.formatter -> record -> unit
 end
 
 module Log : sig
   val attach : telemetry -> Format.formatter -> int
-  (** One human-readable line per collection on the given formatter;
-      returns the sink id (detach with {!remove_sink}). *)
+  (** One human-readable line per collection on the given formatter: the
+      phase timings, then every counter of the event as [name value]
+      (export names from the {!Stats} table, then [live_words]).  Returns
+      the sink id (detach with {!remove_sink}). *)
 end
 
 module Chrome : sig
   (** Chrome [trace_event] JSON writer: a top-level array of [B]/[E]
       event objects with microsecond timestamps, suitable for
-      [about://tracing] and Perfetto.  Hand-rolled JSON, no
-      dependencies. *)
+      [about://tracing] and Perfetto.  A collection's [E] event carries
+      the same [name value] pairs as the {!Log} line as its args.
+      Hand-rolled JSON, no dependencies. *)
 
   type t
 

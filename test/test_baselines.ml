@@ -1,11 +1,9 @@
-(* The Section 2 baseline mechanisms: weak sets, weak hashing, Dickey
-   register-for-finalization, and Atkins-style header indirection. *)
+(* The Section 2 baseline mechanisms: weak sets and Dickey
+   register-for-finalization. *)
 
 open Gbc_runtime
 module Weak_set = Gbc_baselines.Weak_set
-module Weak_hashing = Gbc_baselines.Weak_hashing
 module Finalize = Gbc_baselines.Finalize
-module Indirect = Gbc_baselines.Indirect
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -56,39 +54,6 @@ let test_weak_set_scan_cost_is_linear () =
   let before = Weak_set.scan_steps s in
   check_int "one death" 1 (Weak_set.scan_for_dropped s);
   check "paid ~N to find it" true (Weak_set.scan_steps s - before >= 100)
-
-(* --- weak hashing -------------------------------------------------- *)
-
-let test_hash_unique_and_stable () =
-  let h = heap () in
-  let wh = Weak_hashing.create h in
-  let a = Handle.create h (Obj.cons h (fx 1) Word.nil) in
-  let b = Handle.create h (Obj.cons h (fx 2) Word.nil) in
-  let ia = Weak_hashing.hash wh (Handle.get a) in
-  let ib = Weak_hashing.hash wh (Handle.get b) in
-  check "distinct ids" true (ia <> ib);
-  check_int "same id for same object" ia (Weak_hashing.hash wh (Handle.get a));
-  full_collect h;
-  (* Identity survives moves. *)
-  check_int "stable across gc" ia (Weak_hashing.hash wh (Handle.get a));
-  check "unhash live" true
-    (Word.equal (Option.get (Weak_hashing.unhash wh ia)) (Handle.get a))
-
-let test_unhash_dead_is_false () =
-  let h = heap () in
-  let wh = Weak_hashing.create h in
-  let id = Weak_hashing.hash wh (Obj.cons h (fx 1) Word.nil) in
-  full_collect h;
-  check "reclaimed" true (Weak_hashing.unhash wh id = None);
-  check_int "live count" 0 (Weak_hashing.live_count wh)
-
-let test_hash_does_not_retain () =
-  let h = heap () in
-  let wh = Weak_hashing.create h in
-  let before = Heap.live_words h in
-  ignore (Weak_hashing.hash wh (Obj.make_vector h ~len:100 ~init:Word.nil));
-  full_collect h;
-  check "weak" true (Heap.live_words h < before + 50)
 
 (* --- Dickey register-for-finalization ------------------------------ *)
 
@@ -156,53 +121,6 @@ let test_finalize_scan_cost () =
   check "scan pays O(registered) even when nothing died" true
     (Finalize.scan_steps f - before >= 100)
 
-(* --- Atkins indirection --------------------------------------------- *)
-
-let test_indirect_cleanup () =
-  let h = heap () in
-  let reg = Indirect.create h in
-  let cleaned = ref [] in
-  let data = Obj.cons h (fx 42) Word.nil in
-  let header = Indirect.wrap reg data in
-  check "access works" true (Word.equal (Indirect.access reg header) data);
-  check_int "accesses counted" 1 (Indirect.accesses reg);
-  (* Keep the data alive independently; drop the header. *)
-  let dc = Handle.create h data in
-  full_collect h;
-  Indirect.scan_for_dropped reg ~cleanup:(fun d ->
-      cleaned := Word.to_fixnum (Obj.car h d) :: !cleaned);
-  Alcotest.(check (list int)) "cleanup got the data" [ 42 ] !cleaned;
-  Handle.free dc
-
-let test_indirect_live_header_not_cleaned () =
-  let h = heap () in
-  let reg = Indirect.create h in
-  let cleaned = ref 0 in
-  let header = Handle.create h (Indirect.wrap reg (Obj.cons h (fx 1) Word.nil)) in
-  full_collect h;
-  Indirect.scan_for_dropped reg ~cleanup:(fun _ -> incr cleaned);
-  check_int "no cleanup while held" 0 !cleaned;
-  (* The data is reachable through the header. *)
-  check_int "data alive" 1
-    (Word.to_fixnum (Obj.car h (Indirect.access reg (Handle.get header))));
-  Handle.free header;
-  full_collect h;
-  Indirect.scan_for_dropped reg ~cleanup:(fun _ -> incr cleaned);
-  check_int "cleanup after drop" 1 !cleaned
-
-let test_indirect_scan_cost () =
-  let h = heap () in
-  let reg = Indirect.create h in
-  let keep = Handle.create h Word.nil in
-  for i = 0 to 49 do
-    let header = Indirect.wrap reg (Obj.cons h (fx i) Word.nil) in
-    Handle.set keep (Obj.cons h header (Handle.get keep))
-  done;
-  full_collect h;
-  let before = Indirect.scan_steps reg in
-  Indirect.scan_for_dropped reg ~cleanup:(fun _ -> ());
-  check "O(registry) per scan" true (Indirect.scan_steps reg - before >= 50)
-
 let () =
   Alcotest.run "baselines"
     [
@@ -212,12 +130,6 @@ let () =
           Alcotest.test_case "drops dead" `Quick test_weak_set_drops_dead;
           Alcotest.test_case "linear scan cost" `Quick test_weak_set_scan_cost_is_linear;
         ] );
-      ( "weak hashing (hash/unhash)",
-        [
-          Alcotest.test_case "unique & stable" `Quick test_hash_unique_and_stable;
-          Alcotest.test_case "unhash dead" `Quick test_unhash_dead_is_false;
-          Alcotest.test_case "does not retain" `Quick test_hash_does_not_retain;
-        ] );
       ( "register-for-finalization (Dickey)",
         [
           Alcotest.test_case "thunk runs" `Quick test_finalize_runs_thunk;
@@ -225,11 +137,5 @@ let () =
           Alcotest.test_case "no allocation (E8)" `Quick test_finalize_no_allocation_allowed;
           Alcotest.test_case "errors suppressed" `Quick test_finalize_errors_suppressed;
           Alcotest.test_case "scan cost" `Quick test_finalize_scan_cost;
-        ] );
-      ( "header indirection (Atkins)",
-        [
-          Alcotest.test_case "cleanup" `Quick test_indirect_cleanup;
-          Alcotest.test_case "live header" `Quick test_indirect_live_header_not_cleaned;
-          Alcotest.test_case "scan cost" `Quick test_indirect_scan_cost;
         ] );
     ]

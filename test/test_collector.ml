@@ -228,6 +228,52 @@ let test_total_folds_every_counter () =
     [ 0; 0; 1; 0; 2 ];
   check "every counter exercised" true (List.for_all (fun n -> n > 0) !sum)
 
+(* The counter table covers every field: [Stats.rows] sets and reads each
+   field of [counters] exactly once, and [Stats.session_rows] reads each
+   integer field of [Stats.t] exactly once.  The project's [Obj] shadows
+   Stdlib's. *)
+let test_counter_table_covers_every_field () =
+  let module O = Stdlib.Obj in
+  let fields r : int list = List.init (O.size r) (fun i -> O.obj (O.field r i)) in
+  let c = Stats.zero () in
+  check_int "one row per counters field" (O.size (O.repr c)) (Array.length Stats.rows);
+  Array.iteri (fun i r -> r.Stats.set c (i + 1)) Stats.rows;
+  let expected = List.init (Array.length Stats.rows) (fun i -> i + 1) in
+  Alcotest.(check (list int)) "each row sets its own field" expected
+    (List.sort compare (fields (O.repr c)));
+  Array.iteri (fun i r -> check_int r.Stats.name (i + 1) (r.Stats.get c)) Stats.rows;
+  let s = Stats.create () in
+  (* Fields 0 and 1 are [last] and [total]; the rest are session counters. *)
+  let n = O.size (O.repr s) - 2 in
+  check_int "one row per session field" n (Array.length Stats.session_rows);
+  for i = 0 to n - 1 do
+    O.set_field (O.repr s) (i + 2) (O.repr (i + 1))
+  done;
+  Alcotest.(check (list int)) "each session row reads its own field"
+    (List.init n (fun i -> i + 1))
+    (List.sort compare (Array.to_list (Array.map (fun (_, get) -> get s) Stats.session_rows)));
+  let names =
+    Array.to_list (Array.map (fun r -> r.Stats.name) Stats.rows)
+    @ Array.to_list (Array.map fst Stats.session_rows)
+  in
+  check_int "export names are distinct" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+(* [last] describes the last collection: mutator allocation after it,
+   even past a segment, leaves it as the collection left it. *)
+let test_last_unchanged_by_mutator () =
+  let h = Heap.create ~config:cfg () in
+  ignore (Collector.collect h ~gen:0);
+  let s = Heap.stats h in
+  let at_end = Stats.copy s.Stats.last in
+  let segs = Heap.live_segments h in
+  for i = 1 to 200 do
+    ignore (Obj.cons h (fx i) Word.nil)
+  done;
+  check "allocation acquired segments" true (Heap.live_segments h > segs);
+  Alcotest.(check (list (pair string int))) "last as at collection end"
+    (Stats.to_list at_end) (Stats.to_list s.Stats.last)
+
 exception Scanner_failed
 
 (* A collection aborted by an exception poisons the heap: the exception
@@ -384,6 +430,9 @@ let () =
           Alcotest.test_case "copy work ∝ live" `Quick test_copy_work_proportional_to_live;
           Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
           Alcotest.test_case "total folds every counter" `Quick test_total_folds_every_counter;
+          Alcotest.test_case "counter table covers every field" `Quick
+            test_counter_table_covers_every_field;
+          Alcotest.test_case "last unchanged by mutator" `Quick test_last_unchanged_by_mutator;
           Alcotest.test_case "raising scanner poisons" `Quick test_raising_scanner_poisons_heap;
           Alcotest.test_case "schedule" `Quick test_collect_auto_schedule;
           Alcotest.test_case "safepoint trigger" `Quick test_safepoint_triggers;
