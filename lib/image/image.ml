@@ -57,20 +57,47 @@ let format_version = 1
 (* ------------------------------------------------------------------ *)
 (* CRC-32                                                              *)
 
-let crc_table =
+(* Slice-by-8: table [k] advances the CRC over a byte followed by [k]
+   zero bytes, so eight table lookups consume eight input bytes. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for i = 256 to (8 * 256) - 1 do
+       let c = t.(i - 256) in
+       t.(i) <- (c lsr 8) lxor t.(c land 0xff)
+     done;
+     t)
 
 let crc32 s ~pos ~len =
-  let tbl = Lazy.force crc_table in
+  let t = Lazy.force crc_tables in
   let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := tbl.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  let i = ref pos in
+  let stop = pos + len in
+  (* Two 32-bit reads: a 64-bit one would lose bit 63 in an OCaml int. *)
+  while !i + 8 <= stop do
+    let lo = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
+    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      t.((7 * 256) + (lo land 0xff))
+      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor t.((4 * 256) + (lo lsr 24))
+      lxor t.((3 * 256) + (hi land 0xff))
+      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor t.(256 + ((hi lsr 16) land 0xff))
+      lxor t.(hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c := t.((!c lxor Char.code s.[!i]) land 0xff) lxor (!c lsr 8);
+    incr i
   done;
   !c lxor 0xFFFFFFFF
 
@@ -157,7 +184,16 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
       Word.with_addr w (Heap.addr_of ~seg:imap.(seg) ~off)
     end
   in
-  let b = Buffer.create 65536 in
+  (* The whole frame goes into one buffer; the payload length and the CRC
+     are patched in once the payload is complete. *)
+  let total_words = ref 0 in
+  for i = 0 to !nlive - 1 do
+    total_words := !total_words + h.Heap.infos.(live.(i)).Heap.used
+  done;
+  let b = Buffer.create (65536 + (8 * !total_words)) in
+  Buffer.add_string b magic;
+  u32 b format_version;
+  i64 b 0;
   u32 b Heap.stride_bits;
   u32 b cfg.Config.segment_words;
   u32 b cfg.Config.max_generation;
@@ -176,7 +212,6 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
     u32 b si.Heap.size;
     u8 b (if si.Heap.large then 1 else 0)
   done;
-  let total_words = ref 0 in
   for i = 0 to !nlive - 1 do
     let seg = live.(i) in
     let si = h.Heap.infos.(seg) in
@@ -190,8 +225,7 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
     else
       for off = 0 to si.Heap.used - 1 do
         i64 b (reloc arr.(off))
-      done;
-    total_words := !total_words + si.Heap.used
+      done
   done;
   for k = 0 to Space.count - 1 do
     let cur = h.Heap.mutator_cursors.(k).Heap.seg in
@@ -231,14 +265,13 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
       Array.iter (fun w -> i64 b (reloc w)) x.xwords;
       str b x.xbytes)
     extras;
-  let payload = Buffer.contents b in
-  let out = Buffer.create (String.length payload + 32) in
-  Buffer.add_string out magic;
-  u32 out format_version;
-  Buffer.add_int64_le out (Int64.of_int (String.length payload));
-  Buffer.add_string out payload;
-  u32 out (crc32 payload ~pos:0 ~len:(String.length payload));
-  let s = Buffer.contents out in
+  u32 b 0;
+  let frame = Buffer.to_bytes b in
+  let plen = Bytes.length frame - 24 in
+  Bytes.set_int64_le frame 12 (Int64.of_int plen);
+  let crc = crc32 (Bytes.unsafe_to_string frame) ~pos:20 ~len:plen in
+  Bytes.set_int32_le frame (20 + plen) (Int32.of_int crc);
+  let s = Bytes.unsafe_to_string frame in
   Telemetry.phase_end tel Telemetry.Image_save ~work:!total_words;
   let st = Heap.stats h in
   st.Stats.image_saves <- st.Stats.image_saves + 1;

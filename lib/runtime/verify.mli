@@ -1,7 +1,8 @@
 (** Heap invariant verifier: a debugging walk over the whole heap checking
     the structural invariants the collector relies on — segment table
-    sanity, object parse, pointer validity, space discipline, the
-    remembered-set invariant, and protected-list well-formedness. *)
+    sanity, object parse, pointer validity (heap slots and roots), space
+    discipline, the remembered-set invariant, and protected-list
+    well-formedness. *)
 
 type error = { what : string; where : string }
 

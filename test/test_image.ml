@@ -469,6 +469,63 @@ let test_save_during_collection_rejected () =
   h.Heap.alloc_forbidden <- false;
   check "save inside finalization thunk rejected" true !hit2
 
+(* Byte-at-a-time CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320),
+   written out here as an independent reference. *)
+let reference_crc32 s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_reference () =
+  check_int "check value" 0xCBF43926 (Image.crc32 "123456789" ~pos:0 ~len:9);
+  (* High bytes everywhere: a 64-bit read would lose bit 63. *)
+  let buf = String.init 80 (fun i -> Char.chr (0x80 lor ((i * 37) land 0x7f))) in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      check_int
+        (Printf.sprintf "pos %d len %d" pos len)
+        (reference_crc32 buf ~pos ~len)
+        (Image.crc32 buf ~pos ~len)
+    done
+  done;
+  let s = small_image () in
+  let plen = String.length s - 24 in
+  check_int "image trailer"
+    (reference_crc32 s ~pos:20 ~len:plen)
+    (Int32.to_int (String.get_int32_le s (20 + plen)) land 0xFFFFFFFF)
+
+(* A crafted image whose global cell points into the middle of a vector
+   (with a valid CRC) must be rejected by the verified load. *)
+let test_interior_root_rejected () =
+  let h = heap () in
+  let v = Handle.create h (Obj.make_vector h ~len:6 ~init:(fx 0)) in
+  let s = Image.save_string h in
+  let word w =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int w);
+    Bytes.to_string b
+  in
+  let target = word (Handle.get v) in
+  let at = ref [] in
+  for i = 20 to String.length s - 12 do
+    if String.sub s i 8 = target then at := i :: !at
+  done;
+  check_int "cell word found once" 1 (List.length !at);
+  let b = Bytes.of_string s in
+  Bytes.blit_string
+    (word (Word.typed_ptr (Word.addr (Handle.get v) + 2)))
+    0 b (List.hd !at) 8;
+  let plen = Bytes.length b - 24 in
+  let crc = Image.crc32 (Bytes.to_string b) ~pos:20 ~len:plen in
+  Bytes.set_int32_le b (20 + plen) (Int32.of_int crc);
+  expect_error "interior root" (fun () ->
+      Image.load_string ~config:cfg (Bytes.to_string b))
+
 let () =
   Alcotest.run "image"
     [
@@ -516,5 +573,10 @@ let () =
             test_ceiling_too_small_rejected;
           Alcotest.test_case "save during collection" `Quick
             test_save_during_collection_rejected;
+          Alcotest.test_case "interior root" `Quick test_interior_root_rejected;
+        ] );
+      ( "crc",
+        [
+          Alcotest.test_case "matches a reference" `Quick test_crc32_reference;
         ] );
     ]

@@ -82,6 +82,42 @@ let test_catches_stored_forward_marker () =
   check "marker caught" true
     (List.length (Verify.verify h) > 0)
 
+(* The [where] text names the corrupted slot: segment and offset of the
+   holding object, then car/cdr (pair space) or the field index. *)
+let test_error_locations () =
+  let h = heap () in
+  let pair = Handle.create h (Obj.cons h Word.nil Word.nil) in
+  let vec = Handle.create h (Obj.make_vector h ~len:3 ~init:Word.nil) in
+  let seg_off w = (Heap.seg_of_addr (Word.addr w), Heap.off_of_addr (Word.addr w)) in
+  let ps, po = seg_off (Handle.get pair) and vs, vo = seg_off (Handle.get vec) in
+  let a = Word.addr (Handle.get pair) and b = Word.addr (Handle.get vec) in
+  Heap.store h a (Word.pair_ptr ((1 lsl Heap.stride_bits) * 1000));
+  Heap.store h (a + 1) (Word.typed_ptr (b + 2));
+  Heap.store h (b + 3) (Word.pair_ptr b);
+  let where what =
+    match List.find_opt (fun e -> e.Verify.what = what) (Verify.verify h) with
+    | Some e -> e.Verify.where
+    | None -> Alcotest.fail ("no error: " ^ what)
+  in
+  Alcotest.(check string) "car"
+    (Printf.sprintf "seg %d off %d car -> seg 1000" ps po)
+    (where "pointer to unknown segment");
+  Alcotest.(check string) "cdr"
+    (Printf.sprintf "seg %d off %d cdr -> seg %d off %d" ps po vs (vo + 2))
+    (where "pointer to object interior");
+  Alcotest.(check string) "field"
+    (Printf.sprintf "seg %d off %d field 2" vs vo)
+    (where "pair pointer into non-pair space")
+
+(* Roots get the same pointer check as heap slots. *)
+let test_catches_interior_root () =
+  let h = heap () in
+  let v = Handle.create h (Obj.make_vector h ~len:6 ~init:Word.nil) in
+  let cell = Heap.new_cell h Word.nil in
+  Heap.write_cell h cell (Word.typed_ptr (Word.addr (Handle.get v) + 2));
+  check "interior root caught" true
+    (has_error (Verify.verify h) "pointer to object interior")
+
 (* --- telemetry ring --------------------------------------------------- *)
 
 let traced_heap () =
@@ -252,6 +288,8 @@ let () =
             test_catches_remembered_set_violation;
           Alcotest.test_case "smashed header" `Quick test_catches_smashed_header;
           Alcotest.test_case "stored marker" `Quick test_catches_stored_forward_marker;
+          Alcotest.test_case "error locations" `Quick test_error_locations;
+          Alcotest.test_case "interior root" `Quick test_catches_interior_root;
         ] );
       ( "trace",
         [
