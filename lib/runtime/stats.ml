@@ -92,6 +92,8 @@ type t = {
   mutable image_bytes_read : int;
   mutable image_words_written : int;
   mutable image_words_read : int;
+  mutable vm_calls : int;  (** Scheme VM call instructions executed *)
+  mutable vm_prim_calls : int;  (** of those, calls that ran a primitive *)
 }
 
 let create () =
@@ -114,6 +116,8 @@ let create () =
     image_bytes_read = 0;
     image_words_written = 0;
     image_words_read = 0;
+    vm_calls = 0;
+    vm_prim_calls = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -187,6 +191,8 @@ let session_rows =
     ("image_bytes_read", fun s -> s.image_bytes_read);
     ("image_words_written", fun s -> s.image_words_written);
     ("image_words_read", fun s -> s.image_words_read);
+    ("vm_calls", fun s -> s.vm_calls);
+    ("vm_prim_calls", fun s -> s.vm_prim_calls);
   |]
 
 let to_list c = Array.to_list (Array.map (fun r -> (r.name, r.get c)) rows)

@@ -63,6 +63,9 @@ type t = {
   mutable image_bytes_read : int;  (** image bytes consumed by loads *)
   mutable image_words_written : int;  (** live heap words serialized *)
   mutable image_words_read : int;  (** heap words rebuilt by loads *)
+  mutable vm_calls : int;
+      (** procedure applications by the Scheme VM's call instructions *)
+  mutable vm_prim_calls : int;  (** of those, calls that ran a primitive *)
 }
 
 val create : unit -> t

@@ -39,6 +39,10 @@ let to_fixnum w =
   assert (is_fixnum w);
   w asr 1
 
+let mul_exact x y =
+  let r = x * y in
+  if x <> 0 && r / x <> y then max_int else r
+
 (* ------------------------------------------------------------------ *)
 (* Pointers                                                            *)
 

@@ -31,6 +31,11 @@ val of_fixnum : int -> t
 val is_fixnum : t -> bool
 val to_fixnum : t -> int
 
+val mul_exact : int -> int -> int
+(** [x * y], or [max_int] (never a fixnum value) when the product
+    overflows an OCaml [int]: a caller range-checks the result against
+    [fixnum_min .. fixnum_max] instead of seeing a wrapped value. *)
+
 (** {1 Pointers} *)
 
 val pair_tag : int

@@ -442,16 +442,22 @@ and fold_primitive op args =
   if not all_ints then None
   else
     let ns = List.map Option.get ints in
-    let int n =
-      if n >= Gbc_runtime.Word.fixnum_min && n <= Gbc_runtime.Word.fixnum_max then
-        Some (Quote (Sexpr.Int n))
-      else None
+    let fits n = n >= Gbc_runtime.Word.fixnum_min && n <= Gbc_runtime.Word.fixnum_max in
+    let int n = if fits n then Some (Quote (Sexpr.Int n)) else None in
+    (* Arithmetic folds step by step and gives up as soon as a partial
+       result leaves the fixnum range, where the VM raises an overflow
+       error. *)
+    let rec arith f acc = function
+      | [] -> int acc
+      | n :: rest ->
+          let r = f acc n in
+          if fits r then arith f r rest else None
     in
     match (op, ns) with
-    | "+", ns -> int (List.fold_left ( + ) 0 ns)
-    | "*", ns -> int (List.fold_left ( * ) 1 ns)
+    | "+", ns -> arith ( + ) 0 ns
+    | "*", ns -> arith Gbc_runtime.Word.mul_exact 1 ns
     | "-", [ n ] -> int (-n)
-    | "-", n :: rest when rest <> [] -> int (List.fold_left ( - ) n rest)
+    | "-", n :: rest when rest <> [] && fits n -> arith ( - ) n rest
     | "min", [ a; b ] -> int (min a b)
     | "max", [ a; b ] -> int (max a b)
     | "abs", [ a ] -> int (abs a)

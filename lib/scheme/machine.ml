@@ -20,28 +20,34 @@ exception Load_image_signal of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
+type special = Plain | Callcc | Apply
+
 type prim = {
   pname : string;
   arity_min : int;
   arity_max : int;  (** -1 = variadic *)
-  fn : t -> Word.t array -> Word.t;
+  special : special;  (** [Callcc], [Apply]: the VM dispatches; [fn] never runs *)
+  fn : t -> int -> int -> Word.t;
 }
 
+(* Reused in place: [control.(0 .. depth - 1)] are live.  A continuation
+   copies frame values into the heap, so reuse never aliases one. *)
 and frame = {
-  ret_instrs : Instr.instr array;
-  ret_pc : int;
-  ret_fp : int;
+  mutable ret_instrs : Instr.instr array;
+  mutable ret_pc : int;
+  mutable ret_fp : int;
   mutable ret_clos : Word.t;
   (* Where [ret_instrs] came from, so continuations can snapshot control
      frames into the heap: code id and clause index, or (-1, -1) for host
      boundaries (synthetic frames of apply_closure / top level). *)
-  ret_code_id : int;
-  ret_clause : int;
+  mutable ret_code_id : int;
+  mutable ret_clause : int;
 }
 
 and t = {
   ctx : Gbc.Ctx.t;
   heap : Heap.t;
+  stats : Stats.t;  (** the heap's, for the VM call counters *)
   symtab : Symtab.t;
   codes : Instr.code Vec.Poly.t;
   consts : Vec.Int.t;  (** heap words, rooted *)
@@ -50,7 +56,8 @@ and t = {
   mutable fp : int;
   mutable acc : Word.t;
   mutable clos : Word.t;
-  control : frame Vec.Poly.t;
+  mutable control : frame array;
+  mutable depth : int;  (** live control frames *)
   mutable cur_code_id : int;  (** code id of the running clause, -1 = host *)
   mutable cur_clause : int;
   global_names : (int, string) Hashtbl.t;
@@ -64,11 +71,12 @@ and t = {
 
 let dummy_code : Instr.code = { name = "dummy"; clauses = [] }
 
-let dummy_frame =
+let new_frame () =
   { ret_instrs = [||]; ret_pc = 0; ret_fp = 0; ret_clos = Word.nil;
     ret_code_id = -1; ret_clause = -1 }
 
-let dummy_prim = { pname = ""; arity_min = 0; arity_max = 0; fn = (fun _ _ -> Word.void) }
+let dummy_prim =
+  { pname = ""; arity_min = 0; arity_max = 0; special = Plain; fn = (fun _ _ _ -> Word.void) }
 
 let create ?(ctx : Gbc.Ctx.t option) ?config () =
   let ctx = match ctx with Some c -> c | None -> Gbc.Ctx.create ?config () in
@@ -77,6 +85,7 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
     {
       ctx;
       heap;
+      stats = Heap.stats heap;
       symtab = Symtab.create heap;
       codes = Vec.Poly.create ~dummy:dummy_code ();
       consts = Vec.Int.create ();
@@ -85,7 +94,8 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
       fp = 0;
       acc = Word.void;
       clos = Word.nil;
-      control = Vec.Poly.create ~dummy:dummy_frame ();
+      control = Array.init 256 (fun _ -> new_frame ());
+      depth = 0;
       cur_code_id = -1;
       cur_clause = -1;
       global_names = Hashtbl.create 64;
@@ -107,7 +117,7 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
     done;
     m.acc <- rewrite m.acc;
     m.clos <- rewrite m.clos;
-    Vec.Poly.iter m.control ~f:(fun f -> f.ret_clos <- rewrite f.ret_clos);
+    for i = 0 to m.depth - 1 do m.control.(i).ret_clos <- rewrite m.control.(i).ret_clos done;
     Vec.Int.iteri m.consts ~f:(fun i w -> Vec.Int.set m.consts i (rewrite w))
   in
   m.scanner_id <- Heap.add_scanner heap scanner;
@@ -219,13 +229,19 @@ let make_closure_obj m ~code_id ~nfree =
   Obj.set_field m.heap c 0 (Word.of_fixnum code_id);
   c
 
-let is_closure m w = Obj.has_code m.heap w Obj.code_closure
-let is_continuation m w = Obj.has_code m.heap w Obj.code_continuation
-let is_procedure m w = is_closure m w || is_continuation m w
+let is_procedure m w =
+  Obj.has_code m.heap w Obj.code_closure || Obj.has_code m.heap w Obj.code_continuation
 
-(** Register a primitive and bind it to its global name. *)
+(** Register a primitive and bind it to its global name.  Special handling
+    follows the primitive, not the name: [(define k call/cc)] still works. *)
 let define_prim m ~name ~arity_min ?(arity_max = arity_min) fn =
-  Vec.Poly.push m.prims { pname = name; arity_min; arity_max; fn };
+  let special =
+    match name with
+    | "call-with-current-continuation" | "call/cc" -> Callcc
+    | "apply" -> Apply
+    | _ -> Plain
+  in
+  Vec.Poly.push m.prims { pname = name; arity_min; arity_max; special; fn };
   let prim_id = Vec.Poly.length m.prims - 1 in
   (* On a machine rebuilt from a heap image the global already holds this
      primitive's closure (installation order is fixed, so the prim ids
@@ -236,9 +252,8 @@ let define_prim m ~name ~arity_min ?(arity_max = arity_min) fn =
     define_global m name c
   end
 
-let prim_of_closure m w =
-  let id = Word.to_fixnum (Obj.field m.heap w 0) in
-  if id < 0 then Some (Vec.Poly.get m.prims (-1 - id)) else None
+(** Value-stack slot [i]: a primitive's arguments are [base .. base + n - 1]. *)
+let arg m i = m.stack.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Heap-image support                                                  *)
@@ -290,14 +305,13 @@ let push m w =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-let select_clause (code : Instr.code) n =
-  let rec loop i = function
-    | [] -> None
-    | (c : Instr.clause) :: rest ->
-        if (c.required = n && not c.rest) || (c.required <= n && c.rest) then Some (c, i)
-        else loop (i + 1) rest
-  in
-  loop 0 code.clauses
+(* Index of the first clause accepting [n] arguments, or -1. *)
+let rec select_clause (clauses : Instr.clause list) n i =
+  match clauses with
+  | [] -> -1
+  | c :: rest ->
+      if (c.required = n && not c.rest) || (c.required <= n && c.rest) then i
+      else select_clause rest n (i + 1)
 
 (* Collect [n - required] extra arguments (stack top) into a list placed at
    slot [fp + required]. *)
@@ -309,8 +323,30 @@ let build_rest m ~required ~n =
   m.stack.(m.fp + required) <- !lst;
   m.sp <- m.fp + required + 1
 
+(* Push the elements of the proper list [l]; returns how many. *)
+let rec spread_list m l count =
+  if Word.is_nil l then count
+  else begin
+    if not (Word.is_pair_ptr l) then error "apply: improper argument list";
+    push m (Obj.car m.heap l);
+    spread_list m (Obj.cdr m.heap l) (count + 1)
+  end
+
+(* Fill the next control frame record, growing the array when full. *)
+let push_frame m ~instrs ~pc ~fp ~clos ~code_id ~clause =
+  let n = Array.length m.control in
+  if m.depth = n then m.control <- Array.append m.control (Array.init n (fun _ -> new_frame ()));
+  let f = m.control.(m.depth) in
+  f.ret_instrs <- instrs;
+  f.ret_pc <- pc;
+  f.ret_fp <- fp;
+  f.ret_clos <- clos;
+  f.ret_code_id <- code_id;
+  f.ret_clause <- clause;
+  m.depth <- m.depth + 1
+
 let rec enter m (instrs0 : Instr.instr array) =
-  let base = Vec.Poly.length m.control in
+  let base = m.depth in
   let instrs = ref instrs0 and pc = ref 0 in
   let halted = ref false in
   while not !halted do
@@ -354,14 +390,15 @@ let rec enter m (instrs0 : Instr.instr array) =
     | Instr.Tail_call n -> do_call m instrs pc ~tail:true n
     | Instr.Return -> do_return m instrs pc ~base
     | Instr.Halt ->
-        if Vec.Poly.length m.control <> base then error "halt with pending frames";
+        if m.depth <> base then error "halt with pending frames";
         halted := true
   done;
   m.acc
 
 and do_return m instrs pc ~base =
-  if Vec.Poly.length m.control <= base then error "return past base frame";
-  let f = Vec.Poly.pop m.control in
+  if m.depth <= base then error "return past base frame";
+  m.depth <- m.depth - 1;
+  let f = m.control.(m.depth) in
   m.sp <- m.fp;
   m.fp <- f.ret_fp;
   m.clos <- f.ret_clos;
@@ -373,102 +410,83 @@ and do_return m instrs pc ~base =
 and do_call m instrs pc ~tail n =
   (* Safepoint: everything live is rooted (stack, acc = callee, control). *)
   Runtime.safepoint m.heap;
-  let callee = ref m.acc and nargs = ref n in
-  let again = ref true in
-  while !again do
-    again := false;
-    let callee_w = !callee and n = !nargs in
-    if is_continuation m callee_w then begin
-      (* Invoking a reified continuation: one value, then jump. *)
-      if n <> 1 then error "continuation: expected 1 value, got %d" n;
-      let v = m.stack.(m.sp - 1) in
+  m.stats.Stats.vm_calls <- m.stats.Stats.vm_calls + 1;
+  apply_word m instrs pc ~tail m.acc n
+
+(* Apply [callee] to the [n] arguments on the stack top.  One header read
+   classifies it; field 0 holds the code id, negative for a primitive. *)
+and apply_word m instrs pc ~tail callee n =
+  let h = m.heap in
+  let kind = if Word.is_typed_ptr callee then Obj.typed_code h callee else -1 in
+  if kind = Obj.code_continuation then begin
+    (* Invoking a reified continuation: one value, then jump. *)
+    if n <> 1 then error "continuation: expected 1 value, got %d" n;
+    let v = m.stack.(m.sp - 1) in
+    m.sp <- m.sp - 1;
+    reinstate_continuation m instrs pc callee v
+  end
+  else if kind <> Obj.code_closure then
+    error "attempt to apply non-procedure: %s" (Printer.to_string h callee)
+  else
+    let id = Word.to_fixnum (Heap.load h (Word.addr callee + 1)) in
+    if id < 0 then call_prim m instrs pc ~tail (Vec.Poly.get m.prims (-1 - id)) n
+    else call_code m instrs pc ~tail callee id n
+
+and call_prim m instrs pc ~tail prim n =
+  match prim.special with
+  | Callcc ->
+      if n <> 1 then error "call/cc: expected 1 argument";
+      let f = m.stack.(m.sp - 1) in
       m.sp <- m.sp - 1;
-      reinstate_continuation m instrs pc callee_w v
-    end
-    else begin
-    if not (is_closure m callee_w) then
-      error "attempt to apply non-procedure: %s" (Printer.to_string m.heap callee_w);
-    match prim_of_closure m callee_w with
-    | Some prim ->
-        if
-          String.equal prim.pname "call-with-current-continuation"
-          || String.equal prim.pname "call/cc"
-        then begin
-          if n <> 1 then error "call/cc: expected 1 argument";
-          let f = m.stack.(m.sp - 1) in
-          m.sp <- m.sp - 1;
-          let k = capture_continuation m instrs pc ~tail in
-          push m k;
-          callee := f;
-          nargs := 1;
-          again := true
-        end
-        else if String.equal prim.pname "apply" then begin
-          (* apply: (apply proc arg ... lst): spread the final list. *)
-          if n < 2 then error "apply: needs at least 2 arguments";
-          let proc = m.stack.(m.sp - n) in
-          let lst = m.stack.(m.sp - 1) in
-          (* Shift the middle args down over proc's slot. *)
-          for j = 0 to n - 3 do
-            m.stack.(m.sp - n + j) <- m.stack.(m.sp - n + 1 + j)
-          done;
-          m.sp <- m.sp - 2;
-          let extra = ref 0 in
-          let rec spread l =
-            if not (Word.is_nil l) then begin
-              if not (Word.is_pair_ptr l) then error "apply: improper argument list";
-              push m (Obj.car m.heap l);
-              incr extra;
-              spread (Obj.cdr m.heap l)
-            end
-          in
-          spread lst;
-          callee := proc;
-          nargs := n - 2 + !extra;
-          again := true
-        end
-        else begin
-          if
-            n < prim.arity_min
-            || (prim.arity_max >= 0 && n > prim.arity_max)
-          then error "%s: wrong number of arguments (%d)" prim.pname n;
-          let args = Array.init n (fun j -> m.stack.(m.sp - n + j)) in
-          m.sp <- m.sp - n;
-          m.acc <- prim.fn m args;
-          if tail then do_return m instrs pc ~base:0
-        end
-    | None ->
-        let code_id = Word.to_fixnum (Obj.field m.heap callee_w 0) in
-        let code = Vec.Poly.get m.codes code_id in
-        (match select_clause code n with
-        | None -> error "%s: no clause for %d arguments" code.Instr.name n
-        | Some (clause, clause_idx) ->
-            if tail then begin
-              (* Slide the arguments down onto the current frame. *)
-              for j = 0 to n - 1 do
-                m.stack.(m.fp + j) <- m.stack.(m.sp - n + j)
-              done;
-              m.sp <- m.fp + n
-            end
-            else begin
-              Vec.Poly.push m.control
-                { ret_instrs = !instrs; ret_pc = !pc; ret_fp = m.fp;
-                  ret_clos = m.clos; ret_code_id = m.cur_code_id;
-                  ret_clause = m.cur_clause };
-              m.fp <- m.sp - n
-            end;
-            m.cur_code_id <- code_id;
-            m.cur_clause <- clause_idx;
-            if clause.Instr.rest then begin
-              if n < clause.Instr.required then
-                error "%s: too few arguments" code.Instr.name;
-              build_rest m ~required:clause.Instr.required ~n
-            end;
-            m.clos <- callee_w;
-            instrs := clause.Instr.instrs;
-            pc := 0)
-    end
-  done
+      push m (capture_continuation m pc ~tail);
+      apply_word m instrs pc ~tail f 1
+  | Apply ->
+      (* apply: (apply proc arg ... lst): spread the final list. *)
+      if n < 2 then error "apply: needs at least 2 arguments";
+      let proc = m.stack.(m.sp - n) in
+      let lst = m.stack.(m.sp - 1) in
+      (* Shift the middle args down over proc's slot. *)
+      for j = 0 to n - 3 do
+        m.stack.(m.sp - n + j) <- m.stack.(m.sp - n + 1 + j)
+      done;
+      m.sp <- m.sp - 2;
+      apply_word m instrs pc ~tail proc (spread_list m lst (n - 2))
+  | Plain ->
+      if n < prim.arity_min || (prim.arity_max >= 0 && n > prim.arity_max) then
+        error "%s: wrong number of arguments (%d)" prim.pname n;
+      m.stats.Stats.vm_prim_calls <- m.stats.Stats.vm_prim_calls + 1;
+      (* The arguments stay rooted on the stack until the primitive returns. *)
+      let base = m.sp - n in
+      m.acc <- prim.fn m base n;
+      m.sp <- base;
+      if tail then do_return m instrs pc ~base:0
+
+and call_code m instrs pc ~tail callee code_id n =
+  let code = Vec.Poly.get m.codes code_id in
+  let clause_idx = select_clause code.Instr.clauses n 0 in
+  if clause_idx < 0 then error "%s: no clause for %d arguments" code.Instr.name n;
+  let clause = List.nth code.Instr.clauses clause_idx in
+  if tail then begin
+    (* Slide the arguments down onto the current frame. *)
+    for j = 0 to n - 1 do
+      m.stack.(m.fp + j) <- m.stack.(m.sp - n + j)
+    done;
+    m.sp <- m.fp + n
+  end
+  else begin
+    push_frame m ~instrs:!instrs ~pc:!pc ~fp:m.fp ~clos:m.clos
+      ~code_id:m.cur_code_id ~clause:m.cur_clause;
+    m.fp <- m.sp - n
+  end;
+  m.cur_code_id <- code_id;
+  m.cur_clause <- clause_idx;
+  if clause.Instr.rest then begin
+    if n < clause.Instr.required then error "%s: too few arguments" code.Instr.name;
+    build_rest m ~required:clause.Instr.required ~n
+  end;
+  m.clos <- callee;
+  instrs := clause.Instr.instrs;
+  pc := 0
 
 (* ------------------------------------------------------------------ *)
 (* Continuations                                                       *)
@@ -481,9 +499,8 @@ and do_call m instrs pc ~tail n =
    3 resume code id   4 resume clause   5 resume pc
    6 closure at capture *)
 
-and capture_continuation m instrs pc ~tail =
+and capture_continuation m pc ~tail =
   let h = m.heap in
-  ignore instrs;
   (* Resume point.  Non-tail: just after the Call instruction of the
      current clause.  Tail: the current frame is about to be discarded, so
      the continuation resumes at the caller recorded in the top control
@@ -491,18 +508,17 @@ and capture_continuation m instrs pc ~tail =
   let sp_snap, fp_snap, clos_snap, resume_code, resume_clause, resume_pc, skip_top =
     if not tail then (m.sp, m.fp, m.clos, m.cur_code_id, m.cur_clause, !pc, 0)
     else begin
-      let depth = Vec.Poly.length m.control in
-      if depth = 0 then error "call/cc: no caller to return to";
-      let fr = Vec.Poly.get m.control (depth - 1) in
+      if m.depth = 0 then error "call/cc: no caller to return to";
+      let fr = m.control.(m.depth - 1) in
       (m.fp, fr.ret_fp, fr.ret_clos, fr.ret_code_id, fr.ret_clause, fr.ret_pc, 1)
     end
   in
   if resume_code < 0 then error "call/cc: cannot capture across a host boundary";
-  let depth = Vec.Poly.length m.control - skip_top in
+  let depth = m.depth - skip_top in
   (* Host-boundary frames cannot be reinstated; reject at capture time so
      the error points at the call/cc, not a later throw. *)
   for i = 0 to depth - 1 do
-    if (Vec.Poly.get m.control i).ret_code_id < 0 then
+    if m.control.(i).ret_code_id < 0 then
       error "call/cc: cannot capture across a host boundary"
   done;
   let vstack = Obj.make_vector h ~len:sp_snap ~init:(Word.of_fixnum 0) in
@@ -511,7 +527,7 @@ and capture_continuation m instrs pc ~tail =
   done;
   let control = Obj.make_vector h ~len:(depth * 5) ~init:(Word.of_fixnum 0) in
   for i = 0 to depth - 1 do
-    let fr = Vec.Poly.get m.control i in
+    let fr = m.control.(i) in
     Obj.vector_set h control ((i * 5) + 0) (Word.of_fixnum fr.ret_code_id);
     Obj.vector_set h control ((i * 5) + 1) (Word.of_fixnum fr.ret_clause);
     Obj.vector_set h control ((i * 5) + 2) (Word.of_fixnum fr.ret_pc);
@@ -544,23 +560,15 @@ and reinstate_continuation m instrs pc k v =
   m.sp <- sp_snap;
   m.fp <- Word.to_fixnum (Obj.field h k 2);
   m.clos <- Obj.field h k 6;
-  Vec.Poly.clear m.control;
+  m.depth <- 0;
   let nframes = Obj.vector_length h control / 5 in
   for i = 0 to nframes - 1 do
-    let code_id = Word.to_fixnum (Obj.vector_ref h control ((i * 5) + 0)) in
-    let clause = Word.to_fixnum (Obj.vector_ref h control ((i * 5) + 1)) in
-    let ret_instrs =
-      if code_id >= 0 then clause_instrs m ~code_id ~clause else [||]
-    in
-    Vec.Poly.push m.control
-      {
-        ret_instrs;
-        ret_pc = Word.to_fixnum (Obj.vector_ref h control ((i * 5) + 2));
-        ret_fp = Word.to_fixnum (Obj.vector_ref h control ((i * 5) + 3));
-        ret_clos = Obj.vector_ref h control ((i * 5) + 4);
-        ret_code_id = code_id;
-        ret_clause = clause;
-      }
+    let slot j = Obj.vector_ref h control ((i * 5) + j) in
+    let code_id = Word.to_fixnum (slot 0) and clause = Word.to_fixnum (slot 1) in
+    push_frame m
+      ~instrs:(if code_id >= 0 then clause_instrs m ~code_id ~clause else [||])
+      ~pc:(Word.to_fixnum (slot 2)) ~fp:(Word.to_fixnum (slot 3)) ~clos:(slot 4)
+      ~code_id ~clause
   done;
   let resume_code = Word.to_fixnum (Obj.field h k 3) in
   let resume_clause = Word.to_fixnum (Obj.field h k 4) in
@@ -608,7 +616,7 @@ let call_with_error_handler m ~thunk ~handler =
   (* Root the handler across the thunk's execution. *)
   let handler_cell = Heap.new_cell m.heap handler in
   let saved_sp = m.sp and saved_fp = m.fp in
-  let saved_depth = Vec.Poly.length m.control in
+  let saved_depth = m.depth in
   let saved_code = m.cur_code_id and saved_clause = m.cur_clause in
   Fun.protect
     ~finally:(fun () -> Heap.free_cell m.heap handler_cell)
@@ -619,9 +627,7 @@ let call_with_error_handler m ~thunk ~handler =
           (* Unwind to the state at entry. *)
           m.sp <- saved_sp;
           m.fp <- saved_fp;
-          while Vec.Poly.length m.control > saved_depth do
-            ignore (Vec.Poly.pop m.control)
-          done;
+          m.depth <- min m.depth saved_depth;
           m.cur_code_id <- saved_code;
           m.cur_clause <- saved_clause;
           m.acc <- Word.void;
@@ -657,7 +663,7 @@ let reset m =
   m.fp <- 0;
   m.acc <- Word.void;
   m.clos <- Word.nil;
-  Vec.Poly.clear m.control
+  m.depth <- 0
 
 (** Evaluate one datum; returns the resulting heap word (valid until the
     next collection). *)

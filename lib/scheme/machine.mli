@@ -78,11 +78,21 @@ val define_prim :
   name:string ->
   arity_min:int ->
   ?arity_max:int ->
-  (t -> Word.t array -> Word.t) ->
+  (t -> int -> int -> Word.t) ->
   unit
 (** Register a primitive bound to its global name.  [arity_max] defaults to
-    [arity_min]; -1 means variadic.  Primitive bodies must not trigger
-    collections. *)
+    [arity_min]; -1 means variadic.  The VM checks the arity, then calls
+    the body with [(machine, base, n)]: the [n] arguments are stack slots
+    [base .. base + n - 1], read with {!arg}.  They stay on the stack, and
+    so rooted, until the body returns, so a body that collects or re-enters
+    the VM ({!apply_closure}) must read them through {!arg} again
+    afterwards rather than keep raw pointers.  A primitive registered as
+    [call/cc], [call-with-current-continuation] or [apply] is dispatched by
+    the VM itself (under any later alias) and its body never runs. *)
+
+val arg : t -> int -> Word.t
+(** [arg m i] is value-stack slot [i]: a primitive's arguments are
+    [arg m base .. arg m (base + n - 1)]. *)
 
 val in_handler : t -> bool
 val set_in_handler : t -> bool -> unit

@@ -34,36 +34,52 @@ let want_port name h w = if Port.is_port h w then w else err "%s: expected a por
 (* Numeric tower: fixnums and flonums. *)
 type num = Fix of int | Flo of float
 
+(* The one fixnum overflow check: an exact result outside the fixnum range
+   is a Scheme error, never a wrapped value. *)
+let fixnum name n =
+  if n < Word.fixnum_min || n > Word.fixnum_max then err "%s: fixnum overflow" name
+  else Word.of_fixnum n
+
 let to_num name h w =
   if Word.is_fixnum w then Fix (Word.to_fixnum w)
   else if Obj.is_flonum h w then Flo (Obj.flonum_value h w)
   else err "%s: expected a number" name
 
-let of_num h = function Fix n -> Word.of_fixnum n | Flo f -> Obj.make_flonum h f
+let of_num name h = function Fix n -> fixnum name n | Flo f -> Obj.make_flonum h f
+
+let to_float = function Fix n -> float_of_int n | Flo f -> f
 
 let num_binop name fi ff h a b =
   match (to_num name h a, to_num name h b) with
   | Fix x, Fix y -> Fix (fi x y)
-  | Flo x, Flo y -> Flo (ff x y)
-  | Fix x, Flo y -> Flo (ff (float_of_int x) y)
-  | Flo x, Fix y -> Flo (ff x (float_of_int y))
+  | x, y -> Flo (ff (to_float x) (to_float y))
 
 let num_cmp name fi ff h a b =
   match (to_num name h a, to_num name h b) with
   | Fix x, Fix y -> fi x y
-  | Flo x, Flo y -> ff x y
-  | Fix x, Flo y -> ff (float_of_int x) y
-  | Flo x, Fix y -> ff x (float_of_int y)
+  | x, y -> ff (to_float x) (to_float y)
 
-let fold_num name fi ff h init args =
-  Array.fold_left (fun acc w -> num_binop name fi ff h (of_num h acc) w) init args
-
-let chain_cmp name fi ff h args =
-  let ok = ref true in
-  for i = 0 to Array.length args - 2 do
-    if not (num_cmp name fi ff h args.(i) args.(i + 1)) then ok := false
+(* Fold the arguments [lo .. hi - 1], each step range-checked. *)
+let fold_num name fi ff h init m lo hi =
+  let acc = ref init in
+  for i = lo to hi - 1 do
+    acc := num_binop name fi ff h (of_num name h !acc) (Machine.arg m i)
   done;
-  bool !ok
+  of_num name h !acc
+
+(* Exactly two fixnum arguments: the numeric primitives' direct path. *)
+let two_fixnums m b n =
+  n = 2 && Word.is_fixnum (Machine.arg m b) && Word.is_fixnum (Machine.arg m (b + 1))
+
+(* Tagged fixnum words order like the integers they carry. *)
+let chain_cmp name fi ff h m b n =
+  if two_fixnums m b n then bool (fi (Machine.arg m b) (Machine.arg m (b + 1)))
+  else
+    let ok = ref true in
+    for i = b to b + n - 2 do
+      if not (num_cmp name fi ff h (Machine.arg m i) (Machine.arg m (i + 1))) then ok := false
+    done;
+    bool !ok
 
 let eqv h a b =
   Word.equal a b
@@ -88,11 +104,12 @@ let rec equal h a b =
 let install (m : Machine.t) =
   let h = Machine.heap m in
   let ctx = Machine.ctx m in
-  let p name ~min ?max fn =
-    Machine.define_prim m ~name ~arity_min:min ?arity_max:max (fun m args -> fn m args)
-  in
-  let p1 name fn = p name ~min:1 (fun m args -> fn m args.(0)) in
-  let p2 name fn = p name ~min:2 (fun m args -> fn m args.(0) args.(1)) in
+  let arg = Machine.arg in
+  let p name ~min ?max fn = Machine.define_prim m ~name ~arity_min:min ?arity_max:max fn in
+  let p1 name fn = p name ~min:1 (fun m b _ -> fn m (arg m b)) in
+  let p2 name fn = p name ~min:2 (fun m b _ -> fn m (arg m b) (arg m (b + 1))) in
+  let p3 name fn = p name ~min:3 (fun m b _ -> fn m (arg m b) (arg m (b + 1)) (arg m (b + 2))) in
+  let arg_list m b n = List.init n (fun i -> arg m (b + i)) in
 
   (* --- pairs and lists ------------------------------------------- *)
   p2 "cons" (fun _ a b -> Obj.cons h a b);
@@ -110,10 +127,10 @@ let install (m : Machine.t) =
   p1 "pair?" (fun _ w -> bool (Word.is_pair_ptr w));
   p1 "weak-pair?" (fun _ w -> bool (Obj.is_weak_pair h w));
   p1 "null?" (fun _ w -> bool (Word.is_nil w));
-  p "list" ~min:0 ~max:(-1) (fun _ args ->
+  p "list" ~min:0 ~max:(-1) (fun m b n ->
       let lst = ref Word.nil in
-      for i = Array.length args - 1 downto 0 do
-        lst := Obj.cons h args.(i) !lst
+      for i = b + n - 1 downto b do
+        lst := Obj.cons h (arg m i) !lst
       done;
       !lst);
 
@@ -134,31 +151,26 @@ let install (m : Machine.t) =
   p1 "procedure?" (fun m w -> bool (Machine.is_procedure m w));
   p1 "guardian?" (fun _ w -> bool (Guardian.is_guardian h w));
   p1 "eof-object?" (fun _ w -> bool (Word.equal w Word.eof));
-  p "eof-object" ~min:0 (fun _ _ -> Word.eof);
-  p "void" ~min:0 (fun _ _ -> Word.void);
+  p "eof-object" ~min:0 (fun _ _ _ -> Word.eof);
+  p "void" ~min:0 (fun _ _ _ -> Word.void);
 
   (* --- arithmetic ------------------------------------------------- *)
-  p "+" ~min:0 ~max:(-1) (fun _ args -> of_num h (fold_num "+" ( + ) ( +. ) h (Fix 0) args));
-  p "*" ~min:0 ~max:(-1) (fun _ args -> of_num h (fold_num "*" ( * ) ( *. ) h (Fix 1) args));
-  p "-" ~min:1 ~max:(-1) (fun _ args ->
-      if Array.length args = 1 then
-        of_num h (num_binop "-" ( - ) ( -. ) h (Word.of_fixnum 0) args.(0))
-      else
-        of_num h
-          (Array.fold_left
-             (fun acc w -> num_binop "-" ( - ) ( -. ) h (of_num h acc) w)
-             (to_num "-" h args.(0))
-             (Array.sub args 1 (Array.length args - 1))));
-  p "/" ~min:2 (fun _ args ->
-      match (to_num "/" h args.(0), to_num "/" h args.(1)) with
-      | Fix a, Fix b ->
-          if b = 0 then err "/: division by zero" else Word.of_fixnum (a / b)
-      | a, b ->
-          let f = function Fix n -> float_of_int n | Flo f -> f in
-          Obj.make_flonum h (f a /. f b));
+  (* Two fixnums take a direct path, everything else the generic one. *)
+  p "+" ~min:0 ~max:(-1) (fun m b n ->
+      if two_fixnums m b n then fixnum "+" (Word.to_fixnum (arg m b) + Word.to_fixnum (arg m (b + 1)))
+      else fold_num "+" ( + ) ( +. ) h (Fix 0) m b (b + n));
+  p "*" ~min:0 ~max:(-1) (fun m b n -> fold_num "*" Word.mul_exact ( *. ) h (Fix 1) m b (b + n));
+  p "-" ~min:1 ~max:(-1) (fun m b n ->
+      if two_fixnums m b n then fixnum "-" (Word.to_fixnum (arg m b) - Word.to_fixnum (arg m (b + 1)))
+      else if n = 1 then fold_num "-" ( - ) ( -. ) h (Fix 0) m b (b + 1)
+      else fold_num "-" ( - ) ( -. ) h (to_num "-" h (arg m b)) m (b + 1) (b + n));
+  p2 "/" (fun _ x y ->
+      match (to_num "/" h x, to_num "/" h y) with
+      | Fix a, Fix b -> if b = 0 then err "/: division by zero" else fixnum "/" (a / b)
+      | a, b -> Obj.make_flonum h (to_float a /. to_float b));
   p2 "quotient" (fun _ a b ->
       let a = want_fixnum "quotient" a and b = want_fixnum "quotient" b in
-      if b = 0 then err "quotient: division by zero" else Word.of_fixnum (a / b));
+      if b = 0 then err "quotient: division by zero" else fixnum "quotient" (a / b));
   p2 "remainder" (fun _ a b ->
       let a = want_fixnum "remainder" a and b = want_fixnum "remainder" b in
       if b = 0 then err "remainder: division by zero" else Word.of_fixnum (a mod b));
@@ -166,11 +178,11 @@ let install (m : Machine.t) =
       let a = want_fixnum "modulo" a and b = want_fixnum "modulo" b in
       if b = 0 then err "modulo: division by zero"
       else Word.of_fixnum (((a mod b) + b) mod b));
-  p "=" ~min:2 ~max:(-1) (fun _ args -> chain_cmp "=" ( = ) ( = ) h args);
-  p "<" ~min:2 ~max:(-1) (fun _ args -> chain_cmp "<" ( < ) ( < ) h args);
-  p ">" ~min:2 ~max:(-1) (fun _ args -> chain_cmp ">" ( > ) ( > ) h args);
-  p "<=" ~min:2 ~max:(-1) (fun _ args -> chain_cmp "<=" ( <= ) ( <= ) h args);
-  p ">=" ~min:2 ~max:(-1) (fun _ args -> chain_cmp ">=" ( >= ) ( >= ) h args);
+  p "=" ~min:2 ~max:(-1) (fun m b n -> chain_cmp "=" ( = ) ( = ) h m b n);
+  p "<" ~min:2 ~max:(-1) (fun m b n -> chain_cmp "<" ( < ) ( < ) h m b n);
+  p ">" ~min:2 ~max:(-1) (fun m b n -> chain_cmp ">" ( > ) ( > ) h m b n);
+  p "<=" ~min:2 ~max:(-1) (fun m b n -> chain_cmp "<=" ( <= ) ( <= ) h m b n);
+  p ">=" ~min:2 ~max:(-1) (fun m b n -> chain_cmp ">=" ( >= ) ( >= ) h m b n);
   p1 "zero?" (fun _ w -> bool (Word.equal w (Word.of_fixnum 0)));
   p1 "char->integer" (fun _ w -> Word.of_fixnum (Char.code (want_char "char->integer" w)));
   p1 "integer->char" (fun _ w -> Word.of_char (Char.chr (want_fixnum "integer->char" w land 0xff)));
@@ -180,25 +192,25 @@ let install (m : Machine.t) =
       | Flo f -> Obj.string_of_ocaml h (Printf.sprintf "%.12g" f));
 
   (* --- strings and symbols ---------------------------------------- *)
-  p "make-string" ~min:1 ~max:2 (fun _ args ->
-      let n = want_fixnum "make-string" args.(0) in
-      let fill = if Array.length args > 1 then want_char "make-string" args.(1) else ' ' in
-      Obj.make_string h ~len:n ~fill);
+  p "make-string" ~min:1 ~max:2 (fun m b n ->
+      let len = want_fixnum "make-string" (arg m b) in
+      let fill = if n > 1 then want_char "make-string" (arg m (b + 1)) else ' ' in
+      Obj.make_string h ~len ~fill);
   p1 "string-length" (fun _ w -> Word.of_fixnum (Obj.string_length h (want_string "string-length" h w)));
   p2 "string-ref" (fun _ s i -> Word.of_char (Obj.string_ref h (want_string "string-ref" h s) (want_fixnum "string-ref" i)));
-  p "string-set!" ~min:3 (fun _ args ->
-      Obj.string_set h (want_string "string-set!" h args.(0)) (want_fixnum "string-set!" args.(1))
-        (want_char "string-set!" args.(2));
+  p3 "string-set!" (fun _ s i c ->
+      Obj.string_set h (want_string "string-set!" h s) (want_fixnum "string-set!" i)
+        (want_char "string-set!" c);
       Word.void);
   p2 "string=?" (fun _ a b ->
       bool (String.equal (Obj.string_to_ocaml h (want_string "string=?" h a))
               (Obj.string_to_ocaml h (want_string "string=?" h b))));
-  p "string-append" ~min:0 ~max:(-1) (fun _ args ->
-      let parts = Array.to_list args |> List.map (fun w -> Obj.string_to_ocaml h (want_string "string-append" h w)) in
+  p "string-append" ~min:0 ~max:(-1) (fun m b n ->
+      let parts = arg_list m b n |> List.map (fun w -> Obj.string_to_ocaml h (want_string "string-append" h w)) in
       Obj.string_of_ocaml h (String.concat "" parts));
-  p "substring" ~min:3 (fun _ args ->
-      let s = Obj.string_to_ocaml h (want_string "substring" h args.(0)) in
-      let i = want_fixnum "substring" args.(1) and j = want_fixnum "substring" args.(2) in
+  p3 "substring" (fun _ s i j ->
+      let s = Obj.string_to_ocaml h (want_string "substring" h s) in
+      let i = want_fixnum "substring" i and j = want_fixnum "substring" j in
       if i < 0 || j > String.length s || i > j then err "substring: bad range";
       Obj.string_of_ocaml h (String.sub s i (j - i)));
   p1 "string->symbol" (fun m w ->
@@ -208,45 +220,40 @@ let install (m : Machine.t) =
       Obj.string_of_ocaml h (Obj.symbol_name_string h w));
 
   (* --- vectors ----------------------------------------------------- *)
-  p "make-vector" ~min:1 ~max:2 (fun _ args ->
-      let n = want_fixnum "make-vector" args.(0) in
-      let init = if Array.length args > 1 then args.(1) else Word.of_fixnum 0 in
-      Obj.make_vector h ~len:n ~init);
-  p "vector" ~min:0 ~max:(-1) (fun _ args ->
-      let v = Obj.make_vector h ~len:(Array.length args) ~init:Word.nil in
-      Array.iteri (fun i w -> Obj.vector_set h v i w) args;
-      v);
+  p "make-vector" ~min:1 ~max:2 (fun m b n ->
+      let len = want_fixnum "make-vector" (arg m b) in
+      let init = if n > 1 then arg m (b + 1) else Word.of_fixnum 0 in
+      Obj.make_vector h ~len ~init);
+  p "vector" ~min:0 ~max:(-1) (fun m b n -> Obj.vector_of_list h (arg_list m b n));
   p1 "vector-length" (fun _ w -> Word.of_fixnum (Obj.vector_length h (want_vector "vector-length" h w)));
   p2 "vector-ref" (fun _ v i ->
       let v = want_vector "vector-ref" h v and i = want_fixnum "vector-ref" i in
       if i < 0 || i >= Obj.vector_length h v then err "vector-ref: index out of range";
       Obj.vector_ref h v i);
-  p "vector-set!" ~min:3 (fun _ args ->
-      let v = want_vector "vector-set!" h args.(0) and i = want_fixnum "vector-set!" args.(1) in
+  p3 "vector-set!" (fun _ v i x ->
+      let v = want_vector "vector-set!" h v and i = want_fixnum "vector-set!" i in
       if i < 0 || i >= Obj.vector_length h v then err "vector-set!: index out of range";
-      Obj.vector_set h v i args.(2);
+      Obj.vector_set h v i x;
       Word.void);
 
   (* --- records (backing define-record-type) ------------------------- *)
-  p "%make-record" ~min:1 ~max:(-1) (fun _ args ->
-      let nfields = Array.length args - 1 in
-      let r = Obj.make_record h ~tag:args.(0) ~len:nfields ~init:Word.false_ in
-      for i = 0 to nfields - 1 do
-        Obj.record_set h r i args.(i + 1)
-      done;
+  p "%make-record" ~min:1 ~max:(-1) (fun m b n ->
+      let r = Obj.make_record h ~tag:(arg m b) ~len:(n - 1) ~init:Word.false_ in
+      List.iteri (Obj.record_set h r) (arg_list m (b + 1) (n - 1));
       r);
   p2 "%record?" (fun _ r tag ->
       bool (Obj.is_record h r && Word.equal (Obj.record_tag h r) tag));
-  p "%record-field" ~min:3 (fun _ args ->
-      let r = args.(0) and tag = args.(1) and i = want_fixnum "%record-field" args.(2) in
+  p3 "%record-field" (fun _ r tag i ->
+      let i = want_fixnum "%record-field" i in
       if not (Obj.is_record h r && Word.equal (Obj.record_tag h r) tag) then
         err "record accessor: wrong record type";
       Obj.record_ref h r i);
-  p "%record-field-set!" ~min:4 (fun _ args ->
-      let r = args.(0) and tag = args.(1) and i = want_fixnum "%record-field-set!" args.(2) in
+  p "%record-field-set!" ~min:4 (fun m b _ ->
+      let r = arg m b and tag = arg m (b + 1) in
+      let i = want_fixnum "%record-field-set!" (arg m (b + 2)) in
       if not (Obj.is_record h r && Word.equal (Obj.record_tag h r) tag) then
         err "record mutator: wrong record type";
-      Obj.record_set h r i args.(3);
+      Obj.record_set h r i (arg m (b + 3));
       Word.void);
   p1 "record?" (fun _ w -> bool (Obj.is_record h w));
 
@@ -261,25 +268,24 @@ let install (m : Machine.t) =
       Word.void);
 
   (* --- guardians and collection ----------------------------------- *)
-  p "%make-guardian" ~min:0 (fun _ _ -> Guardian.make h);
+  p "%make-guardian" ~min:0 (fun _ _ _ -> Guardian.make h);
   p2 "%guardian-register" (fun _ g obj ->
       Guardian.register h (want_guardian "guardian" h g) obj;
       Word.void);
-  p "%guardian-register-rep" ~min:3 (fun _ args ->
-      Guardian.register_with_rep h (want_guardian "guardian" h args.(0)) ~obj:args.(1)
-        ~rep:args.(2);
+  p3 "%guardian-register-rep" (fun _ g obj rep ->
+      Guardian.register_with_rep h (want_guardian "guardian" h g) ~obj ~rep;
       Word.void);
   p1 "%guardian-retrieve" (fun _ g ->
       match Guardian.retrieve h (want_guardian "guardian" h g) with
       | Some w -> w
       | None -> Word.false_);
-  p "collect" ~min:0 ~max:1 (fun _ args ->
-      if Array.length args = 0 then ignore (Runtime.collect_auto h)
-      else ignore (Collector.collect h ~gen:(want_fixnum "collect" args.(0)));
+  p "collect" ~min:0 ~max:1 (fun m b n ->
+      if n = 0 then ignore (Runtime.collect_auto h)
+      else ignore (Collector.collect h ~gen:(want_fixnum "collect" (arg m b)));
       Word.void);
-  p "gc-count" ~min:0 (fun _ _ ->
+  p "gc-count" ~min:0 (fun _ _ _ ->
       Word.of_fixnum (Heap.stats h).Stats.total.Stats.collections);
-  p "gc-history" ~min:0 (fun m _ ->
+  p "gc-history" ~min:0 (fun m _ _ ->
       (* Most recent collections, oldest first, as vectors
          #(ordinal generation words-copied resurrections). *)
       match Machine.gc_ring m with
@@ -299,7 +305,7 @@ let install (m : Machine.t) =
               lst := Obj.cons h v !lst)
             (List.rev (Telemetry.Ring.records ring));
           !lst);
-  p "gc-phase-stats" ~min:0 (fun m _ ->
+  p "gc-phase-stats" ~min:0 (fun m _ _ ->
       (* One vector per collector phase, in phase order:
          #(name total-ns last-ns total-work last-work), ns as flonums,
          followed by a remembered-set summary row:
@@ -329,7 +335,7 @@ let install (m : Machine.t) =
           lst := Obj.cons h v !lst)
         (List.rev Telemetry.all_phases);
       !lst);
-  p "pause-histogram" ~min:0 (fun _ _ ->
+  p "pause-histogram" ~min:0 (fun _ _ _ ->
       (* Non-empty log2 buckets of full-collection pause times, as
          #(lo-ns hi-ns count) with flonum bounds, smallest first. *)
       let hist = Telemetry.pause_histogram (Heap.telemetry h) in
@@ -403,25 +409,24 @@ let install (m : Machine.t) =
       match Port.read_char ctx (want_port "read-char" h w) with
       | Some c -> Word.of_char c
       | None -> Word.eof);
-  p "write-char" ~min:1 ~max:2 (fun m args ->
-      let c = want_char "write-char" args.(0) in
-      if Array.length args > 1 then Port.write_char ctx (want_port "write-char" h args.(1)) c
+  p "write-char" ~min:1 ~max:2 (fun m b n ->
+      let c = want_char "write-char" (arg m b) in
+      if n > 1 then Port.write_char ctx (want_port "write-char" h (arg m (b + 1))) c
       else Machine.print_string m (String.make 1 c);
       Word.void);
 
   (* --- output ------------------------------------------------------ *)
-  p "display" ~min:1 ~max:2 (fun m args ->
-      let s = Printer.to_string ~display:true h args.(0) in
-      if Array.length args > 1 then Port.write_string ctx (want_port "display" h args.(1)) s
-      else Machine.print_string m s;
-      Word.void);
-  p "write" ~min:1 ~max:2 (fun m args ->
-      let s = Printer.to_string h args.(0) in
-      if Array.length args > 1 then Port.write_string ctx (want_port "write" h args.(1)) s
-      else Machine.print_string m s;
-      Word.void);
-  p "newline" ~min:0 ~max:1 (fun m args ->
-      if Array.length args > 0 then Port.write_char ctx (want_port "newline" h args.(0)) '\n'
+  let print name ~display =
+    p name ~min:1 ~max:2 (fun m b n ->
+        let s = Printer.to_string ~display h (arg m b) in
+        if n > 1 then Port.write_string ctx (want_port name h (arg m (b + 1))) s
+        else Machine.print_string m s;
+        Word.void)
+  in
+  print "display" ~display:true;
+  print "write" ~display:false;
+  p "newline" ~min:0 ~max:1 (fun m b n ->
+      if n > 0 then Port.write_char ctx (want_port "newline" h (arg m b)) '\n'
       else Machine.print_string m "\n";
       Word.void);
 
@@ -433,7 +438,7 @@ let install (m : Machine.t) =
        let name = Printf.sprintf "%%string-port-%d" !counter in
        Gbc_vfs.Vfs.write_file (Gbc.Ctx.vfs ctx) name s;
        Port.open_input ctx name);
-   p "open-output-string" ~min:0 (fun _ _ ->
+   p "open-output-string" ~min:0 (fun _ _ _ ->
        incr counter;
        let name = Printf.sprintf "%%string-port-%d" !counter in
        Port.open_output ctx name));
@@ -502,17 +507,16 @@ let install (m : Machine.t) =
           match float_of_string_opt s with
           | Some f -> Obj.make_flonum h f
           | None -> Word.false_));
-  p "string" ~min:0 ~max:(-1) (fun _ args ->
-      Obj.string_of_ocaml h
-        (String.init (Array.length args) (fun i -> want_char "string" args.(i))));
-  p "vector-fill!" ~min:2 (fun _ args ->
-      let v = want_vector "vector-fill!" h args.(0) in
+  p "string" ~min:0 ~max:(-1) (fun m b n ->
+      Obj.string_of_ocaml h (String.init n (fun i -> want_char "string" (arg m (b + i)))));
+  p2 "vector-fill!" (fun _ v x ->
+      let v = want_vector "vector-fill!" h v in
       for i = 0 to Obj.vector_length h v - 1 do
-        Obj.vector_set h v i args.(1)
+        Obj.vector_set h v i x
       done;
       Word.void);
   (let counter = ref 0 in
-   p "gensym" ~min:0 ~max:1 (fun m _ ->
+   p "gensym" ~min:0 ~max:1 (fun m _ _ ->
        incr counter;
        (* Uninterned identity is not supported; generate a fresh unlikely
           name instead. *)
@@ -522,28 +526,26 @@ let install (m : Machine.t) =
   p1 "disassemble" (fun m w ->
       Machine.print_string m (Disasm.closure m w);
       Word.void);
-  p "apply" ~min:2 ~max:(-1) (fun _ _ ->
-      (* handled specially in the VM's call logic *)
-      err "apply: internal error");
-  p "call-with-current-continuation" ~min:1 (fun _ _ ->
-      (* handled specially in the VM's call logic *)
-      err "call/cc: internal error");
-  p "call/cc" ~min:1 (fun _ _ -> err "call/cc: internal error");
+  (* Dispatched by the VM's call logic (Machine.define_prim): never run. *)
+  let special name _ _ _ = err "%s: internal error" name in
+  p "apply" ~min:2 ~max:(-1) (special "apply");
+  p "call-with-current-continuation" ~min:1 (special "call/cc");
+  p "call/cc" ~min:1 (special "call/cc");
   p2 "with-error-handler" (fun m handler thunk ->
       if not (Machine.is_procedure m handler) then
         err "with-error-handler: handler must be a procedure";
       if not (Machine.is_procedure m thunk) then
         err "with-error-handler: thunk must be a procedure";
       Machine.call_with_error_handler m ~thunk ~handler);
-  p "error" ~min:1 ~max:(-1) (fun _ args ->
+  p "error" ~min:1 ~max:(-1) (fun m b n ->
       let parts =
-        Array.to_list args
+        arg_list m b n
         |> List.map (fun w ->
                if Obj.is_string h w then Obj.string_to_ocaml h w
                else Printer.to_string h w)
       in
       err "error: %s" (String.concat " " parts));
-  p "exit" ~min:0 ~max:1 (fun _ _ -> raise Machine.Exit_signal);
+  p "exit" ~min:0 ~max:1 (fun _ _ _ -> raise Machine.Exit_signal);
 
   (* --- heap images -------------------------------------------------- *)
   p1 "save-heap-image" (fun m w ->

@@ -234,6 +234,24 @@ let test_folding_preserves_errors () =
   | exception Machine.Error _ -> ()
   | v -> Alcotest.failf "expected error, got %s" v)
 
+let test_folding_refuses_overflow () =
+  (* A product that wraps OCaml's ints back into the fixnum range, and
+     chains whose partial result leaves it, are left to the VM, which
+     raises the overflow error. *)
+  let m = Lazy.force machine in
+  List.iter
+    (fun (src, msg) ->
+      let instrs = all_instrs src in
+      check (src ^ " not folded") true (count is_call instrs + count is_tail_call instrs >= 1);
+      match Scheme.eval m src with
+      | exception Machine.Error got -> Alcotest.(check string) src msg got
+      | v -> Alcotest.failf "%s: expected an error, got %s" src v)
+    [
+      ("(* 4611686018427387 1000000)", "*: fixnum overflow");
+      ("(+ 2305843009213693951 1 -1)", "+: fixnum overflow");
+      ("(- -2305843009213693952 1 -1)", "-: fixnum overflow");
+    ]
+
 let test_dead_branch_elimination () =
   (* The untaken branch's code must not be emitted. *)
   let instrs = all_instrs "(if #t 'yes (this-is-never-compiled))" in
@@ -270,6 +288,7 @@ let () =
           Alcotest.test_case "constant folding" `Quick test_constant_folding;
           Alcotest.test_case "respects shadowing" `Quick test_folding_respects_shadowing;
           Alcotest.test_case "preserves errors" `Quick test_folding_preserves_errors;
+          Alcotest.test_case "refuses overflow" `Quick test_folding_refuses_overflow;
           Alcotest.test_case "dead branches" `Quick test_dead_branch_elimination;
           Alcotest.test_case "begin cleanup" `Quick test_begin_cleanup;
         ] );

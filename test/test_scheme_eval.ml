@@ -21,6 +21,13 @@ let fails name src =
       | exception Compile.Error _ -> ()
       | v -> Alcotest.failf "expected error, got %s" v)
 
+(* The message of the Scheme error [src] raises on the shared machine. *)
+let fails_with name src msg =
+  Alcotest.test_case name `Quick (fun () ->
+      match ev src with
+      | exception Machine.Error got -> check_str src msg got
+      | v -> Alcotest.failf "%s: expected an error, got %s" src v)
+
 let basics =
   [
     t "int" "42" "42";
@@ -533,6 +540,92 @@ let errors =
         check_str "still works" "4" (ev "(+ 2 2)"));
   ]
 
+(* Fixnums are 62-bit: [-2305843009213693952, 2305843009213693951].
+   Leaving the range is a catchable Scheme error, on the two-fixnum fast
+   path and on the generic path alike. *)
+let fixnum_overflow =
+  [
+    fails_with "add past the maximum" "(+ 2305843009213693951 1)" "+: fixnum overflow";
+    t "overflow is catchable"
+      "(with-error-handler (lambda (m) m) (lambda () (+ 2305843009213693951 1)))"
+      "\"+: fixnum overflow\"";
+    fails_with "quotient of the minimum by -1" "(quotient -2305843009213693952 -1)"
+      "quotient: fixnum overflow";
+    fails_with "abs of the minimum" "(abs -2305843009213693952)" "-: fixnum overflow";
+    fails_with "literal product does not wrap" "(* 4611686018427387 1000000)"
+      "*: fixnum overflow";
+    fails_with "product past OCaml's ints" "(define fx-big 2305843009213693951) (* fx-big fx-big)"
+      "*: fixnum overflow";
+    fails_with "subtract past the minimum" "(define fx-min -2305843009213693952) (- fx-min 1)"
+      "-: fixnum overflow";
+    fails_with "negate the minimum" "(- fx-min)" "-: fixnum overflow";
+    fails_with "chain overflows midway" "(define fx-one 1) (+ 2305843009213693951 fx-one -1)"
+      "+: fixnum overflow";
+    fails_with "integer division" "(/ fx-min -1)" "/: fixnum overflow";
+    t "maximum is reachable" "(let ([x 2305843009213693950]) (+ x 1))" "2305843009213693951";
+    t "minimum is reachable" "(let ([x -2305843009213693951]) (- x 1))" "-2305843009213693952";
+  ]
+
+(* The VM's call dispatch: special primitives follow the primitive, not
+   its name; generic arithmetic keeps its results and messages ([apply]
+   keeps the compiler from folding literal calls); continuations and
+   primitive arguments survive reused control frames and stack growth. *)
+let call_path =
+  [
+    t "call/cc under an alias" "(define kk call/cc) (+ 1 (kk (lambda (c) (c 41) 0)))" "42";
+    t "apply under an alias" "(define ap apply) (ap + 1 '(2 3))" "6";
+    Alcotest.test_case "redefined + is honoured" `Quick (fun () ->
+        let mach = Scheme.create () in
+        (* A variable argument: a literal call would be folded. *)
+        check_str "set! +" "99"
+          (Scheme.eval mach "(set! + (lambda args 99)) (define one 1) (+ one 2)"));
+    t "generic (+)" "(apply + '())" "0";
+    t "generic (- 5)" "(apply - '(5))" "-5";
+    t "generic (< 1 2 3)" "(apply < '(1 2 3))" "#t";
+    t "mixed comparison" "(list (< 1 2.5) (< 2.5 1) (= 2 2.0) (>= 3 3.0))" "(#t #f #t #t)";
+    t "two-fixnum paths"
+      "(let ([a 3] [b 2]) (list (< a b) (> a b) (<= a a) (>= b a) (= a a) (- a b) (+ a b)))"
+      "(#f #t #t #f #t 1 5)";
+    fails_with "non-number argument" "(+ 1 \"a\")" "+: expected a number";
+    fails_with "non-number comparison" "(define not-num 'x) (< 1 not-num)" "<: expected a number";
+    fails_with "wrong-arity primitive" "(car 1 2)" "car: wrong number of arguments (2)";
+    t "continuation re-entered after frame reuse"
+      "(define (deep-capture d f)\n\
+      \  (if (= d 0) (call/cc (lambda (c) (f c) 0)) (+ 1 (deep-capture (- d 1) f))))\n\
+       (define (churn d) (if (= d 0) '() (cons d (churn (- d 1)))))\n\
+       (let ([k #f] [n 0])\n\
+      \  (let ([r (deep-capture 1200 (lambda (c) (set! k c)))])\n\
+      \    (churn 3000)\n\
+      \    (set! n (+ n 1))\n\
+      \    (if (< n 4) (k (* n 10)) (list r n))))"
+      "(1230 4)";
+    Alcotest.test_case "pending arguments survive stack growth" `Quick (fun () ->
+        (* [list]'s first argument waits on the stack while a re-entrant
+           with-error-handler call recurses past the initial 4096 slots,
+           collects, and fails back to its handler. *)
+        let mach = Scheme.create () in
+        check_str "list" "(\"ab\" (\"error: bottom\") #(1 2))"
+          (Scheme.eval mach
+             "(define (deep n) (if (= n 0) (begin (collect 4) (error \"bottom\")) (+ 1 (deep (- n 1)))))\n\
+              (list (string-append \"a\" \"b\")\n\
+             \      (with-error-handler (lambda (m) (list m)) (lambda () (deep 5000)))\n\
+             \      (vector 1 2))"));
+    Alcotest.test_case "variadic primitive over 5000 arguments" `Quick (fun () ->
+        let mach = Scheme.create () in
+        check_str "apply" "(5000 12497500)"
+          (Scheme.eval mach "(list (length (apply list (iota 5000))) (apply + (iota 5000)))"));
+    Alcotest.test_case "VM call counters" `Quick (fun () ->
+        let open Gbc_runtime in
+        let mach = Scheme.create () in
+        ignore (Scheme.eval mach "(define (first x) (car x))");
+        let s = Heap.stats (Machine.heap mach) in
+        let calls = s.Stats.vm_calls and prims = s.Stats.vm_prim_calls in
+        check_str "result" "1" (Scheme.eval mach "(first '(1))");
+        (* one call to [first], one tail call to [car] *)
+        Alcotest.(check int) "vm_calls" 2 (s.Stats.vm_calls - calls);
+        Alcotest.(check int) "vm_prim_calls" 1 (s.Stats.vm_prim_calls - prims));
+  ]
+
 let () =
   Alcotest.run "scheme_eval"
     [
@@ -552,4 +645,6 @@ let () =
       ("output", output);
       ("gc integration", gc_integration);
       ("errors", errors);
+      ("fixnum overflow", fixnum_overflow);
+      ("call path", call_path);
     ]

@@ -25,6 +25,16 @@ let test_fixnum_roundtrip () =
       check_int "roundtrip" n (Word.to_fixnum w))
     [ 0; 1; -1; 42; -42; Word.fixnum_max; Word.fixnum_min ]
 
+(* An exact product is returned as is; one that wraps an OCaml int comes
+   back outside the fixnum range, never as a wrapped value inside it. *)
+let test_mul_exact () =
+  let fixnum n = n >= Word.fixnum_min && n <= Word.fixnum_max in
+  check_int "exact" (-42) (Word.mul_exact 6 (-7));
+  check_int "zero" 0 (Word.mul_exact 0 Word.fixnum_max);
+  check "wrapping product" false (fixnum (Word.mul_exact 4611686018427387 1_000_000_000_000));
+  check "square of max" false (fixnum (Word.mul_exact Word.fixnum_max Word.fixnum_max));
+  check "min times -1" false (fixnum (Word.mul_exact Word.fixnum_min (-1)))
+
 let test_char_roundtrip () =
   for c = 0 to 255 do
     let ch = Char.chr c in
@@ -104,6 +114,7 @@ let () =
       ( "tagging",
         [
           Alcotest.test_case "fixnum roundtrip" `Quick test_fixnum_roundtrip;
+          Alcotest.test_case "mul_exact" `Quick test_mul_exact;
           Alcotest.test_case "char roundtrip" `Quick test_char_roundtrip;
           Alcotest.test_case "immediates distinct" `Quick test_immediates_distinct;
           Alcotest.test_case "pointer tags" `Quick test_pointer_tags;
