@@ -645,6 +645,6 @@ let () =
       ("output", output);
       ("gc integration", gc_integration);
       ("errors", errors);
-      ("fixnum overflow", fixnum_overflow);
+      ("overflow", fixnum_overflow);
       ("call path", call_path);
     ]
