@@ -1,35 +1,5 @@
-(* Small harness around Bechamel: run a group of tests, print one
-   estimated-time row per test, plus fixed-width counter tables. *)
-
-open Bechamel
-open Toolkit
-
-let ols =
-  Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-
-(** Run Bechamel tests and print ns/run estimates. *)
-let run_tests ?(quota = 0.5) tests =
-  let instances = [ Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:false ()
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      let names = Hashtbl.fold (fun k _ acc -> k :: acc) analyzed [] in
-      List.iter
-        (fun name ->
-          let est = Hashtbl.find analyzed name in
-          let time =
-            match Analyze.OLS.estimates est with
-            | Some (t :: _) -> t
-            | _ -> nan
-          in
-          let r2 = match Analyze.OLS.r_square est with Some r -> r | None -> nan in
-          Printf.printf "  %-48s %12.1f ns/run   (r²=%.3f)\n" name time r2)
-        (List.sort compare names))
-    tests
+(* Bench helpers: fixed-width tables, timing on the monotonic clock, and
+   the GC telemetry report. *)
 
 let section title = Printf.printf "\n==== %s ====\n%!" title
 
@@ -54,19 +24,23 @@ let table ~header rows =
   List.iter print_row rows;
   flush stdout
 
+(** Run [f] once; return its result and the elapsed microseconds. *)
 let time_once f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Gbc_runtime.Unix_time.now_ns () in
   let r = f () in
-  let t1 = Unix.gettimeofday () in
-  (r, (t1 -. t0) *. 1e6)
-(* microseconds *)
+  (r, (Gbc_runtime.Unix_time.now_ns () -. t0) /. 1e3)
+
+(** Run [f] [iters] times; return the mean nanoseconds per iteration. *)
+let ns_per_iter ~iters f =
+  let (), us = time_once (fun () -> for _ = 1 to iters do f () done) in
+  us *. 1e3 /. float_of_int iters
 
 let fmt_us us = Printf.sprintf "%.1f" us
 
 (* ------------------------------------------------------------------ *)
 (* GC telemetry aggregation: heaps created through make_heap/make_ctx
    report every collection into the aggregate of the benchmark currently
-   running (see [benchmark]); [write_gc_json] dumps all aggregates. *)
+   running (see [benchmark]); [Gc_report.write] dumps all aggregates. *)
 
 module Gc_report = struct
   open Gbc_runtime
@@ -83,7 +57,9 @@ module Gc_report = struct
     mutable heaps : Heap.t list;
     mutable session : (string * int) list;
     mutable extras : (string * float) list;
-        (* benchmark-specific scalars, emitted under "extra" *)
+        (* benchmark-specific count-derived scalars, emitted under "extra" *)
+    mutable timing_extras : (string * float) list;
+        (* clock-derived ones, emitted under "timing"."extra" *)
   }
 
   let current : agg option ref = ref None
@@ -126,14 +102,16 @@ module Gc_report = struct
           heaps = [];
           session = Stats.session_to_list (Stats.create ());
           extras = [];
+          timing_extras = [];
         }
 
   (* Record a benchmark-specific scalar under the running benchmark's
-     "extra" JSON object (latest value wins per key). *)
-  let add_extra key value =
+     "extra" JSON object, or under "timing" if it derives from the clock. *)
+  let add_extra ?(timing = false) key value =
     match !current with
     | None -> ()
-    | Some agg -> agg.extras <- (key, value) :: List.remove_assoc key agg.extras
+    | Some agg when timing -> agg.timing_extras <- (key, value) :: agg.timing_extras
+    | Some agg -> agg.extras <- (key, value) :: agg.extras
 
   let finish () =
     match !current with
@@ -159,82 +137,86 @@ module Gc_report = struct
       let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
       sorted.(max 0 (min (n - 1) (rank - 1)))
 
+  (* JSON objects from (key, rendered value) pairs: [obj] on one line,
+     [block] one pair per line, closing at column [indent]. *)
+  let obj show l =
+    "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (show v)) l) ^ "}"
+
+  let block indent l =
+    let pad = String.make indent ' ' in
+    "{\n"
+    ^ String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "%s  %S: %s" pad k v) l)
+    ^ "\n" ^ pad ^ "}"
+
+  (* One benchmark's JSON object.  Every host-clock value sits under
+     "timing"; everything else is a count or a ratio of counts, which
+     repeats exactly between runs. *)
+  let bench_json agg =
+    let pauses = Array.of_list agg.pauses_us in
+    Array.sort compare pauses;
+    let total_phase_ns = Array.fold_left ( +. ) 0.0 agg.phase_ns in
+    let c = Stats.to_list agg.totals in
+    let counter name = List.assoc name c in
+    let session name = List.assoc name agg.session in
+    let ratio a b = float_of_int a /. float_of_int (max 1 b) in
+    let f6 = Printf.sprintf "%.6f" in
+    let phases show =
+      obj show (List.map (fun ph -> (Telemetry.phase_name ph, Telemetry.phase_index ph))
+                  Telemetry.all_phases)
+    in
+    let extra l = if l = [] then [] else [ ("extra", obj f6 (List.rev l)) ] in
+    let timing =
+      [
+        ( "pause_us",
+          obj (Printf.sprintf "%.3f")
+            (List.map (fun (k, p) -> (k, percentile pauses p))
+               [ ("p50", 50.0); ("p95", 95.0); ("max", 100.0) ]) );
+        ( "phases",
+          phases (fun i ->
+              Printf.sprintf "{\"ns\": %.0f, \"time_share\": %.4f}" agg.phase_ns.(i)
+                (if total_phase_ns > 0.0 then agg.phase_ns.(i) /. total_phase_ns else 0.0)) );
+      ]
+      @ extra agg.timing_extras
+    in
+    (* Write-barrier profile and the card table's dirty-scan win:
+       card_words_swept / dirty_candidate_words is the fraction of a
+       segment-granular scan's work the card-granular scan performed.
+       C1: collector-side guardian overhead relative to the copying and
+       sweeping work already done.  C2: mutator polls per clean-up
+       actually performed (DESIGN.md, Observability). *)
+    block 4
+      ([
+         ("name", Printf.sprintf "%S" agg.bench);
+         ("collections", string_of_int agg.collections);
+         ("phases", phases (fun i -> Printf.sprintf "{\"work\": %d}" agg.phase_work.(i)));
+         ("counters", obj string_of_int c);
+         ("mutator", obj string_of_int agg.session);
+         ( "barrier",
+           Printf.sprintf "{\"calls\": %d, \"hits\": %d, \"hit_rate\": %.6f, \"cards_dirtied\": %d}"
+             (session "barrier_calls") (session "barrier_hits")
+             (ratio (session "barrier_hits") (session "barrier_calls"))
+             (session "cards_dirtied") );
+         ( "dirty_scan",
+           obj f6
+             [
+               ("cards_per_dirty_segment",
+                ratio (counter "cards_scanned") (counter "dirty_segments_scanned"));
+               ("words_ratio", ratio (counter "card_words_swept") (counter "dirty_candidate_words"));
+             ] );
+       ]
+      @ extra agg.extras
+      @ [
+          ( "c1_collector_overhead",
+            f6 (ratio (counter "entries_visited") (counter "words_copied" + counter "words_swept"))
+          );
+          ("c2_polls_per_cleanup", f6 (ratio (session "polls") (session "hits")));
+          ("timing", block 6 timing);
+        ])
+
   let write path =
-    let buf = Buffer.create 4096 in
-    let bprintf fmt = Printf.bprintf buf fmt in
-    bprintf "{\n  \"schema\": \"gbc-bench-gc/1\",\n  \"benchmarks\": [\n";
-    let aggs = List.rev !finished in
-    List.iteri
-      (fun bi agg ->
-        let pauses = Array.of_list agg.pauses_us in
-        Array.sort compare pauses;
-        let total_phase_ns = Array.fold_left ( +. ) 0.0 agg.phase_ns in
-        let c = Stats.to_list agg.totals in
-        let counter name = List.assoc name c in
-        let session name = List.assoc name agg.session in
-        let ratio a b = float_of_int a /. float_of_int (max 1 b) in
-        (* Every counter under its export name from the [Stats] table. *)
-        let obj l =
-          String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) l)
-        in
-        bprintf "    {\n      \"name\": %S,\n" agg.bench;
-        bprintf "      \"collections\": %d,\n" agg.collections;
-        bprintf
-          "      \"pause_us\": {\"p50\": %.3f, \"p95\": %.3f, \"max\": %.3f},\n"
-          (percentile pauses 50.0) (percentile pauses 95.0)
-          (if Array.length pauses = 0 then 0.0
-           else pauses.(Array.length pauses - 1));
-        bprintf "      \"phases\": {\n";
-        List.iteri
-          (fun i ph ->
-            let share =
-              if total_phase_ns > 0.0 then agg.phase_ns.(i) /. total_phase_ns
-              else 0.0
-            in
-            bprintf "        %S: {\"ns\": %.0f, \"work\": %d, \"time_share\": %.4f}%s\n"
-              (Gbc_runtime.Telemetry.phase_name ph)
-              agg.phase_ns.(i) agg.phase_work.(i) share
-              (if i = Gbc_runtime.Telemetry.phase_count - 1 then "" else ","))
-          Gbc_runtime.Telemetry.all_phases;
-        bprintf "      },\n";
-        bprintf "      \"counters\": {%s},\n" (obj c);
-        bprintf "      \"mutator\": {%s},\n" (obj agg.session);
-        (* Write-barrier profile and the card table's dirty-scan win:
-           card_words_swept / dirty_candidate_words is the fraction of a
-           segment-granular scan's work the card-granular scan performed. *)
-        bprintf
-          "      \"barrier\": {\"calls\": %d, \"hits\": %d, \"hit_rate\": \
-           %.6f, \"cards_dirtied\": %d},\n"
-          (session "barrier_calls") (session "barrier_hits")
-          (ratio (session "barrier_hits") (session "barrier_calls"))
-          (session "cards_dirtied");
-        bprintf
-          "      \"dirty_scan\": {\"cards_per_dirty_segment\": %.3f, \
-           \"words_ratio\": %.6f},\n"
-          (ratio (counter "cards_scanned") (counter "dirty_segments_scanned"))
-          (ratio (counter "card_words_swept") (counter "dirty_candidate_words"));
-        if agg.extras <> [] then begin
-          bprintf "      \"extra\": {";
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then bprintf ", ";
-              bprintf "%S: %.6f" k v)
-            (List.rev agg.extras);
-          bprintf "},\n"
-        end;
-        (* C1: collector-side guardian overhead relative to the copying and
-           sweeping work already done.  C2: mutator polls per clean-up
-           actually performed (DESIGN.md, Observability). *)
-        bprintf "      \"c1_collector_overhead\": %.6f,\n"
-          (ratio (counter "entries_visited")
-             (counter "words_copied" + counter "words_swept"));
-        bprintf "      \"c2_polls_per_cleanup\": %.6f\n"
-          (ratio (session "polls") (session "hits"));
-        bprintf "    }%s\n" (if bi = List.length aggs - 1 then "" else ","))
-      aggs;
-    bprintf "  ]\n}\n";
     let oc = open_out path in
-    Buffer.output_buffer oc buf;
+    Printf.fprintf oc "{\n  \"schema\": \"gbc-bench-gc/2\",\n  \"benchmarks\": [\n%s\n  ]\n}\n"
+      (String.concat ",\n" (List.rev_map (fun agg -> "    " ^ bench_json agg) !finished));
     close_out oc
 end
 
@@ -255,5 +237,3 @@ let make_ctx ?config ?fd_limit () =
 let benchmark name f =
   Gc_report.start name;
   Fun.protect ~finally:Gc_report.finish f
-
-let write_gc_json = Gc_report.write

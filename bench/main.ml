@@ -21,6 +21,12 @@ let cfg = Config.v ~max_generation:3 ()
 
 let full_collect h = ignore (Collector.collect h ~gen:(Heap.max_generation h))
 
+(* Time a micro-op: [iters] runs of [f], printed as mean ns per run.  The
+   heaps these loops use come from plain [Heap.create], so no counter
+   report sees them and the report stays deterministic. *)
+let time_op name ~iters f =
+  Printf.printf "  %-48s %12.1f ns/op\n%!" name (ns_per_iter ~iters f)
+
 (* Root a list of n fresh pairs; return the handle and the object words. *)
 let alloc_rooted_pairs h n =
   let keep = Handle.create h Word.nil in
@@ -280,18 +286,14 @@ let e3 () =
     "  -> the guarded table stays bounded by the live set; the unguarded\n\
     \     variant accretes one dead association per dropped key.";
   (* Op-cost timing. *)
-  let h = make_heap ~config:cfg () in
+  let h = Heap.create ~config:cfg () in
   let t = Guarded_table.create h ~hash:stable_hash ~size:1024 in
   let _keep, objs = alloc_rooted_pairs h 1024 in
   Array.iter (fun k -> Guarded_table.set t k (fx 1)) objs;
   let i = ref 0 in
-  run_tests
-    [
-      Bechamel.Test.make ~name:"e3: guarded-table lookup (hit, no deaths)"
-        (Bechamel.Staged.stage (fun () ->
-             i := (!i + 1) land 1023;
-             ignore (Guarded_table.lookup t objs.(!i))));
-    ]
+  time_op "e3: guarded-table lookup (hit, no deaths)" ~iters:200_000 (fun () ->
+      i := (!i + 1) land 1023;
+      ignore (Guarded_table.lookup t objs.(!i)))
 
 (* ================================================================== *)
 (* E4: transport guardian vs full rehash                              *)
@@ -441,21 +443,16 @@ let e6 () =
   print_endline
     "  -> recycled objects age into older generations; how quickly their next\n\
     \     death is noticed depends on the collection schedule.";
-  let h2 = make_heap ~config:cfg () in
+  let h2 = Heap.create ~config:cfg () in
   let pool2 = Free_pool.create ~capacity:8 h2 ~build in
   ignore (Free_pool.acquire pool2);
   full_collect h2;
-  run_tests
-    [
-      Bechamel.Test.make ~name:"e6: acquire via pool (recycled)"
-        (Bechamel.Staged.stage (fun () ->
-             ignore (Free_pool.acquire pool2);
-             full_collect h2));
-      Bechamel.Test.make ~name:"e6: build from scratch + gc"
-        (Bechamel.Staged.stage (fun () ->
-             ignore (build h2);
-             full_collect h2));
-    ]
+  time_op "e6: acquire via pool (recycled)" ~iters:4_000 (fun () ->
+      ignore (Free_pool.acquire pool2);
+      full_collect h2);
+  time_op "e6: build from scratch + gc" ~iters:4_000 (fun () ->
+      ignore (build h2);
+      full_collect h2)
 
 (* ================================================================== *)
 (* E7: pause proportional to live data, not garbage                   *)
@@ -545,19 +542,15 @@ let e8 () =
 
 let e9 () =
   section "E9  tconc protocol: operation costs and interleaving safety";
-  let h = make_heap ~config:cfg () in
+  let h = Heap.create ~config:cfg () in
   let tc = Handle.create h (Tconc.make h) in
-  run_tests
-    [
-      Bechamel.Test.make ~name:"e9: collector enqueue + mutator dequeue"
-        (Bechamel.Staged.stage (fun () ->
-             Tconc.enqueue_with h
-               ~alloc_pair:(fun a b -> Obj.cons h a b)
-               (Handle.get tc) (fx 1);
-             ignore (Tconc.dequeue h (Handle.get tc))));
-      Bechamel.Test.make ~name:"e9: dequeue on empty"
-        (Bechamel.Staged.stage (fun () -> ignore (Tconc.dequeue h (Handle.get tc))));
-    ];
+  time_op "e9: collector enqueue + mutator dequeue" ~iters:200_000 (fun () ->
+      Tconc.enqueue_with h
+        ~alloc_pair:(fun a b -> Obj.cons h a b)
+        (Handle.get tc) (fx 1);
+      ignore (Tconc.dequeue h (Handle.get tc)));
+  time_op "e9: dequeue on empty" ~iters:1_000_000 (fun () ->
+      ignore (Tconc.dequeue h (Handle.get tc)));
   (* Interleaving safety (summarized; the full checker runs in the tests). *)
   let safe = ref 0 and total = ref 0 in
   List.iter
@@ -650,17 +643,18 @@ let e13 () =
     for _ = 0 to max_generation do
       ignore (Runtime.collect_auto h)
     done;
-    let t0 = Unix.gettimeofday () in
-    for _round = 1 to churn_rounds do
-      for i = 0 to churn_per_round - 1 do
-        ignore (Obj.cons h (fx i) Word.nil)
-      done;
-      ignore (Runtime.collect_auto h)
-    done;
-    let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+    let (), elapsed_us =
+      time_once (fun () ->
+          for _round = 1 to churn_rounds do
+            for i = 0 to churn_per_round - 1 do
+              ignore (Obj.cons h (fx i) Word.nil)
+            done;
+            ignore (Runtime.collect_auto h)
+          done)
+    in
     let s = (Heap.stats h).Stats.total in
     ignore keep;
-    (s.Stats.collections, s.Stats.words_copied, elapsed_ms)
+    (s.Stats.collections, s.Stats.words_copied, elapsed_us /. 1e3)
   in
   let gcol, gcop, gms = run ~max_generation:4 in
   let tcol, tcop, tms = run ~max_generation:0 in
@@ -771,23 +765,18 @@ let e14 () =
     \     segment size: dirty-scan work tracks mutated cards, not segments.";
   (* The write barrier itself, timed: pointer stores into a young segment
      (fast path: one compare) vs repeated old-to-young stores (card mark). *)
-  subsection "write-barrier fast vs slow path (Bechamel, ns/store)";
-  let h = make_heap ~config:cfg () in
+  subsection "write-barrier fast vs slow path (ns/store)";
+  let h = Heap.create ~config:cfg () in
   let young = Handle.create h (Obj.cons h (fx 0) Word.nil) in
   let old_v = Handle.create h (Obj.make_vector h ~len:64 ~init:(fx 0)) in
   ignore (Collector.collect h ~gen:0);
   ignore (Collector.collect h ~gen:1);
   let young_pair = Obj.cons h (fx 1) Word.nil in
   Handle.set young young_pair;
-  run_tests
-    [
-      Bechamel.Test.make ~name:"store young->young (barrier fast path)"
-        (Bechamel.Staged.stage (fun () ->
-             Obj.set_car h (Handle.get young) (fx 2)));
-      Bechamel.Test.make ~name:"store old->young (card mark)"
-        (Bechamel.Staged.stage (fun () ->
-             Obj.vector_set h (Handle.get old_v) 0 (Handle.get young)));
-    ]
+  time_op "store young->young (barrier fast path)" ~iters:2_000_000 (fun () ->
+      Obj.set_car h (Handle.get young) (fx 2));
+  time_op "store old->young (card mark)" ~iters:1_000_000 (fun () ->
+      Obj.vector_set h (Handle.get old_v) 0 (Handle.get young))
 
 (* ================================================================== *)
 (* E16: heap images — save/load throughput and cold start              *)
@@ -848,9 +837,9 @@ let e_image () =
         let load_mw_s =
           float_of_int loaded.Gbc_image.Image.restored_words /. load_us
         in
-        Gc_report.add_extra (Printf.sprintf "image_save_mb_s_n%d" n) save_mb_s;
-        Gc_report.add_extra (Printf.sprintf "image_load_mb_s_n%d" n) load_mb_s;
-        Gc_report.add_extra
+        Gc_report.add_extra ~timing:true (Printf.sprintf "image_save_mb_s_n%d" n) save_mb_s;
+        Gc_report.add_extra ~timing:true (Printf.sprintf "image_load_mb_s_n%d" n) load_mb_s;
+        Gc_report.add_extra ~timing:true
           (Printf.sprintf "image_load_noverify_mb_s_n%d" n)
           (float_of_int size /. load_nv_us);
         Gc_report.add_extra
@@ -922,10 +911,10 @@ let e_image () =
   Scheme.Machine.dispose m2;
   Scheme.Machine.dispose m3;
   Sys.remove path;
-  Gc_report.add_extra "image_cold_start_us" restore_us;
-  Gc_report.add_extra "image_cold_start_noverify_us" restore_nv_us;
-  Gc_report.add_extra "image_replay_us" replay_us;
-  Gc_report.add_extra "image_cold_start_speedup" (replay_us /. restore_nv_us);
+  Gc_report.add_extra ~timing:true "image_cold_start_us" restore_us;
+  Gc_report.add_extra ~timing:true "image_cold_start_noverify_us" restore_nv_us;
+  Gc_report.add_extra ~timing:true "image_replay_us" replay_us;
+  Gc_report.add_extra ~timing:true "image_cold_start_speedup" (replay_us /. restore_nv_us);
   table
     ~header:[ "startup"; "us"; "notes" ]
     [
@@ -1003,6 +992,6 @@ let () =
   run "e13" e13;
   run "e14" e14;
   run "image" e_image;
-  write_gc_json !json_out;
+  Gc_report.write !json_out;
   Printf.printf "\nDone.  GC telemetry written to %s.\n" !json_out;
   print_endline "See EXPERIMENTS.md for the paper-vs-measured discussion."

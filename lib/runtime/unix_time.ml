@@ -1,3 +1,6 @@
-(** Wall-clock time in nanoseconds, for collection pause reporting. *)
+(** Monotonic time in nanoseconds ([clock_gettime(CLOCK_MONOTONIC)]), for
+    collection pause and phase reporting. *)
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+external now_ns : unit -> (float[@unboxed])
+  = "gbc_now_ns_byte" "gbc_now_ns"
+[@@noalloc]

@@ -1,3 +1,6 @@
-(** Wall-clock time, for collection pause reporting. *)
+(** Monotonic time in nanoseconds, for collection pause and phase
+    reporting.  Only differences between two readings are meaningful. *)
 
-val now_ns : unit -> float
+external now_ns : unit -> (float[@unboxed])
+  = "gbc_now_ns_byte" "gbc_now_ns"
+[@@noalloc]

@@ -123,13 +123,29 @@ let read_hash t =
       CHAR c
   | _ -> raise (Error "bad # syntax")
 
-let classify_atom a =
+(* Optional sign, then a digit, then digits or underscores. *)
+let is_decimal_integer a =
+  let n = String.length a in
+  let i = if n > 0 && (a.[0] = '-' || a.[0] = '+') then 1 else 0 in
+  i < n
+  && a.[i] >= '0' && a.[i] <= '9'
+  && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '_')
+       (String.sub a i (n - i))
+
+let number a =
   match int_of_string_opt a with
-  | Some n -> INT n
+  | Some n when n >= Gbc_runtime.Word.fixnum_min && n <= Gbc_runtime.Word.fixnum_max ->
+      Some (INT n)
+  | Some n -> Some (FLOAT (float_of_int n))
   | None -> (
       match float_of_string_opt a with
-      | Some f when String.exists (fun c -> c = '.' || c = 'e' || c = 'E') a -> FLOAT f
-      | _ -> SYMBOL a)
+      | Some f
+        when String.exists (fun c -> c = '.' || c = 'e' || c = 'E') a
+             || is_decimal_integer a ->
+          Some (FLOAT f)
+      | _ -> None)
+
+let classify_atom a = match number a with Some tok -> tok | None -> SYMBOL a
 
 let next t =
   skip_atmosphere t;

@@ -23,6 +23,11 @@ type t
 
 val create : string -> t
 
+val number : string -> token option
+(** The number an atom denotes, as [INT] or [FLOAT]; [None] if it is not
+    one.  An integer outside [Word.fixnum_min .. Word.fixnum_max] is a
+    [FLOAT].  The reader and [string->number] share this parser. *)
+
 val next : t -> token
 (** @raise Error on malformed input. *)
 

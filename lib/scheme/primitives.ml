@@ -501,12 +501,10 @@ let install (m : Machine.t) =
       Obj.string_of_ocaml h (String.init (List.length chars) (List.nth chars)));
   p1 "string->number" (fun _ w ->
       let s = Obj.string_to_ocaml h (want_string "string->number" h w) in
-      match int_of_string_opt s with
-      | Some n -> Word.of_fixnum n
-      | None -> (
-          match float_of_string_opt s with
-          | Some f -> Obj.make_flonum h f
-          | None -> Word.false_));
+      match Lexer.number s with
+      | Some (Lexer.INT n) -> Word.of_fixnum n
+      | Some (Lexer.FLOAT f) -> Obj.make_flonum h f
+      | _ -> Word.false_);
   p "string" ~min:0 ~max:(-1) (fun m b n ->
       Obj.string_of_ocaml h (String.init n (fun i -> want_char "string" (arg m (b + i)))));
   p2 "vector-fill!" (fun _ v x ->

@@ -275,6 +275,20 @@ let test_census_ephemeron_semantics () =
   check_int "ephemeron counted" 1 c_dead.Census.reachable.Census.ephemerons;
   Handle.free e
 
+(* --- clock: Unix_time.now_ns is monotonic and nanosecond-scaled ------- *)
+
+let test_clock_monotonic () =
+  let prev = ref (Unix_time.now_ns ()) in
+  for _ = 1 to 10_000 do
+    let t = Unix_time.now_ns () in
+    if t < !prev then Alcotest.failf "clock went back: %.0f after %.0f" t !prev;
+    prev := t
+  done;
+  let t0 = Unix_time.now_ns () in
+  Unix.sleepf 0.002;
+  let dt = Unix_time.now_ns () -. t0 in
+  check (Printf.sprintf "2 ms sleep reads >= 1e6 ns (got %.0f)" dt) true (dt >= 1e6)
+
 let () =
   Alcotest.run "infra"
     [
@@ -310,4 +324,5 @@ let () =
           Alcotest.test_case "weak semantics" `Quick test_census_weak_semantics;
           Alcotest.test_case "ephemeron semantics" `Quick test_census_ephemeron_semantics;
         ] );
+      ("clock", [ Alcotest.test_case "monotonic ns" `Quick test_clock_monotonic ]);
     ]

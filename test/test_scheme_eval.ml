@@ -322,6 +322,7 @@ let extended_prims =
     t "string->number int" "(string->number \"42\")" "42";
     t "string->number float" "(string->number \"2.5\")" "2.5";
     t "string->number bad" "(string->number \"nope\")" "#f";
+    t "string->number nan" "(string->number \"nan\")" "#f";
     t "string fn" "(string #\\a #\\b)" "\"ab\"";
     t "vector-fill!" "(let ([v (make-vector 3 0)]) (vector-fill! v 'x) v)" "#(x x x)";
     t "gensym distinct" "(eq? (gensym) (gensym))" "#f";
@@ -564,6 +565,23 @@ let fixnum_overflow =
     fails_with "integer division" "(/ fx-min -1)" "/: fixnum overflow";
     t "maximum is reachable" "(let ([x 2305843009213693950]) (+ x 1))" "2305843009213693951";
     t "minimum is reachable" "(let ([x -2305843009213693951]) (- x 1))" "-2305843009213693952";
+    (* Integer literals outside the range read as flonums, in source and
+       through string->number alike; the range ends stay fixnums. *)
+    t "literal 3e18" "3000000000000000000" "3e+18";
+    t "literal max+1" "2305843009213693952" "2.30584300921e+18";
+    t "literal min_int" "-4611686018427387904" "-4.61168601843e+18";
+    t "literal 1e20" "99999999999999999999" "1e+20";
+    t "string->number 3e18" "(string->number \"3000000000000000000\")" "3e+18";
+    t "string->number max+1" "(string->number \"2305843009213693952\")" "2.30584300921e+18";
+    t "string->number min_int" "(string->number \"-4611686018427387904\")"
+      "-4.61168601843e+18";
+    t "string->number 1e20" "(string->number \"99999999999999999999\")" "1e+20";
+    t "max literal is a fixnum" "(list (fixnum? 2305843009213693951) (- 2305843009213693951 1))"
+      "(#t 2305843009213693950)";
+    t "min literal is a fixnum" "(list (fixnum? -2305843009213693952) (+ -2305843009213693952 1))"
+      "(#t -2305843009213693951)";
+    t "string->number max" "(fixnum? (string->number \"2305843009213693951\"))" "#t";
+    t "string->number min" "(fixnum? (string->number \"-2305843009213693952\"))" "#t";
   ]
 
 (* The VM's call dispatch: special primitives follow the primitive, not

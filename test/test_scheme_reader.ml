@@ -60,6 +60,21 @@ let test_errors () =
   check "unterminated string" true (fails "\"abc");
   check "bad char" true (fails "#\\notachar")
 
+(* Integers outside the 62-bit fixnum range read as flonums; the range
+   ends stay exact integers. *)
+let test_big_integers () =
+  let reads_as src expected =
+    check src true (Reader.read_one src = expected)
+  in
+  reads_as "3000000000000000000" (Sexpr.Float 3e18);
+  reads_as "2305843009213693952" (Sexpr.Float 2305843009213693952.);
+  reads_as "-4611686018427387904" (Sexpr.Float (-4611686018427387904.));
+  reads_as "99999999999999999999" (Sexpr.Float 1e20);
+  reads_as "-99999999999999999999" (Sexpr.Float (-1e20));
+  reads_as "2305843009213693951" (Sexpr.Int Gbc_runtime.Word.fixnum_max);
+  reads_as "-2305843009213693952" (Sexpr.Int Gbc_runtime.Word.fixnum_min);
+  reads_as "nan" (Sexpr.Sym "nan")
+
 let test_read_all () =
   let forms = Reader.read_all "(define x 1) (define y 2) (+ x y)" in
   Alcotest.(check int) "three forms" 3 (List.length forms)
@@ -124,6 +139,7 @@ let () =
           Alcotest.test_case "comments" `Quick test_comments_and_whitespace;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "read_all" `Quick test_read_all;
+          Alcotest.test_case "big integers" `Quick test_big_integers;
         ] );
       ("printer", [ Alcotest.test_case "heap values" `Quick test_heap_printer ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_print_read_roundtrip ]);
