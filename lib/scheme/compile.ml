@@ -560,14 +560,40 @@ let rec compile_expr ctx ~tail expr =
       in
       loop es
   | Lambda lam -> compile_lambda ctx lam
-  | App (f, args) ->
-      List.iter
-        (fun a ->
-          compile_expr ctx ~tail:false a;
-          emit ctx.e Instr.Push)
-        args;
-      compile_expr ctx ~tail:false f;
-      emit ctx.e (if tail then Instr.Tail_call (List.length args) else Instr.Call (List.length args))
+  | App (f, args) -> (
+      match open_op ctx f args with
+      | Some op ->
+          (* The last operand stays in acc; the cell is linked after the
+             operands, where the generic path would read the operator. *)
+          List.iteri
+            (fun i a ->
+              compile_expr ctx ~tail:false a;
+              if i < op.Instr.arity - 1 then emit ctx.e Instr.Push)
+            args;
+          emit ctx.e (Instr.Op { op; cell = ctx.linker.global_cell op.Instr.name; tail })
+      | None ->
+          List.iter
+            (fun a ->
+              compile_expr ctx ~tail:false a;
+              emit ctx.e Instr.Push)
+            args;
+          compile_expr ctx ~tail:false f;
+          emit ctx.e
+            (if tail then Instr.Tail_call (List.length args) else Instr.Call (List.length args)))
+
+(* The op an application compiles to: a global (not lexically bound) in
+   the open-coded table, applied to exactly the op's arity. *)
+and open_op ctx f args =
+  match f with
+  | Var name -> (
+      match Instr.find_op name with
+      | Some op
+        when op.Instr.arity = List.length args
+             && index_of name ctx.env.locals = None
+             && index_of name ctx.env.free = None ->
+          Some op
+      | _ -> None)
+  | _ -> None
 
 and compile_quote ctx d =
   let open Gbc_runtime in

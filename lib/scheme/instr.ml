@@ -5,6 +5,60 @@
     stack frame.  [case-lambda] closures carry several clauses sharing one
     free-variable list; calls dispatch on argument count. *)
 
+(** The primitives the compiler open-codes.  A global application
+    [(name a b)] or [(name x)] of an op in {!ops}, with the op's arity and
+    [name] not lexically bound, compiles to one [Op] instruction.  At run
+    time it applies the op in place when the global cell still holds the
+    primitive's original closure and the operands need no generic path
+    (two fixnums without overflow for the numeric ops, a pair for
+    [car]/[cdr]); otherwise it makes the ordinary call. *)
+type kind =
+  | Add
+  | Sub
+  | Num_eq
+  | Lt
+  | Gt
+  | Le
+  | Ge
+  | Eq
+  | Car
+  | Cdr
+  | Is_null
+  | Is_pair
+  | Not
+  | Is_zero
+
+type op = {
+  index : int;  (** position in {!ops}: the image code and the machine's slot *)
+  kind : kind;
+  name : string;  (** the global it stands for *)
+  arity : int;  (** 1 or 2 *)
+}
+
+(** The one table of open-coded ops. *)
+let ops : op array =
+  Array.mapi
+    (fun index (kind, name, arity) -> { index; kind; name; arity })
+    [|
+      (Add, "+", 2);
+      (Sub, "-", 2);
+      (Num_eq, "=", 2);
+      (Lt, "<", 2);
+      (Gt, ">", 2);
+      (Le, "<=", 2);
+      (Ge, ">=", 2);
+      (Eq, "eq?", 2);
+      (Car, "car", 1);
+      (Cdr, "cdr", 1);
+      (Is_null, "null?", 1);
+      (Is_pair, "pair?", 1);
+      (Not, "not", 1);
+      (Is_zero, "zero?", 1);
+    |]
+
+(** The op named [name], if any. *)
+let find_op name = Array.find_opt (fun o -> o.name = name) ops
+
 type instr =
   | Const of int  (** constants table index -> acc *)
   | Imm of int  (** raw immediate/fixnum word -> acc *)
@@ -24,6 +78,9 @@ type instr =
   | Jump of int
   | Call of int  (** operator in acc, n args on stack *)
   | Tail_call of int
+  | Op of { op : op; cell : int; tail : bool }
+      (** open-coded [(op stack-top acc)], or [(op acc)] for arity 1;
+          [cell] is the op's global cell *)
   | Return
   | Halt
 
@@ -56,5 +113,7 @@ let pp_instr ppf = function
   | Jump i -> Format.fprintf ppf "jmp %d" i
   | Call n -> Format.fprintf ppf "call %d" n
   | Tail_call n -> Format.fprintf ppf "tailcall %d" n
+  | Op { op; cell; tail } ->
+      Format.fprintf ppf "%s %s %d" (if tail then "tailop" else "op") op.name cell
   | Return -> Format.pp_print_string ppf "ret"
   | Halt -> Format.pp_print_string ppf "halt"

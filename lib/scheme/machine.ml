@@ -62,12 +62,19 @@ and t = {
   mutable cur_clause : int;
   global_names : (int, string) Hashtbl.t;
   prims : prim Vec.Poly.t;
+  op_prims : Word.t array;
+      (** per {!Instr.ops} entry, its primitive's closure as first bound,
+          or [no_word]; rooted *)
   out : Buffer.t;  (** console output *)
   mutable echo : bool;  (** also write console output to stdout *)
   mutable in_handler : bool;
   mutable scanner_id : int;
   mutable gc_ring : Telemetry.Ring.t option;
 }
+
+(* Never a value a cell or an operand holds (the collector's forwarding
+   marker): an unfilled [op_prims] slot, and "take the generic path". *)
+let no_word = Word.forward_marker
 
 let dummy_code : Instr.code = { name = "dummy"; clauses = [] }
 
@@ -100,6 +107,7 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
       cur_clause = -1;
       global_names = Hashtbl.create 64;
       prims = Vec.Poly.create ~dummy:dummy_prim ();
+      op_prims = Array.make (Array.length Instr.ops) no_word;
       out = Buffer.create 256;
       echo = false;
       in_handler = false;
@@ -118,7 +126,8 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
     m.acc <- rewrite m.acc;
     m.clos <- rewrite m.clos;
     for i = 0 to m.depth - 1 do m.control.(i).ret_clos <- rewrite m.control.(i).ret_clos done;
-    Vec.Int.iteri m.consts ~f:(fun i w -> Vec.Int.set m.consts i (rewrite w))
+    Vec.Int.iteri m.consts ~f:(fun i w -> Vec.Int.set m.consts i (rewrite w));
+    Array.iteri (fun i w -> m.op_prims.(i) <- rewrite w) m.op_prims
   in
   m.scanner_id <- Heap.add_scanner heap scanner;
   m
@@ -250,7 +259,16 @@ let define_prim m ~name ~arity_min ?(arity_max = arity_min) fn =
   if lookup_global m name = None then begin
     let c = make_closure_obj m ~code_id:(-1 - prim_id) ~nfree:0 in
     define_global m name c
-  end
+  end;
+  (* An open-coded op's fast path stands for this primitive only while
+     its cell holds this very closure.  A global already rebound (in a
+     restored image, say) leaves the slot empty: every call is generic. *)
+  match (Instr.find_op name, lookup_global m name) with
+  | Some op, Some c
+    when Obj.has_code m.heap c Obj.code_closure
+         && Word.to_fixnum (Obj.field m.heap c 0) = -1 - prim_id ->
+      m.op_prims.(op.Instr.index) <- c
+  | _ -> ()
 
 (** Value-stack slot [i]: a primitive's arguments are [base .. base + n - 1]. *)
 let arg m i = m.stack.(i)
@@ -345,6 +363,29 @@ let push_frame m ~instrs ~pc ~fp ~clos ~code_id ~clause =
   f.ret_clause <- clause;
   m.depth <- m.depth + 1
 
+(* The value of open-coded [kind] on [a] and [x] ([a] = [x] for arity 1),
+   or [no_word] where the primitive's generic path is needed: a non-fixnum
+   or an overflow for the numeric ops, a non-pair for car/cdr.  For those
+   two it returns the pair, which the caller reads after its safepoint.
+   Tagged fixnum words order like the integers they carry. *)
+let op_value (kind : Instr.kind) a x =
+  let fixnums = Word.is_fixnum a && Word.is_fixnum x in
+  let exact n = if n < Word.fixnum_min || n > Word.fixnum_max then no_word else Word.of_fixnum n in
+  match kind with
+  | Instr.Add -> if fixnums then exact (Word.to_fixnum a + Word.to_fixnum x) else no_word
+  | Instr.Sub -> if fixnums then exact (Word.to_fixnum a - Word.to_fixnum x) else no_word
+  | Instr.Num_eq -> if fixnums then Word.of_bool (a = x) else no_word
+  | Instr.Lt -> if fixnums then Word.of_bool (a < x) else no_word
+  | Instr.Gt -> if fixnums then Word.of_bool (a > x) else no_word
+  | Instr.Le -> if fixnums then Word.of_bool (a <= x) else no_word
+  | Instr.Ge -> if fixnums then Word.of_bool (a >= x) else no_word
+  | Instr.Eq -> Word.of_bool (Word.equal a x)
+  | Instr.Car | Instr.Cdr -> if Word.is_pair_ptr x then x else no_word
+  | Instr.Is_null -> Word.of_bool (Word.is_nil x)
+  | Instr.Is_pair -> Word.of_bool (Word.is_pair_ptr x)
+  | Instr.Not -> Word.of_bool (Word.is_false x)
+  | Instr.Is_zero -> Word.of_bool (Word.equal x (Word.of_fixnum 0))
+
 let rec enter m (instrs0 : Instr.instr array) =
   let base = m.depth in
   let instrs = ref instrs0 and pc = ref 0 in
@@ -388,6 +429,7 @@ let rec enter m (instrs0 : Instr.instr array) =
     | Instr.Jump target -> pc := target
     | Instr.Call n -> do_call m instrs pc ~tail:false n
     | Instr.Tail_call n -> do_call m instrs pc ~tail:true n
+    | Instr.Op { op; cell; tail } -> do_op m instrs pc op cell ~tail
     | Instr.Return -> do_return m instrs pc ~base
     | Instr.Halt ->
         if m.depth <> base then error "halt with pending frames";
@@ -412,6 +454,38 @@ and do_call m instrs pc ~tail n =
   Runtime.safepoint m.heap;
   m.stats.Stats.vm_calls <- m.stats.Stats.vm_calls + 1;
   apply_word m instrs pc ~tail m.acc n
+
+(* An open-coded primitive: operands on the stack top (arity 2) and in
+   acc.  The cell is read once, where the generic code's Global_ref would
+   read it.  The fast path is [call_prim] of the op's primitive inlined:
+   same safepoint, counters and tail return, and car/cdr read their pair
+   after the safepoint.  Otherwise the machine makes the generic call:
+   the last operand pushed, the operator checked as Global_ref does. *)
+and do_op m instrs pc (op : Instr.op) cell ~tail =
+  let w = Heap.read_cell m.heap cell in
+  let x = m.acc in
+  let v =
+    if w <> m.op_prims.(op.index) then no_word
+    else op_value op.kind (if op.arity = 2 then m.stack.(m.sp - 1) else x) x
+  in
+  if v <> no_word then begin
+    Runtime.safepoint m.heap;
+    m.stats.Stats.vm_calls <- m.stats.Stats.vm_calls + 1;
+    m.stats.Stats.vm_prim_calls <- m.stats.Stats.vm_prim_calls + 1;
+    m.sp <- m.sp - (op.arity - 1);
+    m.acc <-
+      (match op.kind with
+      | Instr.Car -> Obj.car m.heap m.acc
+      | Instr.Cdr -> Obj.cdr m.heap m.acc
+      | _ -> v);
+    if tail then do_return m instrs pc ~base:0
+  end
+  else begin
+    push m x;
+    if Word.equal w Word.unbound then error "variable %s is not bound" (global_name m cell);
+    m.acc <- w;
+    do_call m instrs pc ~tail op.arity
+  end
 
 (* Apply [callee] to the [n] arguments on the stack top.  One header read
    classifies it; field 0 holds the code id, negative for a primitive. *)

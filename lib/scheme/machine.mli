@@ -88,7 +88,11 @@ val define_prim :
     the VM ({!apply_closure}) must read them through {!arg} again
     afterwards rather than keep raw pointers.  A primitive registered as
     [call/cc], [call-with-current-continuation] or [apply] is dispatched by
-    the VM itself (under any later alias) and its body never runs. *)
+    the VM itself (under any later alias) and its body never runs.  A
+    primitive registered under the name of an open-coded op
+    ({!Instr.ops}) must have that op's standard meaning: while the
+    closure bound here stays in its global, the VM applies the op in
+    place whenever the operands allow. *)
 
 val arg : t -> int -> Word.t
 (** [arg m i] is value-stack slot [i]: a primitive's arguments are

@@ -18,7 +18,10 @@
 
    Instruction operands (constant indices, global-cell indices, code
    ids) are all index-stable across an image: the image preserves global
-   cells by index and this module restores both tables in order. *)
+   cells by index and this module restores both tables in order.  A
+   restore checks every operand against those tables, so a crafted image
+   fails with [Image.Error] at load, not with an OCaml exception (or a
+   silently wrong global) when the code runs. *)
 
 open Gbc_runtime
 module Image = Gbc_image.Image
@@ -32,9 +35,11 @@ let corrupt fmt =
 (* --- bytecode codec -------------------------------------------------- *)
 
 (* Per instruction: u8 opcode, then one i64 per operand (two for
-   Make_closure).  Imm carries a raw word, which for immediates needs the
-   full width.  The numbering below is part of the scheme/codes section
-   format; never reorder it. *)
+   Make_closure and Op).  Imm carries a raw word, which for immediates
+   needs the full width.  Op's operands are its global cell and
+   [op.index * 2 + tail], the index into Instr.ops.  The numbering below
+   is part of the scheme/codes section format; never reorder it, only
+   append. *)
 
 let opcode : Instr.instr -> int = function
   | Instr.Const _ -> 0
@@ -56,6 +61,7 @@ let opcode : Instr.instr -> int = function
   | Instr.Tail_call _ -> 16
   | Instr.Return -> 17
   | Instr.Halt -> 18
+  | Instr.Op _ -> 19
 
 let add_u8 b n = Buffer.add_uint8 b (n land 0xff)
 let add_u32 b n = Buffer.add_int32_le b (Int32.of_int n)
@@ -77,6 +83,9 @@ let encode_instr b i =
   | Instr.Make_closure { code_id; nfree } ->
       add_i64 b code_id;
       add_i64 b nfree
+  | Instr.Op { op; cell; tail } ->
+      add_i64 b cell;
+      add_i64 b ((op.Instr.index * 2) + Bool.to_int tail)
   | Instr.Unbox | Instr.Push | Instr.Return | Instr.Halt -> ()
 
 let encode_codes (codes : Instr.code array) : string =
@@ -130,33 +139,46 @@ let rstr r =
   r.pos <- r.pos + n;
   v
 
-let decode_instr r : Instr.instr =
+(* The tables an instruction's operands index into. *)
+type bounds = { ncells : int; nconsts : int; ncodes : int; ninstrs : int }
+
+(* An operand that indexes a table of [bound] entries. *)
+let operand r what bound =
+  let n = ri64 r in
+  if n < 0 || n >= bound then corrupt "scheme/codes: %s %d not in [0, %d)" what n bound;
+  n
+
+let decode_instr r (b : bounds) : Instr.instr =
   match ru8 r with
-  | 0 -> Instr.Const (ri64 r)
+  | 0 -> Instr.Const (operand r "constant index" b.nconsts)
   | 1 -> Instr.Imm (ri64 r)
   | 2 -> Instr.Local_ref (ri64 r)
   | 3 -> Instr.Free_ref (ri64 r)
   | 4 -> Instr.Unbox
   | 5 -> Instr.Local_set_box (ri64 r)
   | 6 -> Instr.Free_set_box (ri64 r)
-  | 7 -> Instr.Global_ref (ri64 r)
-  | 8 -> Instr.Global_set (ri64 r)
-  | 9 -> Instr.Global_define (ri64 r)
+  | 7 -> Instr.Global_ref (operand r "global cell" b.ncells)
+  | 8 -> Instr.Global_set (operand r "global cell" b.ncells)
+  | 9 -> Instr.Global_define (operand r "global cell" b.ncells)
   | 10 -> Instr.Push
   | 11 -> Instr.Box_local (ri64 r)
   | 12 ->
-      let code_id = ri64 r in
-      let nfree = ri64 r in
+      let code_id = operand r "code id" b.ncodes in
+      let nfree = operand r "free-variable count" max_int in
       Instr.Make_closure { code_id; nfree }
-  | 13 -> Instr.Branch_false (ri64 r)
-  | 14 -> Instr.Jump (ri64 r)
-  | 15 -> Instr.Call (ri64 r)
-  | 16 -> Instr.Tail_call (ri64 r)
+  | 13 -> Instr.Branch_false (operand r "jump target" b.ninstrs)
+  | 14 -> Instr.Jump (operand r "jump target" b.ninstrs)
+  | 15 -> Instr.Call (operand r "argument count" max_int)
+  | 16 -> Instr.Tail_call (operand r "argument count" max_int)
   | 17 -> Instr.Return
   | 18 -> Instr.Halt
+  | 19 ->
+      let cell = operand r "global cell" b.ncells in
+      let o = operand r "open-coded op" (2 * Array.length Instr.ops) in
+      Instr.Op { op = Instr.ops.(o / 2); cell; tail = o land 1 = 1 }
   | op -> corrupt "scheme/codes: unknown opcode %d" op
 
-let decode_codes (s : string) : Instr.code array =
+let decode_codes ~ncells ~nconsts (s : string) : Instr.code array =
   let r = { s; pos = 0 } in
   let ncodes = ru32 r in
   let codes =
@@ -170,9 +192,10 @@ let decode_codes (s : string) : Instr.code array =
       let required = ru32 r in
       let rest = ru8 r <> 0 in
       let ninstrs = ru32 r in
+      let bounds = { ncells; nconsts; ncodes; ninstrs } in
       let instrs = Array.make ninstrs Instr.Halt in
       for i = 0 to ninstrs - 1 do
-        instrs.(i) <- decode_instr r
+        instrs.(i) <- decode_instr r bounds
       done;
       clauses := { Instr.required; rest; instrs } :: !clauses
     done;
@@ -213,7 +236,10 @@ let restore ~install (l : Image.loaded) =
     | None -> corrupt "not a Scheme system image (missing %s section)" name
   in
   let consts = (section consts_section).Image.xwords in
-  let codes = decode_codes (section codes_section).Image.xbytes in
+  let codes =
+    decode_codes ~ncells:l.Image.heap.Heap.global_cells_len ~nconsts:(Array.length consts)
+      (section codes_section).Image.xbytes
+  in
   let ctx = Gbc.Ctx.of_heap l.Image.heap in
   let m = Machine.create ~ctx () in
   Machine.restore_image_state m ~codes ~consts ~symbols:l.Image.symbols;

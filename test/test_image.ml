@@ -526,6 +526,71 @@ let test_interior_root_rejected () =
   expect_error "interior root" (fun () ->
       Image.load_string ~config:cfg (Bytes.to_string b))
 
+(* Scheme system images whose code section carries one crafted block:
+   the codec writes any operand, and the restore must reject each one
+   that indexes past its table with Image.Error, before any code runs. *)
+module Scheme = Gbc_scheme.Scheme
+module Machine = Gbc_scheme.Machine
+module Instr = Gbc_scheme.Instr
+
+let scheme_image_with make_instrs =
+  let m = Scheme.create () in
+  let instrs = make_instrs m in
+  let code = { Instr.name = "crafted"; clauses = [ { Instr.required = 0; rest = false; instrs } ] } in
+  ignore ((Machine.linker m).Gbc_scheme.Compile.add_code code);
+  let s = Scheme.Scheme_image.save_string m in
+  Machine.dispose m;
+  s
+
+let load_scheme s =
+  Machine.dispose (Scheme.Scheme_image.load_string ~install:Scheme.Primitives.install s)
+
+let expect_code_rejected name make_instrs =
+  match load_scheme (scheme_image_with make_instrs) with
+  | () -> Alcotest.fail (name ^ ": crafted code accepted")
+  | exception Image.Error _ -> ()
+  | exception e ->
+      Alcotest.failf "%s: expected Image.Error, got %s" name (Printexc.to_string e)
+
+let ncells m = (Machine.heap m).Heap.global_cells_len
+
+let test_code_global_cell_rejected () =
+  load_scheme (scheme_image_with (fun m -> [| Instr.Global_ref (ncells m - 1); Instr.Halt |]));
+  expect_code_rejected "global-ref far out" (fun _ -> [| Instr.Global_ref 1_000_000; Instr.Halt |]);
+  (* Below the cell array's capacity, where a read would give nil. *)
+  expect_code_rejected "global-ref at the length" (fun m ->
+      [| Instr.Global_ref (ncells m); Instr.Halt |]);
+  expect_code_rejected "global-set negative" (fun _ -> [| Instr.Global_set (-1); Instr.Halt |]);
+  expect_code_rejected "global-define" (fun m -> [| Instr.Global_define (ncells m); Instr.Halt |])
+
+let test_code_constant_rejected () =
+  expect_code_rejected "const past the table" (fun m ->
+      [| Instr.Const (Array.length (Machine.image_consts m)); Instr.Halt |]);
+  expect_code_rejected "const negative" (fun _ -> [| Instr.Const (-1); Instr.Halt |])
+
+let test_code_closure_rejected () =
+  expect_code_rejected "unknown code id" (fun m ->
+      [| Instr.Make_closure { code_id = Array.length (Machine.image_codes m) + 1; nfree = 0 };
+         Instr.Halt |]);
+  expect_code_rejected "negative free count" (fun _ ->
+      [| Instr.Make_closure { code_id = 0; nfree = -1 }; Instr.Halt |])
+
+let test_code_jump_target_rejected () =
+  expect_code_rejected "jump past the clause" (fun _ -> [| Instr.Jump 2; Instr.Halt |]);
+  expect_code_rejected "branch far out" (fun _ -> [| Instr.Branch_false 99; Instr.Halt |]);
+  expect_code_rejected "negative jump" (fun _ -> [| Instr.Jump (-1); Instr.Halt |])
+
+let test_code_argument_count_rejected () =
+  expect_code_rejected "negative call" (fun _ -> [| Instr.Call (-1); Instr.Halt |]);
+  expect_code_rejected "negative tail call" (fun _ -> [| Instr.Tail_call (-3); Instr.Halt |])
+
+let test_code_open_coded_op_rejected () =
+  let op = { (Instr.ops.(0)) with Instr.index = Array.length Instr.ops } in
+  expect_code_rejected "op past the table" (fun m ->
+      [| Instr.Op { op; cell = ncells m - 1; tail = false }; Instr.Halt |]);
+  expect_code_rejected "op cell" (fun m ->
+      [| Instr.Op { op = Instr.ops.(0); cell = ncells m; tail = true }; Instr.Halt |])
+
 let () =
   Alcotest.run "image"
     [
@@ -574,6 +639,12 @@ let () =
           Alcotest.test_case "save during collection" `Quick
             test_save_during_collection_rejected;
           Alcotest.test_case "interior root" `Quick test_interior_root_rejected;
+          Alcotest.test_case "code: global cell" `Quick test_code_global_cell_rejected;
+          Alcotest.test_case "code: constant index" `Quick test_code_constant_rejected;
+          Alcotest.test_case "code: closure" `Quick test_code_closure_rejected;
+          Alcotest.test_case "code: jump target" `Quick test_code_jump_target_rejected;
+          Alcotest.test_case "code: argument count" `Quick test_code_argument_count_rejected;
+          Alcotest.test_case "code: open-coded op" `Quick test_code_open_coded_op_rejected;
         ] );
       ( "crc",
         [

@@ -584,6 +584,48 @@ let fixnum_overflow =
     t "string->number min" "(fixnum? (string->number \"-2305843009213693952\"))" "#t";
   ]
 
+(* Every open-coded op (Instr.ops) on every operand list drawn from
+   [open_coded_operands], in tail position and not, gives the value or the
+   error message of the same primitive called through a variable, which
+   takes the generic call path.  Let-bound operands keep the compiler from
+   folding the application. *)
+let open_coded_operands =
+  [ "0"; "1"; "-7"; "2305843009213693951"; "-2305843009213693952"; "2.5"; "'(1 2)"; "'()";
+    "#f"; "#\\a"; "\"s\"" ]
+
+let test_open_coded_vs_generic () =
+  let mach = Scheme.create () in
+  let outcome src =
+    match Scheme.eval mach src with
+    | v -> v
+    | exception Machine.Error msg ->
+        Machine.reset mach;
+        "error: " ^ msg
+  in
+  Array.iter
+    (fun (op : Instr.op) ->
+      let operand_lists =
+        if op.arity = 1 then List.map (fun x -> [ x ]) open_coded_operands
+        else
+          List.concat_map
+            (fun a -> List.map (fun b -> [ a; b ]) open_coded_operands)
+            open_coded_operands
+      in
+      List.iter
+        (fun xs ->
+          let names = List.mapi (fun i _ -> Printf.sprintf "x%d" i) xs in
+          let binds = String.concat " " (List.map2 (Printf.sprintf "[%s %s]") names xs) in
+          let args = String.concat " " names in
+          List.iter
+            (fun wrap ->
+              let form call = Printf.sprintf "(let (%s) %s)" binds (Printf.sprintf wrap call) in
+              let direct = form (Printf.sprintf "(%s %s)" op.name args) in
+              let generic = form (Printf.sprintf "((lambda (f) (f %s)) %s)" args op.name) in
+              check_str direct (outcome generic) (outcome direct))
+            [ "%s"; "(list %s)" ])
+        operand_lists)
+    Instr.ops
+
 (* The VM's call dispatch: special primitives follow the primitive, not
    its name; generic arithmetic keeps its results and messages ([apply]
    keeps the compiler from folding literal calls); continuations and
@@ -642,6 +684,71 @@ let call_path =
         (* one call to [first], one tail call to [car] *)
         Alcotest.(check int) "vm_calls" 2 (s.Stats.vm_calls - calls);
         Alcotest.(check int) "vm_prim_calls" 1 (s.Stats.vm_prim_calls - prims));
+    Alcotest.test_case "open-coded ops match the generic path" `Quick test_open_coded_vs_generic;
+    Alcotest.test_case "car redefined after compilation" `Quick (fun () ->
+        let mach = Scheme.create () in
+        check_str "set! car" "(2)"
+          (Scheme.eval mach "(define (f l) (car l)) (set! car cdr) (f '(1 2))"));
+    t "shadowed car" "(let ([car cdr]) (car '(1 2)))" "(2)";
+    fails_with "open-coded op with too few arguments" "(car)"
+      "car: wrong number of arguments (0)";
+    Alcotest.test_case "tail + redefined keeps tail calls" `Quick (fun () ->
+        (* [loop]'s tail (+ n 0) falls back to a tail call of the new +,
+           which tail-calls [loop]: 100 000 rounds, and the raw
+           continuation captured at the bottom, in tail position, holds no
+           control frame and a short value stack. *)
+        let open Gbc_runtime in
+        let mach = Scheme.create () in
+        let h = Machine.heap mach in
+        let k =
+          Machine.eval_string mach
+            "(define (loop n) (+ n 0))\n\
+             (set! + (lambda (a b) (if (= a 0) (%call/cc-prim (lambda (k) k)) (loop (- a 1)))))\n\
+             (loop 100000)"
+        in
+        check "a continuation" true (Obj.has_code h k Obj.code_continuation);
+        Alcotest.(check int) "control frames" 0 (Obj.vector_length h (Obj.field h k 1) / 5);
+        check "value stack" true (Obj.vector_length h (Obj.field h k 0) < 8));
+    Alcotest.test_case "call/cc through a redefined +" `Quick (fun () ->
+        let mach = Scheme.create () in
+        check_str "escape" "escaped"
+          (Scheme.eval mach
+             "(define (g x) (list (+ x 1) 'after))\n\
+              (call/cc (lambda (esc) (set! + (lambda (a b) (esc 'escaped))) (g 5)))");
+        (* Re-entering resumes just after the op, with the new value. *)
+        check_str "re-entry" "((20 after) 3)"
+          (Scheme.eval mach
+             "(define saved #f)\n\
+              (set! + (lambda (a b) (call/cc (lambda (k) (set! saved k) a))))\n\
+              (let ([n 0])\n\
+             \  (let ([r (g 5)])\n\
+             \    (set! n (- n -1))\n\
+             \    (if (< n 3) (saved (* n 10)) (list r n))))"));
+    Alcotest.test_case "car after a collection at its safepoint" `Quick (fun () ->
+        (* Collections every 512 words; each round conses a fresh pair
+           right before (car ...), so many collections fire at that op's
+           safepoint and move the pair it then reads, and the vector in
+           its car, which must come out as the moved copy. *)
+        let open Gbc_runtime in
+        let config = Config.v ~gen0_trigger_words:512 () in
+        let mach = Scheme.create ~config () in
+        check_str "sum" (string_of_int (5000 * 5001 / 2))
+          (Scheme.eval mach
+             "(define (walk n acc)\n\
+             \  (if (= n 0) acc\n\
+             \      (walk (- n 1) (+ acc (vector-ref (car (cons (make-vector (+ 1 (modulo n 4)) n) n)) 0)))))\n\
+              (walk 5000 0)");
+        check "collections" true
+          ((Heap.stats (Machine.heap mach)).Stats.total.Stats.collections > 20);
+        Machine.dispose mach);
+    Alcotest.test_case "image saved after (set! + ...)" `Quick (fun () ->
+        let mach = Scheme.create () in
+        ignore (Scheme.eval mach "(define (f x) (+ x 1)) (set! + (lambda (a b) 42))");
+        let restored =
+          Scheme_image.load_string ~install:Primitives.install (Scheme_image.save_string mach)
+        in
+        check_str "restored" "(42 42 42)"
+          (Scheme.eval restored "(define y 7) (list (f 1) (+ y y) (let ([x 5]) (+ x 1)))"));
   ]
 
 let () =
