@@ -47,13 +47,13 @@ module Gc_report = struct
 
   type agg = {
     bench : string;
-    mutable collections : int;
     mutable pauses_us : float list;  (* one entry per collection *)
+    (* Phase totals, lifetime counters and session counters, summed over
+       this benchmark's heaps when the benchmark finishes (the heaps list
+       is dropped then). *)
     phase_ns : float array;  (* indexed by Telemetry.phase_index *)
     phase_work : int array;
-    totals : Stats.counters;  (* per-collection counters, summed *)
-    (* Session counters, summed over this benchmark's heaps when the
-       benchmark finishes (the heaps list is dropped then). *)
+    totals : Stats.counters;
     mutable heaps : Heap.t list;
     mutable session : (string * int) list;
     mutable extras : (string * float) list;
@@ -75,18 +75,8 @@ module Gc_report = struct
         Telemetry.set_enabled tel true;
         ignore
           (Telemetry.add_sink tel (function
-            | Telemetry.Collection_end { duration_ns; counters; _ } ->
-                agg.collections <- agg.collections + 1;
-                agg.pauses_us <- (duration_ns /. 1e3) :: agg.pauses_us;
-                List.iter
-                  (fun ph ->
-                    let i = Telemetry.phase_index ph in
-                    agg.phase_ns.(i) <-
-                      agg.phase_ns.(i) +. Telemetry.phase_ns_last tel ph;
-                    agg.phase_work.(i) <-
-                      agg.phase_work.(i) + Telemetry.phase_work_last tel ph)
-                  Telemetry.all_phases;
-                Stats.add ~into:agg.totals counters
+            | Telemetry.Collection_end { duration_ns; _ } ->
+                agg.pauses_us <- (duration_ns /. 1e3) :: agg.pauses_us
             | _ -> ()))
 
   let start bench =
@@ -94,7 +84,6 @@ module Gc_report = struct
       Some
         {
           bench;
-          collections = 0;
           pauses_us = [];
           phase_ns = Array.make Telemetry.phase_count 0.0;
           phase_work = Array.make Telemetry.phase_count 0;
@@ -119,6 +108,14 @@ module Gc_report = struct
     | Some agg ->
         List.iter
           (fun h ->
+            let tel = Heap.telemetry h in
+            List.iter
+              (fun ph ->
+                let i = Telemetry.phase_index ph in
+                agg.phase_ns.(i) <- agg.phase_ns.(i) +. Telemetry.phase_ns_total tel ph;
+                agg.phase_work.(i) <- agg.phase_work.(i) + Telemetry.phase_work_total tel ph)
+              Telemetry.collection_phases;
+            Stats.add ~into:agg.totals (Heap.stats h).total;
             agg.session <-
               List.map2
                 (fun (name, a) (_, b) -> (name, a + b))
@@ -187,7 +184,7 @@ module Gc_report = struct
     block 4
       ([
          ("name", Printf.sprintf "%S" agg.bench);
-         ("collections", string_of_int agg.collections);
+         ("collections", string_of_int (counter "collections"));
          ("phases", phases (fun i -> Printf.sprintf "{\"work\": %d}" agg.phase_work.(i)));
          ("counters", obj string_of_int c);
          ("mutator", obj string_of_int agg.session);

@@ -38,10 +38,22 @@ let print_stats m =
     (Heap.live_segments h);
   Format.printf ";; census: %a@." Census.pp (Census.run h)
 
-(* [swap] replaces the shared machine with one restored from an image
-   (the load-heap-image primitive signals up to here).  Image problems —
-   corrupt, truncated, wrong version, wrong geometry — exit 2 with the
-   image's one-line diagnostic, like any other bad command-line input. *)
+(* Evaluate [src] on the shared machine and pass its value to [ok].  The
+   exit primitive runs [on_exit]; load-heap-image calls [swap], which
+   replaces the shared machine with one restored from the image (image
+   problems -- corrupt, truncated, wrong version, wrong geometry -- exit 2
+   with the image's one-line diagnostic, like any other bad command-line
+   input); a read, compile or run-time error goes to [on_error] as its
+   message. *)
+let eval mr ~swap ~on_exit ~on_error ok src =
+  match Machine.eval_string !mr src with
+  | v -> ok v
+  | exception Machine.Exit_signal -> on_exit ()
+  | exception Machine.Load_image_signal img -> swap img
+  | exception Machine.Error msg -> on_error ("error: " ^ msg)
+  | exception Reader.Error msg -> on_error ("read error: " ^ msg)
+  | exception Compile.Error msg -> on_error ("compile error: " ^ msg)
+
 let repl mr ~swap =
   print_endline ";; guardians-in-a-generation-based-gc Scheme";
   print_endline ";; (make-guardian), (weak-cons a d), (collect [gen]) are built in; ^D exits";
@@ -50,42 +62,33 @@ let repl mr ~swap =
     match read_line () with
     | exception End_of_file -> print_newline ()
     | line ->
-        (if String.trim line <> "" then
-           match Machine.eval_string !mr line with
-           | v ->
-               let s = Printer.to_string (Machine.heap !mr) v in
-               if s <> "#<void>" then print_endline s
-           | exception Machine.Error msg ->
-               Printf.printf "error: %s\n" msg;
-               Machine.reset !mr
-           | exception Reader.Error msg ->
-               Printf.printf "read error: %s\n" msg
-           | exception Compile.Error msg ->
-               Printf.printf "compile error: %s\n" msg
-           | exception Machine.Exit_signal -> exit 0
-           | exception Machine.Load_image_signal path -> swap path);
+        if String.trim line <> "" then
+          eval mr ~swap
+            ~on_exit:(fun () -> exit 0)
+            ~on_error:(fun msg ->
+              print_endline msg;
+              Machine.reset !mr)
+            (fun v ->
+              let s = Printer.to_string (Machine.heap !mr) v in
+              if s <> "#<void>" then print_endline s)
+            line;
         loop ()
   in
   loop ()
 
 let run_file mr ~swap path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  match Machine.eval_string !mr src with
-  | _ -> ()
-  | exception Machine.Exit_signal -> ()
-  | exception Machine.Load_image_signal img -> swap img
-  | exception Machine.Error msg ->
-      Printf.eprintf "%s: error: %s\n" path msg;
-      exit 1
-  | exception Reader.Error msg ->
-      Printf.eprintf "%s: read error: %s\n" path msg;
-      exit 1
-  | exception Compile.Error msg ->
-      Printf.eprintf "%s: compile error: %s\n" path msg;
-      exit 1
+  let src =
+    try In_channel.with_open_text path In_channel.input_all
+    with Sys_error msg ->
+      let msg = if String.starts_with ~prefix:(path ^ ": ") msg then msg else path ^ ": " ^ msg in
+      Printf.eprintf "gbc_scheme: cannot open %s\n" msg;
+      exit 2
+  in
+  eval mr ~swap ~on_exit:ignore
+    ~on_error:(fun msg ->
+      Printf.eprintf "%s: %s\n" path msg;
+      exit 1)
+    ignore src
 
 (* Inputs are kept in command-line order so `a.scm -e '(f)' b.scm` runs
    the file, the expression, then the second file, all on one machine. *)
@@ -201,20 +204,12 @@ let () =
     Machine.set_echo !mr true;
     attach_log !mr
   in
-  let run_expr expr =
-    match Machine.eval_string !mr expr with
-    | v -> print_endline (Printer.to_string (Machine.heap !mr) v)
-    | exception Machine.Exit_signal -> ()
-    | exception Machine.Load_image_signal img -> swap img
-    | exception Machine.Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-    | exception Reader.Error msg ->
-        Printf.eprintf "read error: %s\n" msg;
-        exit 1
-    | exception Compile.Error msg ->
-        Printf.eprintf "compile error: %s\n" msg;
-        exit 1
+  let run_expr =
+    eval mr ~swap ~on_exit:ignore
+      ~on_error:(fun msg ->
+        prerr_endline msg;
+        exit 1)
+      (fun v -> print_endline (Printer.to_string (Machine.heap !mr) v))
   in
   (match opts.inputs with
   | [] ->

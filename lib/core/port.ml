@@ -40,7 +40,6 @@ let make (ctx : Ctx.t) ~file_name ~mode =
     match mode with
     | `Input -> (Gbc_vfs.Vfs.Read, flag_input)
     | `Output -> (Gbc_vfs.Vfs.Write, flag_output)
-    | `Append -> (Gbc_vfs.Vfs.Append, flag_output)
   in
   let fd = Gbc_vfs.Vfs.openfile ctx.vfs file_name vfs_mode in
   let p = Obj.make_typed h ~code:Obj.code_port ~len:num_fields ~init:Word.nil () in
@@ -53,7 +52,6 @@ let make (ctx : Ctx.t) ~file_name ~mode =
 
 let open_input ctx file_name = make ctx ~file_name ~mode:`Input
 let open_output ctx file_name = make ctx ~file_name ~mode:`Output
-let open_append ctx file_name = make ctx ~file_name ~mode:`Append
 
 let check_open h p = if is_closed h p then raise Closed_port
 

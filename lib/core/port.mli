@@ -12,7 +12,6 @@ val buffer_size : int
 val is_port : Heap.t -> Word.t -> bool
 val open_input : Ctx.t -> string -> Word.t
 val open_output : Ctx.t -> string -> Word.t
-val open_append : Ctx.t -> string -> Word.t
 val is_input : Heap.t -> Word.t -> bool
 val is_output : Heap.t -> Word.t -> bool
 val is_closed : Heap.t -> Word.t -> bool

@@ -112,11 +112,13 @@ let str b s =
   u32 b (String.length s);
   Buffer.add_string b s
 
-type rd = { buf : string; mutable pos : int; limit : int }
+type reader = { buf : string; mutable pos : int; limit : int; truncated : string }
+
+let reader ~truncated buf ~pos ~limit = { buf; pos; limit; truncated }
+let remaining r = r.limit - r.pos
 
 let need r n =
-  if n < 0 || r.pos + n > r.limit then
-    raise (Error "gbc-image: truncated image payload")
+  if n < 0 || r.pos + n > r.limit then raise (Error ("gbc-image: " ^ r.truncated))
 
 let ru8 r =
   need r 1;
@@ -302,7 +304,7 @@ let load_string ?config s =
   let stored = Int32.to_int (String.get_int32_le s (20 + plen)) land 0xFFFFFFFF in
   if crc32 s ~pos:20 ~len:plen <> stored then
     raise (Error "gbc-image: CRC mismatch (corrupt image)");
-  let r = { buf = s; pos = 20; limit = 20 + plen } in
+  let r = reader ~truncated:"truncated image payload" s ~pos:20 ~limit:(20 + plen) in
   let sb = ru32 r in
   if sb <> Heap.stride_bits then
     raise

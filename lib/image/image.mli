@@ -100,6 +100,34 @@ val save_image :
 val load_image : ?config:Config.t -> string -> loaded
 (** [load_image path]: read [path] and {!load_string} it. *)
 
+(** {2 Little-endian codec}
+
+    The primitives the image format is written in, shared with clients
+    that encode their own sections. *)
+
+val u8 : Buffer.t -> int -> unit
+val u32 : Buffer.t -> int -> unit
+val i64 : Buffer.t -> int -> unit
+
+val str : Buffer.t -> string -> unit
+(** A u32 length, then the bytes. *)
+
+type reader
+(** A bounds-checked cursor over a byte range. *)
+
+val reader : truncated:string -> string -> pos:int -> limit:int -> reader
+(** [reader ~truncated s ~pos ~limit] reads [s] from [pos] up to
+    [limit].  A read past [limit] raises {!Error} with the message
+    ["gbc-image: " ^ truncated]. *)
+
+val remaining : reader -> int
+(** Bytes left before the limit. *)
+
+val ru8 : reader -> int
+val ru32 : reader -> int
+val ri64 : reader -> int
+val rstr : reader -> string
+
 (** {2 Format constants} (exposed for tests) *)
 
 val magic : string  (** ["GBCIMG01"], 8 bytes *)

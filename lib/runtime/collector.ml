@@ -490,11 +490,12 @@ let collect_generations ?weak_pass_first t ~g ~target =
   let stats = (Heap.stats t).last in
   (* Each phase reports the delta of its work counter, so the attribution
      is exact even for counters several phases bump (e.g. words_swept). *)
-  let phase ph work_counter body =
-    let before = work_counter () in
+  let phase ph body =
+    let work = Telemetry.phase_work ph in
+    let before = work stats in
     Telemetry.phase_begin t.telemetry ph;
     let r = body () in
-    Telemetry.phase_end t.telemetry ph ~work:(work_counter () - before);
+    Telemetry.phase_end t.telemetry ph ~work:(work stats - before);
     r
   in
   Vec.Int.clear t.gc_new_segs;
@@ -511,38 +512,24 @@ let collect_generations ?weak_pass_first t ~g ~target =
      contents and are reached, if at all, through the remembered set. *)
   reset_cursors t.gc_cursors;
   (* Roots, remembered set, transitive copy. *)
-  phase Telemetry.Root_scan
-    (fun () -> stats.root_words)
-    (fun () -> root_scan t ~target);
+  phase Telemetry.Root_scan (fun () -> root_scan t ~target);
   let dirty_weak_cards =
-    phase Telemetry.Dirty_scan
-      (fun () -> stats.card_words_swept)
-      (fun () -> dirty_scan t ~g ~target)
+    phase Telemetry.Dirty_scan (fun () -> dirty_scan t ~g ~target)
   in
-  phase Telemetry.Cheney_copy
-    (fun () -> stats.words_swept)
-    (fun () -> kleene_sweep t ~target);
+  phase Telemetry.Cheney_copy (fun () -> kleene_sweep t ~target);
   let guardian_phases () =
-    phase Telemetry.Guardian_pass
-      (fun () -> stats.protected_entries_visited)
-      (fun () -> guardian_pass t ~g ~target);
-    phase Telemetry.Ephemeron_fixpoint
-      (fun () -> stats.ephemerons_scanned)
-      (fun () -> break_ephemerons t)
+    phase Telemetry.Guardian_pass (fun () -> guardian_pass t ~g ~target);
+    phase Telemetry.Ephemeron_fixpoint (fun () -> break_ephemerons t)
   in
   let weak_phase () =
-    phase Telemetry.Weak_pass
-      (fun () -> stats.weak_pairs_scanned)
-      (fun () -> weak_pass t ~dirty_weak_cards)
+    phase Telemetry.Weak_pass (fun () -> weak_pass t ~dirty_weak_cards)
   in
   (* Guardian pass, then weak pass — in that order, so that weak pointers to
      objects saved by guardians survive (paper Section 4).  The switchable
      order exists only to demonstrate the breakage in tests (DESIGN.md D2). *)
   if weak_pass_first = Some true then (weak_phase (); guardian_phases ())
   else (guardian_phases (); weak_phase ());
-  phase Telemetry.Segment_reclaim
-    (fun () -> stats.segments_freed)
-    (fun () ->
+  phase Telemetry.Segment_reclaim (fun () ->
       (* Baseline support: weak scanners observe forwarding before from-space
          is reclaimed. *)
       weak_root_scan t;

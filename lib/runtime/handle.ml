@@ -2,9 +2,9 @@
 
     A raw {!Word.t} is only valid until the next collection; a handle wraps
     a global root cell, so the word it yields is always current.  Handles
-    have explicit lifetimes ([free], or the scoped [with_handle] /
-    [with_handles]); freeing is idempotent.  Reading a freed handle is a
-    programming error and raises. *)
+    have explicit lifetimes ([free], or the scoped [with_handle]); freeing
+    is idempotent.  Reading a freed handle is a programming error and
+    raises. *)
 
 type t = { heap : Heap.t; cell : int; mutable freed : bool }
 
@@ -27,7 +27,3 @@ let free t =
 let with_handle heap w f =
   let t = create heap w in
   Fun.protect ~finally:(fun () -> free t) (fun () -> f t)
-
-let with_handles heap ws f =
-  let ts = List.map (create heap) ws in
-  Fun.protect ~finally:(fun () -> List.iter free ts) (fun () -> f ts)

@@ -19,5 +19,3 @@ val free : t -> unit
 
 val with_handle : Heap.t -> Word.t -> (t -> 'a) -> 'a
 (** Scoped handle: freed on exit, exceptions included. *)
-
-val with_handles : Heap.t -> Word.t list -> (t list -> 'a) -> 'a

@@ -234,17 +234,12 @@ let load t addr = t.segs.(seg_of_addr addr).(off_of_addr addr)
 let store t addr w = t.segs.(seg_of_addr addr).(off_of_addr addr) <- w
 
 let info t seg = t.infos.(seg)
-let info_of_addr t addr = t.infos.(seg_of_addr addr)
 let info_of_word t w = t.infos.(seg_of_addr (Word.addr w))
 
 (** Generation an arbitrary word "lives in": immediates and fixnums are
     ageless and report [max_int] (they never need remembering). *)
 let generation_of_word t w =
   if Word.is_pointer w then (info_of_word t w).generation else max_int
-
-let space_of_word t w =
-  assert (Word.is_pointer w);
-  (info_of_word t w).space
 
 (* ------------------------------------------------------------------ *)
 (* Segment management                                                  *)
@@ -594,9 +589,6 @@ let protected_add t ~gid ~obj ~rep ~tconc =
 
 let protected_length t generation =
   Vec.Int.length t.protected.(generation).p_objs
-
-let protected_total t =
-  Array.fold_left (fun acc p -> acc + Vec.Int.length p.p_objs) 0 t.protected
 
 (* ------------------------------------------------------------------ *)
 (* Post-GC hooks                                                       *)

@@ -149,13 +149,10 @@ val addr_of : seg:int -> off:int -> int
 val load : t -> int -> Word.t
 val store : t -> int -> Word.t -> unit
 val info : t -> int -> seg_info
-val info_of_addr : t -> int -> seg_info
 val info_of_word : t -> Word.t -> seg_info
 
 val generation_of_word : t -> Word.t -> int
 (** Generation a word lives in; immediates report [max_int]. *)
-
-val space_of_word : t -> Word.t -> Space.t
 
 (** {1 Segments} *)
 
@@ -265,7 +262,6 @@ val protected_add_gen :
     registration: the collector's promotion and the image loader. *)
 
 val protected_length : t -> int -> int
-val protected_total : t -> int
 
 (** {1 Post-GC hooks} *)
 

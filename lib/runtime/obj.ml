@@ -84,10 +84,6 @@ let is_weak_pair h w = Word.is_pair_ptr w && (Heap.info_of_word h w).space = Spa
 let is_ephemeron h w =
   Word.is_pair_ptr w && (Heap.info_of_word h w).space = Space.Ephemeron
 
-(** [pair? x] in the paper's sense: weak pairs answer true and are
-    manipulated with the normal list operations. *)
-let is_any_pair _h w = Word.is_pair_ptr w
-
 let car h w =
   assert (Word.is_pair_ptr w);
   Heap.load h (Word.addr w)
@@ -123,8 +119,6 @@ let make_typed h ~code ?(data = false) ~len ~init () =
   done;
   if size > len + 1 then Heap.store h (addr + len + 1) (header ~len:0 ~code:code_pad);
   Word.typed_ptr addr
-
-let is_typed w = Word.is_typed_ptr w
 
 let typed_code h w =
   assert (Word.is_typed_ptr w);
@@ -294,11 +288,3 @@ let list_length h w =
    guardians exist to manage. *)
 
 let eq_hash (w : Word.t) = w land max_int
-
-(** Size in words of the object [w] points at (header included). *)
-let size_in_words h w =
-  if Word.is_pair_ptr w then 2
-  else begin
-    assert (Word.is_typed_ptr w);
-    1 + typed_len h w
-  end

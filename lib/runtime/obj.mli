@@ -48,9 +48,6 @@ val is_pair : Heap.t -> Word.t -> bool
 val is_weak_pair : Heap.t -> Word.t -> bool
 val is_ephemeron : Heap.t -> Word.t -> bool
 
-val is_any_pair : Heap.t -> Word.t -> bool
-(** [pair?] in the paper's sense: weak pairs answer true. *)
-
 val car : Heap.t -> Word.t -> Word.t
 val cdr : Heap.t -> Word.t -> Word.t
 val set_car : Heap.t -> Word.t -> Word.t -> unit
@@ -62,7 +59,6 @@ val make_typed :
   Heap.t -> code:int -> ?data:bool -> len:int -> init:Word.t -> unit -> Word.t
 (** [data] selects the untraced data space. *)
 
-val is_typed : Word.t -> bool
 val typed_code : Heap.t -> Word.t -> int
 val typed_len : Heap.t -> Word.t -> int
 val has_code : Heap.t -> Word.t -> int -> bool
@@ -141,11 +137,8 @@ val list_of : Heap.t -> Word.t list -> Word.t
 val to_list : Heap.t -> Word.t -> Word.t list
 val list_length : Heap.t -> Word.t -> int
 
-(** {1 Hashing and sizing} *)
+(** {1 Hashing} *)
 
 val eq_hash : Word.t -> int
 (** Identity hash: address-based for pointers, hence unstable across
     collections — the instability transport guardians manage. *)
-
-val size_in_words : Heap.t -> Word.t -> int
-(** Size of the pointed-to object, header included. *)

@@ -23,32 +23,6 @@ type phase =
   | Image_save
   | Image_load
 
-let phase_count = 9
-
-let all_phases =
-  [
-    Root_scan;
-    Dirty_scan;
-    Cheney_copy;
-    Guardian_pass;
-    Ephemeron_fixpoint;
-    Weak_pass;
-    Segment_reclaim;
-    Image_save;
-    Image_load;
-  ]
-
-let collection_phases =
-  [
-    Root_scan;
-    Dirty_scan;
-    Cheney_copy;
-    Guardian_pass;
-    Ephemeron_fixpoint;
-    Weak_pass;
-    Segment_reclaim;
-  ]
-
 let phase_index = function
   | Root_scan -> 0
   | Dirty_scan -> 1
@@ -60,16 +34,44 @@ let phase_index = function
   | Image_save -> 7
   | Image_load -> 8
 
-let phase_name = function
-  | Root_scan -> "root-scan"
-  | Dirty_scan -> "dirty-scan"
-  | Cheney_copy -> "cheney-copy"
-  | Guardian_pass -> "guardian-pass"
-  | Ephemeron_fixpoint -> "ephemeron-fixpoint"
-  | Weak_pass -> "weak-pass"
-  | Segment_reclaim -> "segment-reclaim"
-  | Image_save -> "image-save"
-  | Image_load -> "image-load"
+type phase_row = {
+  phase : phase;
+  name : string;
+  work : (Stats.counters -> int) option;
+      (* the counter whose delta is a collection phase's work; the image
+         phases pass theirs to [phase_end] *)
+}
+
+(* The one list of phases, in [phase_index] order. *)
+let phases =
+  let row phase name work = { phase; name; work } in
+  [|
+    row Root_scan "root-scan" (Some (fun c -> c.Stats.root_words));
+    row Dirty_scan "dirty-scan" (Some (fun c -> c.Stats.card_words_swept));
+    row Cheney_copy "cheney-copy" (Some (fun c -> c.Stats.words_swept));
+    row Guardian_pass "guardian-pass"
+      (Some (fun c -> c.Stats.protected_entries_visited));
+    row Ephemeron_fixpoint "ephemeron-fixpoint"
+      (Some (fun c -> c.Stats.ephemerons_scanned));
+    row Weak_pass "weak-pass" (Some (fun c -> c.Stats.weak_pairs_scanned));
+    row Segment_reclaim "segment-reclaim" (Some (fun c -> c.Stats.segments_freed));
+    row Image_save "image-save" None;
+    row Image_load "image-load" None;
+  |]
+
+let () = Array.iteri (fun i r -> assert (phase_index r.phase = i)) phases
+let phase_count = Array.length phases
+let all_phases = Array.to_list (Array.map (fun r -> r.phase) phases)
+
+let collection_phases =
+  List.filter (fun ph -> Option.is_some phases.(phase_index ph).work) all_phases
+
+let phase_name ph = phases.(phase_index ph).name
+
+let phase_work ph =
+  match phases.(phase_index ph).work with
+  | Some work -> work
+  | None -> invalid_arg ("Telemetry.phase_work: " ^ phase_name ph)
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                              *)
@@ -120,11 +122,10 @@ module Histogram = struct
     counts : int array;
     mutable n : int;
     mutable max_ns : float;
-    mutable total_ns : float;
   }
 
   let create () =
-    { counts = Array.make nbuckets 0; n = 0; max_ns = 0.; total_ns = 0. }
+    { counts = Array.make nbuckets 0; n = 0; max_ns = 0. }
 
   let bucket_of_ns ns =
     let d = int_of_float ns in
@@ -141,12 +142,10 @@ module Histogram = struct
     let ns = Float.max ns 0. in
     t.counts.(bucket_of_ns ns) <- t.counts.(bucket_of_ns ns) + 1;
     t.n <- t.n + 1;
-    if ns > t.max_ns then t.max_ns <- ns;
-    t.total_ns <- t.total_ns +. ns
+    if ns > t.max_ns then t.max_ns <- ns
 
   let count t = t.n
   let max_ns t = t.max_ns
-  let total_ns t = t.total_ns
 
   let percentile t p =
     if t.n = 0 then 0.

@@ -43,6 +43,12 @@ val collection_phases : phase list
 val phase_index : phase -> int
 val phase_name : phase -> string
 
+val phase_work : phase -> Stats.counters -> int
+(** The counter whose per-collection delta is a collection phase's
+    [work].  The phases and their names and counters are one table in
+    [telemetry.ml].
+    @raise Invalid_argument on an image phase, which reports its own work. *)
+
 (** {1 Events} *)
 
 type event =
@@ -87,7 +93,6 @@ module Histogram : sig
   val add : t -> float -> unit
   val count : t -> int
   val max_ns : t -> float
-  val total_ns : t -> float
 
   val percentile : t -> float -> float
   (** [percentile t p] for [p] in [0..100]: an upper-bound estimate (the

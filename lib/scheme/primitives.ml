@@ -284,47 +284,34 @@ let install (m : Machine.t) =
       else ignore (Collector.collect h ~gen:(want_fixnum "collect" (arg m b)));
       Word.void);
   p "gc-count" ~min:0 (fun _ _ _ ->
-      Word.of_fixnum (Heap.stats h).Stats.total.Stats.collections);
+      Word.of_fixnum (Telemetry.collections_seen (Heap.telemetry h)));
+  (* ((name . count) ...) with the export names of the Stats tables. *)
+  let alist m pairs =
+    List.fold_right
+      (fun (name, v) l ->
+        Obj.cons h (Obj.cons h (Symtab.intern (Machine.symtab m) name) (Word.of_fixnum v)) l)
+      pairs Word.nil
+  in
   p "gc-history" ~min:0 (fun m _ _ ->
-      (* Most recent collections, oldest first, as vectors
-         #(ordinal generation words-copied resurrections). *)
+      (* Most recent collections, oldest first, one alist each. *)
       match Machine.gc_ring m with
       | None -> Word.nil
       | Some ring ->
-          let lst = ref Word.nil in
-          List.iter
-            (fun (r : Telemetry.Ring.record) ->
-              let v = Obj.make_vector h ~len:4 ~init:(Word.of_fixnum 0) in
-              Obj.vector_set h v 0 (Word.of_fixnum r.Telemetry.Ring.ordinal);
-              Obj.vector_set h v 1 (Word.of_fixnum r.Telemetry.Ring.generation);
-              Obj.vector_set h v 2
-                (Word.of_fixnum r.Telemetry.Ring.counters.Stats.words_copied);
-              Obj.vector_set h v 3
-                (Word.of_fixnum
-                   r.Telemetry.Ring.counters.Stats.guardian_resurrections);
-              lst := Obj.cons h v !lst)
-            (List.rev (Telemetry.Ring.records ring));
-          !lst);
+          List.fold_right
+            (fun (r : Telemetry.Ring.record) l ->
+              Obj.cons h
+                (alist m
+                   ([ ("ordinal", r.ordinal); ("generation", r.generation);
+                      ("target", r.target); ("live_words", r.live_words_after) ]
+                   @ Stats.to_list r.counters))
+                l)
+            (Telemetry.Ring.records ring) Word.nil);
   p "gc-phase-stats" ~min:0 (fun m _ _ ->
-      (* One vector per collector phase, in phase order:
-         #(name total-ns last-ns total-work last-work), ns as flonums,
-         followed by a remembered-set summary row:
-         #(remembered-set cards-scanned dirty-segments barrier-calls
-           barrier-hits cards-dirtied). *)
+      (* One vector per phase, in phase order:
+         #(name total-ns last-ns total-work last-work), ns as flonums. *)
       let tel = Heap.telemetry h in
-      let lst = ref Word.nil in
-      let s = Heap.stats h in
-      let rs = Obj.make_vector h ~len:6 ~init:(Word.of_fixnum 0) in
-      Obj.vector_set h rs 0 (Symtab.intern (Machine.symtab m) "remembered-set");
-      Obj.vector_set h rs 1 (Word.of_fixnum s.Stats.total.Stats.cards_scanned);
-      Obj.vector_set h rs 2
-        (Word.of_fixnum s.Stats.total.Stats.dirty_segments_scanned);
-      Obj.vector_set h rs 3 (Word.of_fixnum s.Stats.barrier_calls);
-      Obj.vector_set h rs 4 (Word.of_fixnum s.Stats.barrier_hits);
-      Obj.vector_set h rs 5 (Word.of_fixnum s.Stats.cards_dirtied);
-      lst := Obj.cons h rs !lst;
-      List.iter
-        (fun ph ->
+      List.fold_right
+        (fun ph l ->
           let v = Obj.make_vector h ~len:5 ~init:(Word.of_fixnum 0) in
           Obj.vector_set h v 0
             (Symtab.intern (Machine.symtab m) (Telemetry.phase_name ph));
@@ -332,9 +319,8 @@ let install (m : Machine.t) =
           Obj.vector_set h v 2 (Obj.make_flonum h (Telemetry.phase_ns_last tel ph));
           Obj.vector_set h v 3 (Word.of_fixnum (Telemetry.phase_work_total tel ph));
           Obj.vector_set h v 4 (Word.of_fixnum (Telemetry.phase_work_last tel ph));
-          lst := Obj.cons h v !lst)
-        (List.rev Telemetry.all_phases);
-      !lst);
+          Obj.cons h v l)
+        Telemetry.all_phases Word.nil);
   p "pause-histogram" ~min:0 (fun _ _ _ ->
       (* Non-empty log2 buckets of full-collection pause times, as
          #(lo-ns hi-ns count) with flonum bounds, smallest first. *)
@@ -560,4 +546,10 @@ let install (m : Machine.t) =
          which swaps machines and discards the rest of this input. *)
       let path = Obj.string_to_ocaml h (want_string "load-heap-image" h w) in
       raise (Machine.Load_image_signal path));
+
+  (* A restored image finds each primitive by its installation index, so
+     new primitives go last: images saved by earlier builds still load. *)
+  p "gc-counters" ~min:0 (fun m _ _ ->
+      let s = Heap.stats h in
+      alist m (Stats.to_list s.total @ Stats.session_to_list s));
   ()

@@ -63,105 +63,63 @@ let opcode : Instr.instr -> int = function
   | Instr.Halt -> 18
   | Instr.Op _ -> 19
 
-let add_u8 b n = Buffer.add_uint8 b (n land 0xff)
-let add_u32 b n = Buffer.add_int32_le b (Int32.of_int n)
-let add_i64 b n = Buffer.add_int64_le b (Int64.of_int n)
-
-let add_str b s =
-  add_u32 b (String.length s);
-  Buffer.add_string b s
-
 let encode_instr b i =
-  add_u8 b (opcode i);
+  Image.u8 b (opcode i);
   match i with
   | Instr.Const n | Instr.Imm n | Instr.Local_ref n | Instr.Free_ref n
   | Instr.Local_set_box n | Instr.Free_set_box n | Instr.Global_ref n
   | Instr.Global_set n | Instr.Global_define n | Instr.Box_local n
   | Instr.Branch_false n | Instr.Jump n | Instr.Call n | Instr.Tail_call n
     ->
-      add_i64 b n
+      Image.i64 b n
   | Instr.Make_closure { code_id; nfree } ->
-      add_i64 b code_id;
-      add_i64 b nfree
+      Image.i64 b code_id;
+      Image.i64 b nfree
   | Instr.Op { op; cell; tail } ->
-      add_i64 b cell;
-      add_i64 b ((op.Instr.index * 2) + Bool.to_int tail)
+      Image.i64 b cell;
+      Image.i64 b ((op.Instr.index * 2) + Bool.to_int tail)
   | Instr.Unbox | Instr.Push | Instr.Return | Instr.Halt -> ()
 
 let encode_codes (codes : Instr.code array) : string =
   let b = Buffer.create 4096 in
-  add_u32 b (Array.length codes);
+  Image.u32 b (Array.length codes);
   Array.iter
     (fun (c : Instr.code) ->
-      add_str b c.Instr.name;
-      add_u32 b (List.length c.Instr.clauses);
+      Image.str b c.Instr.name;
+      Image.u32 b (List.length c.Instr.clauses);
       List.iter
         (fun (cl : Instr.clause) ->
-          add_u32 b cl.Instr.required;
-          add_u8 b (if cl.Instr.rest then 1 else 0);
-          add_u32 b (Array.length cl.Instr.instrs);
+          Image.u32 b cl.Instr.required;
+          Image.u8 b (if cl.Instr.rest then 1 else 0);
+          Image.u32 b (Array.length cl.Instr.instrs);
           Array.iter (encode_instr b) cl.Instr.instrs)
         c.Instr.clauses)
     codes;
   Buffer.contents b
-
-(* The section sits inside the image's CRC, so corruption is caught
-   before we get here; the bounds checks below guard against a section
-   written by something that is not this codec. *)
-type rd = { s : string; mutable pos : int }
-
-let need r n =
-  if r.pos + n > String.length r.s then
-    corrupt "scheme/codes section is truncated"
-
-let ru8 r =
-  need r 1;
-  let v = Char.code r.s.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
-
-let ru32 r =
-  need r 4;
-  let v = Int32.to_int (String.get_int32_le r.s r.pos) land 0xFFFFFFFF in
-  r.pos <- r.pos + 4;
-  v
-
-let ri64 r =
-  need r 8;
-  let v = Int64.to_int (String.get_int64_le r.s r.pos) in
-  r.pos <- r.pos + 8;
-  v
-
-let rstr r =
-  let n = ru32 r in
-  need r n;
-  let v = String.sub r.s r.pos n in
-  r.pos <- r.pos + n;
-  v
 
 (* The tables an instruction's operands index into. *)
 type bounds = { ncells : int; nconsts : int; ncodes : int; ninstrs : int }
 
 (* An operand that indexes a table of [bound] entries. *)
 let operand r what bound =
-  let n = ri64 r in
+  let n = Image.ri64 r in
   if n < 0 || n >= bound then corrupt "scheme/codes: %s %d not in [0, %d)" what n bound;
   n
 
 let decode_instr r (b : bounds) : Instr.instr =
-  match ru8 r with
+  match Image.ru8 r with
   | 0 -> Instr.Const (operand r "constant index" b.nconsts)
-  | 1 -> Instr.Imm (ri64 r)
-  | 2 -> Instr.Local_ref (ri64 r)
-  | 3 -> Instr.Free_ref (ri64 r)
+  | 1 -> Instr.Imm (Image.ri64 r)
+  | 2 -> Instr.Local_ref (Image.ri64 r)
+  | 3 -> Instr.Free_ref (Image.ri64 r)
   | 4 -> Instr.Unbox
-  | 5 -> Instr.Local_set_box (ri64 r)
-  | 6 -> Instr.Free_set_box (ri64 r)
+  | 5 -> Instr.Local_set_box (Image.ri64 r)
+  | 6 -> Instr.Free_set_box (Image.ri64 r)
   | 7 -> Instr.Global_ref (operand r "global cell" b.ncells)
   | 8 -> Instr.Global_set (operand r "global cell" b.ncells)
   | 9 -> Instr.Global_define (operand r "global cell" b.ncells)
   | 10 -> Instr.Push
-  | 11 -> Instr.Box_local (ri64 r)
+  | 11 -> Instr.Box_local (Image.ri64 r)
   | 12 ->
       let code_id = operand r "code id" b.ncodes in
       let nfree = operand r "free-variable count" max_int in
@@ -179,19 +137,25 @@ let decode_instr r (b : bounds) : Instr.instr =
   | op -> corrupt "scheme/codes: unknown opcode %d" op
 
 let decode_codes ~ncells ~nconsts (s : string) : Instr.code array =
-  let r = { s; pos = 0 } in
-  let ncodes = ru32 r in
+  (* The section sits inside the image's CRC, so corruption is caught
+     before we get here; the bounds checks guard against a section
+     written by something that is not this codec. *)
+  let r =
+    Image.reader ~truncated:"scheme/codes section is truncated" s ~pos:0
+      ~limit:(String.length s)
+  in
+  let ncodes = Image.ru32 r in
   let codes =
     Array.init ncodes (fun _ -> { Instr.name = ""; clauses = [] })
   in
   for ci = 0 to ncodes - 1 do
-    let name = rstr r in
-    let nclauses = ru32 r in
+    let name = Image.rstr r in
+    let nclauses = Image.ru32 r in
     let clauses = ref [] in
     for _ = 1 to nclauses do
-      let required = ru32 r in
-      let rest = ru8 r <> 0 in
-      let ninstrs = ru32 r in
+      let required = Image.ru32 r in
+      let rest = Image.ru8 r <> 0 in
+      let ninstrs = Image.ru32 r in
       let bounds = { ncells; nconsts; ncodes; ninstrs } in
       let instrs = Array.make ninstrs Instr.Halt in
       for i = 0 to ninstrs - 1 do
@@ -201,8 +165,8 @@ let decode_codes ~ncells ~nconsts (s : string) : Instr.code array =
     done;
     codes.(ci) <- { Instr.name; clauses = List.rev !clauses }
   done;
-  if r.pos <> String.length s then
-    corrupt "scheme/codes: %d trailing bytes" (String.length s - r.pos);
+  if Image.remaining r > 0 then
+    corrupt "scheme/codes: %d trailing bytes" (Image.remaining r);
   codes
 
 (* --- save ------------------------------------------------------------ *)

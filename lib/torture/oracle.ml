@@ -32,8 +32,6 @@ let create ~max_generation ~generation_friendly_guardians =
     gff = generation_friendly_guardians;
   }
 
-let node_count t = t.nnodes
-
 let node t id =
   if id < 0 || id >= t.nnodes then invalid_arg "Oracle.node: bad id";
   t.nodes.(id)

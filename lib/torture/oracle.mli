@@ -53,7 +53,6 @@ type node = {
 type t
 
 val create : max_generation:int -> generation_friendly_guardians:bool -> t
-val node_count : t -> int
 val node : t -> int -> node
 
 val alloc : t -> kind -> value array -> int

@@ -2,6 +2,7 @@
    calls, assignment, the numeric tower, library procedures, ports, and
    error behaviour. *)
 
+open Gbc_runtime
 open Gbc_scheme
 
 let check = Alcotest.(check bool)
@@ -27,6 +28,12 @@ let fails_with name src msg =
       match ev src with
       | exception Machine.Error got -> check_str src msg got
       | v -> Alcotest.failf "%s: expected an error, got %s" src v)
+
+(* An alist of (symbol . fixnum) pairs read back from the heap. *)
+let read_alist h w =
+  List.map
+    (fun p -> (Printer.to_string h (Obj.car h p), Word.to_fixnum (Obj.cdr h p)))
+    (Obj.to_list h w)
 
 let basics =
   [
@@ -489,6 +496,70 @@ let gc_integration =
     t "allocation pressure triggers gc"
       "(define before (gc-count)) (let loop ([i 0]) (unless (= i 100000) (cons i i) (loop (+ i 1)))) (> (gc-count) before)"
       "#t";
+    Alcotest.test_case "gc-counters is the Stats tables" `Quick (fun () ->
+        let mach = Scheme.create () in
+        let h = Machine.heap mach in
+        (* The first call interns the names; the second allocates only its
+           alist, two pairs per entry, after reading the counters. *)
+        ignore (Scheme.eval mach "(collect) (gc-counters)");
+        let got = read_alist h (Machine.eval_string mach "(gc-counters)") in
+        let s = Heap.stats h in
+        let want = Stats.to_list s.total @ Stats.session_to_list s in
+        Alcotest.(check (list string)) "names" (List.map fst want) (List.map fst got);
+        let own = 4 * List.length want in
+        List.iter2
+          (fun (name, v) (_, heap_v) ->
+            let heap_v =
+              if name = "words_allocated" || name = "words_allocated_since_gc" then heap_v - own
+              else heap_v
+            in
+            Alcotest.(check int) name heap_v v)
+          got want;
+        Machine.dispose mach);
+    Alcotest.test_case "gc-history is one alist per collection" `Quick (fun () ->
+        let mach = Scheme.create () in
+        let h = Machine.heap mach in
+        (* Ends with a collection, so the final list call does not reach
+           one at a safepoint. *)
+        let r =
+          Machine.eval_string mach
+            "(collect) (collect 1) (collect 2)\n\
+             (let loop ([i 0]) (unless (= i 100000) (cons i i) (loop (+ i 1))))\n\
+             (collect)\n\
+             (list (gc-count) (gc-history) (gc-counters))"
+        in
+        let count, hist, counters =
+          match Obj.to_list h r with
+          | [ c; hl; cs ] ->
+              (Word.to_fixnum c, List.map (read_alist h) (Obj.to_list h hl), read_alist h cs)
+          | _ -> Alcotest.fail "expected a three-element list"
+        in
+        check "at most the ring's 128 collections" true (count <= 128);
+        Alcotest.(check int) "one entry per collection" count (List.length hist);
+        List.iteri
+          (fun i e ->
+            Alcotest.(check (list string)) "entry keys"
+              ([ "ordinal"; "generation"; "target"; "live_words" ]
+              @ List.map fst (Stats.to_list (Stats.zero ())))
+              (List.map fst e);
+            Alcotest.(check int) "ordinals rise by 1" (i + 1) (List.assoc "ordinal" e);
+            Alcotest.(check int) "one collection per entry" 1 (List.assoc "collections" e))
+          hist;
+        Alcotest.(check int) "words_copied sums to the lifetime counter"
+          (List.assoc "words_copied" counters)
+          (List.fold_left (fun a e -> a + List.assoc "words_copied" e) 0 hist);
+        Machine.dispose mach);
+    t "gc-phase-stats has one row per phase"
+      "(map (lambda (r) (vector-ref r 0)) (gc-phase-stats))"
+      ("(" ^ String.concat " " (List.map Telemetry.phase_name Telemetry.all_phases) ^ ")");
+    t "pause-histogram counts every collection"
+      "(collect) (= (apply + (map (lambda (b) (vector-ref b 2)) (pause-histogram))) (gc-count))"
+      "#t";
+    t "guardian-stats after three resurrections"
+      "(define gs-g (make-guardian)) (gs-g (cons 1 2)) (gs-g (cons 3 4)) (gs-g (cons 5 6))\n\
+       (collect 4)\n\
+       (let ([s (guardian-stats gs-g)]) (list (vector-ref s 0) (vector-ref s 1) (vector-ref s 7)))"
+      "(3 3 3)";
   ]
 
 let errors =
