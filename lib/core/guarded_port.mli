@@ -1,16 +1,14 @@
 (** Guarded ports: the paper's Section 3 example, transliterated.
 
     A dedicated port guardian watches every port opened through the guarded
-    open operations; {!close_dropped_ports} retrieves ports proven
-    inaccessible and closes them, flushing unwritten output first. *)
+    open operations.  The paper's [close-dropped-ports] retrieves ports
+    proven inaccessible and closes them, flushing unwritten output first;
+    every guarded open, {!exit} and the installed collect handler run it. *)
 
 type t
 
 val create : Ctx.t -> t
 val dispose : t -> unit
-
-val close_dropped_ports : t -> unit
-(** The paper's [close-dropped-ports]. *)
 
 val guard : t -> Gbc_runtime.Word.t -> unit
 (** Register an existing port with the port guardian. *)

@@ -7,8 +7,6 @@ open Gbc_runtime
 
 exception Closed_port
 
-val buffer_size : int
-
 val is_port : Heap.t -> Word.t -> bool
 val open_input : Ctx.t -> string -> Word.t
 val open_output : Ctx.t -> string -> Word.t

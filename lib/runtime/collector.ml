@@ -61,87 +61,92 @@ let forward_address t w =
     load t (Word.addr w + 1)
   end
 
+(* Copy the from-space object [w] (a pointer into the condemned segment
+   whose info is [si]) to the target generation unless it was copied
+   already; returns the new word. *)
+let copy_condemned t ~target si w =
+  let addr = Word.addr w in
+  let src = t.segs.(seg_of_addr addr) and off = off_of_addr addr in
+  if Word.equal src.(off) Word.forward_marker then src.(off + 1)
+  else begin
+    let stats = (Heap.stats t).last in
+    let pair = Word.is_pair_ptr w in
+    let size = if pair then 2 else 1 + Obj.header_len src.(off) in
+    (* Zero-field objects are padded to two words so the forwarding
+       marker and address always fit (see Obj.code_pad). *)
+    let new_addr = gc_alloc t ~space:si.space ~generation:target (max size 2) in
+    let dst = t.segs.(seg_of_addr new_addr) and doff = off_of_addr new_addr in
+    if pair then begin
+      dst.(doff) <- src.(off);
+      dst.(doff + 1) <- src.(off + 1)
+    end
+    else begin
+      Array.blit src off dst doff size;
+      if size = 1 then dst.(doff + 1) <- Obj.header ~len:0 ~code:Obj.code_pad
+    end;
+    stats.words_copied <- stats.words_copied + size;
+    stats.objects_copied <- stats.objects_copied + 1;
+    (* Seeded debug bug (Config.corrupt_forward_period): corrupt every
+       nth forwarding address to an interior pointer.  The torture
+       harness must detect the damage via Verify or the oracle. *)
+    let new_word = Word.with_addr w new_addr in
+    let new_word =
+      let f = t.faults in
+      if f.corrupt_forward_period = 0 then new_word
+      else begin
+        f.forwards_seen <- f.forwards_seen + 1;
+        if f.forwards_seen mod f.corrupt_forward_period = 0 then begin
+          f.injected <- f.injected + 1;
+          Word.with_addr new_word (new_addr + 1)
+        end
+        else new_word
+      end
+    in
+    src.(off) <- Word.forward_marker;
+    src.(off + 1) <- new_word;
+    (* Guardian-fixpoint worklist feed: each object forwards once, so
+       the log sees each from-space address at most once. *)
+    if t.gc_log_forwards then Vec.Int.push t.gc_forward_log addr;
+    new_word
+  end
+
 (** Copy [w] to the target generation if it is a pointer into from-space not
     yet copied; returns the new word. *)
 let copy t ~target w =
   if not (Word.is_pointer w) then w
-  else begin
+  else
     let si = info_of_word t w in
-    if not si.condemned then w
-    else begin
-      let addr = Word.addr w in
-      let first = load t addr in
-      if Word.equal first Word.forward_marker then load t (addr + 1)
-      else begin
-        let stats = (Heap.stats t).last in
-        let new_word =
-          if Word.is_pair_ptr w then begin
-            let new_addr = gc_alloc t ~space:si.space ~generation:target 2 in
-            store t new_addr first;
-            store t (new_addr + 1) (load t (addr + 1));
-            stats.words_copied <- stats.words_copied + 2;
-            Word.pair_ptr new_addr
-          end
-          else begin
-            let size = 1 + Obj.header_len first in
-            (* Zero-field objects are padded to two words so the forwarding
-               marker and address always fit (see Obj.code_pad). *)
-            let alloc_size = max size 2 in
-            let new_addr = gc_alloc t ~space:si.space ~generation:target alloc_size in
-            for i = 0 to size - 1 do
-              store t (new_addr + i) (load t (addr + i))
-            done;
-            if alloc_size > size then
-              store t (new_addr + size) (Obj.header ~len:0 ~code:Obj.code_pad);
-            stats.words_copied <- stats.words_copied + size;
-            Word.typed_ptr new_addr
-          end
-        in
-        stats.objects_copied <- stats.objects_copied + 1;
-        (* Seeded debug bug (Config.corrupt_forward_period): corrupt every
-           nth forwarding address to an interior pointer.  The torture
-           harness must detect the damage via Verify or the oracle. *)
-        let new_word =
-          let f = t.faults in
-          if f.corrupt_forward_period = 0 then new_word
-          else begin
-            f.forwards_seen <- f.forwards_seen + 1;
-            if f.forwards_seen mod f.corrupt_forward_period = 0 then begin
-              f.injected <- f.injected + 1;
-              Word.with_addr new_word (Word.addr new_word + 1)
-            end
-            else new_word
-          end
-        in
-        store t addr Word.forward_marker;
-        store t (addr + 1) new_word;
-        (* Guardian-fixpoint worklist feed: each object forwards once, so
-           the log sees each from-space address at most once. *)
-        if t.gc_log_forwards then Vec.Int.push t.gc_forward_log addr;
-        new_word
-      end
-    end
-  end
+    if si.condemned then copy_condemned t ~target si w else w
 
 (* ------------------------------------------------------------------ *)
 (* Sweeping                                                            *)
 
 (* The one sweep, shared by the Cheney scan and the dirty-card scan: sweep
-   the words of [seg] in [from, upto) as strong references, rewriting each
-   traced slot through [copy] and noting the referenced generations in the
-   card table (which keeps min_ref_gen in sync).  Weak-space segments trace
-   only cdr fields.  [start] is where the typed-space object walk begins:
-   [from] itself for the Cheney scan, and for a dirty card the crossing-map
-   header of the object covering the card's first word — typed objects can
-   straddle card boundaries, so traced fields are clamped to
-   [from, upto). *)
+   the words of [seg] in [from, upto) as strong references, copying each
+   traced slot's from-space target and noting the referenced generations
+   in the card table (which keeps min_ref_gen in sync).  A slot is written
+   back only when its target moved; immediates are skipped outright.
+   Weak-space segments trace only cdr fields.  [start] is where the
+   typed-space object walk begins: [from] itself for the Cheney scan, and
+   for a dirty card the crossing-map header of the object covering the
+   card's first word — typed objects can straddle card boundaries, so
+   traced fields are clamped to [from, upto). *)
 let sweep t ~target seg ~start ~from ~upto =
   let si = info t seg in
+  let words = t.segs.(seg) and gen = si.generation in
   let stats = (Heap.stats t).last in
-  let fwd addr =
-    let w = copy t ~target (load t addr) in
-    store t addr w;
-    note_ref t ~addr ~gen:(generation_of_word t w)
+  let fwd off =
+    let w = words.(off) in
+    if Word.is_pointer w then begin
+      let wsi = info_of_word t w in
+      (* A copy lives in the target generation. *)
+      if wsi.condemned then begin
+        words.(off) <- copy_condemned t ~target wsi w;
+        if target < gen then mark_card t si ~addr:(addr_of ~seg ~off) ~gen:target
+      end
+      else if wsi.generation < gen then
+        mark_card t si ~addr:(addr_of ~seg ~off) ~gen:wsi.generation
+    end
   in
   (* Cards are >= 8 words and a power of two: two-word cells never
      straddle, so the cell spaces walk from [from]. *)
@@ -149,15 +154,15 @@ let sweep t ~target seg ~start ~from ~upto =
   | Space.Pair ->
       let off = ref from in
       while !off < upto do
-        fwd (addr_of ~seg ~off:!off);
-        fwd (addr_of ~seg ~off:(!off + 1));
+        fwd !off;
+        fwd (!off + 1);
         off := !off + 2
       done
   | Space.Weak ->
       let off = ref from in
       while !off < upto do
         (* car is weak: left alone here, handled by the weak pass. *)
-        fwd (addr_of ~seg ~off:(!off + 1));
+        fwd (!off + 1);
         off := !off + 2
       done
   | Space.Ephemeron ->
@@ -172,9 +177,9 @@ let sweep t ~target seg ~start ~from ~upto =
   | Space.Typed ->
       let off = ref start in
       while !off < upto do
-        let len = Obj.header_len (load t (addr_of ~seg ~off:!off)) in
+        let len = Obj.header_len words.(!off) in
         for i = max (!off + 1) from to min (!off + len) (upto - 1) do
-          fwd (addr_of ~seg ~off:i)
+          fwd i
         done;
         off := !off + 1 + len
       done
@@ -252,110 +257,102 @@ let kleene_sweep t ~target =
 (* ------------------------------------------------------------------ *)
 (* Guardian pass                                                       *)
 
-type pend = { obj : Word.t; mutable rep : Word.t; tconc : Word.t; gid : int }
-
 let guardian_pass t ~g ~target =
   let stats = (Heap.stats t).last in
-  let pend_hold = ref [] and pend_final = ref [] in
-  (* First block: separate accessible from inaccessible registered objects.
-     The protected lists themselves are collector metadata and are not
-     forwarded.  For held entries the rep (agent) is kept alive here. *)
+  let hold = t.gc_hold and final = t.gc_final and work = t.gc_work in
+  protected_clear hold;
+  protected_clear final;
+  Vec.Int.clear work;
+  (* First block: separate accessible from inaccessible registered objects
+     into [hold] and [final] (the paper's pend-hold-list and
+     pend-final-list).  The protected lists themselves are collector
+     metadata and are not forwarded.  For held entries the rep (agent) is
+     kept alive here.  Both buffers are walked from their last index to
+     their first below: the paper's lists are built by consing. *)
   for i = 0 to g do
     let p = t.protected.(i) in
-    let n = Vec.Int.length p.p_objs in
-    for j = 0 to n - 1 do
+    for j = 0 to Vec.Int.length p.p_objs - 1 do
       stats.protected_entries_visited <- stats.protected_entries_visited + 1;
-      let entry =
-        {
-          obj = Vec.Int.get p.p_objs j;
-          rep = Vec.Int.get p.p_reps j;
-          tconc = Vec.Int.get p.p_tconcs j;
-          gid = Vec.Int.get p.p_gids j;
-        }
-      in
-      if forwarded t entry.obj then begin
-        entry.rep <- copy t ~target entry.rep;
-        pend_hold := entry :: !pend_hold
-      end
-      else pend_final := entry :: !pend_final
+      let obj = Vec.Int.get p.p_objs j and rep = Vec.Int.get p.p_reps j in
+      let tconc = Vec.Int.get p.p_tconcs j and gid = Vec.Int.get p.p_gids j in
+      if forwarded t obj then
+        protected_push hold ~gid ~obj ~rep:(copy t ~target rep) ~tconc
+      else protected_push final ~gid ~obj ~rep ~tconc
     done;
-    Vec.Int.clear p.p_objs;
-    Vec.Int.clear p.p_reps;
-    Vec.Int.clear p.p_tconcs;
-    Vec.Int.clear p.p_gids
+    protected_clear p
   done;
   kleene_sweep t ~target;
   (* Second block: queue inaccessible objects whose guardian is
      accessible.  Forwarding the saved representatives can make further
      guardians accessible (a guardian registered with a guardian), so
-     instead of repeatedly re-partitioning pend-final-list, entries whose
-     tconc is still in from-space wait in a table keyed by the tconc's
-     address, and every object forwarded while the fixpoint runs is
-     logged ([gc_forward_log]); draining the log wakes exactly the
-     waiters of the addresses that forwarded.  Each entry is checked at
-     most twice — at partition and when its tconc forwards — so the
-     fixpoint costs O(1) amortized per entry, proportional to the
-     entries actually saved. *)
-  let waiters : (int, pend list ref) Hashtbl.t = Hashtbl.create 16 in
-  let work = Queue.create () in
-  List.iter
-    (fun e ->
-      stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
-      if forwarded t e.tconc then Queue.add e work
-      else begin
-        let key = Word.addr e.tconc in
-        match Hashtbl.find_opt waiters key with
-        | Some r -> r := e :: !r
-        | None -> Hashtbl.add waiters key (ref [ e ])
-      end)
-    !pend_final;
-  pend_final := [];
+     instead of repeatedly re-partitioning [final], entries whose tconc is
+     still in from-space wait in a table keyed by the tconc's address, and
+     every object forwarded while the fixpoint runs is logged
+     ([gc_forward_log]); draining the log wakes exactly the waiters of the
+     addresses that forwarded.  Each entry is checked at most twice — at
+     partition and when its tconc forwards — so the fixpoint costs O(1)
+     amortized per entry, proportional to the entries actually saved.
+     The table exists only when some entry waits. *)
+  let waiters = ref None in
+  for i = Vec.Int.length final.p_objs - 1 downto 0 do
+    stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
+    let tconc = Vec.Int.get final.p_tconcs i in
+    if forwarded t tconc then Vec.Int.push work i
+    else begin
+      if Option.is_none !waiters then waiters := Some (Hashtbl.create 16);
+      let tbl = Option.get !waiters and key = Word.addr tconc in
+      Hashtbl.replace tbl key (i :: Option.value (Hashtbl.find_opt tbl key) ~default:[])
+    end
+  done;
+  let alloc_pair a d =
+    let addr = gc_alloc t ~space:Space.Pair ~generation:target 2 in
+    store t addr a;
+    store t (addr + 1) d;
+    Word.pair_ptr addr
+  in
   (* No cleanup on exceptions: a collection that raises poisons the heap,
      which never collects again (see [collect]). *)
-  t.gc_log_forwards <- true;
+  t.gc_log_forwards <- Option.is_some !waiters;
   Vec.Int.clear t.gc_forward_log;
-  while not (Queue.is_empty work) do
-    while not (Queue.is_empty work) do
-      let e = Queue.pop work in
-      let rep = copy t ~target e.rep in
-      let tc = forward_address t e.tconc in
-      Tconc.enqueue_with t
-        ~alloc_pair:(fun a d ->
-          let addr = gc_alloc t ~space:Space.Pair ~generation:target 2 in
-          store t addr a;
-          store t (addr + 1) d;
-          Word.pair_ptr addr)
-        tc rep;
+  while not (Vec.Int.is_empty work) do
+    for k = 0 to Vec.Int.length work - 1 do
+      let i = Vec.Int.get work k in
+      let rep = copy t ~target (Vec.Int.get final.p_reps i) in
+      let tc = forward_address t (Vec.Int.get final.p_tconcs i) in
+      Tconc.enqueue_with t ~alloc_pair tc rep;
       stats.guardian_resurrections <- stats.guardian_resurrections + 1;
-      (* Latency bookkeeping: the entry becomes retrievable at the
-         epoch following this collection. *)
-      Telemetry.record_resurrection t.telemetry ~gid:e.gid
+      (* Latency bookkeeping: the entry becomes retrievable at the epoch
+         following this collection. *)
+      Telemetry.record_resurrection t.telemetry ~gid:(Vec.Int.get final.p_gids i)
         ~epoch:(t.gc_epoch + 1)
     done;
+    Vec.Int.clear work;
     kleene_sweep t ~target;
     (* Tconcs forwarded by the saves above release their waiters. *)
-    Vec.Int.iter t.gc_forward_log ~f:(fun addr ->
-        match Hashtbl.find_opt waiters addr with
-        | Some r ->
-            Hashtbl.remove waiters addr;
-            List.iter
-              (fun e ->
-                stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
-                Queue.add e work)
-              (List.rev !r)
-        | None -> ());
+    Option.iter
+      (fun tbl ->
+        Vec.Int.iter t.gc_forward_log ~f:(fun addr ->
+            match Hashtbl.find_opt tbl addr with
+            | Some is ->
+                Hashtbl.remove tbl addr;
+                List.iter
+                  (fun i ->
+                    stats.guardian_pend_checks <- stats.guardian_pend_checks + 1;
+                    Vec.Int.push work i)
+                  (List.rev is)
+            | None -> ()))
+      !waiters;
     Vec.Int.clear t.gc_forward_log
   done;
   t.gc_log_forwards <- false;
+  let drop gid =
+    stats.guardian_entries_dropped <- stats.guardian_entries_dropped + 1;
+    Telemetry.record_drop t.telemetry ~gid
+  in
   (* Entries still waiting: their guardian itself died. *)
-  Hashtbl.iter
-    (fun _ r ->
-      List.iter
-        (fun e ->
-          stats.guardian_entries_dropped <- stats.guardian_entries_dropped + 1;
-          Telemetry.record_drop t.telemetry ~gid:e.gid)
-        !r)
-    waiters;
+  Option.iter
+    (Hashtbl.iter (fun _ is -> List.iter (fun i -> drop (Vec.Int.get final.p_gids i)) is))
+    !waiters;
   (* Third block: entries whose object is still accessible survive into the
      target generation's protected list — provided their guardian does. *)
   let entry_generation =
@@ -364,20 +361,17 @@ let guardian_pass t ~g ~target =
        visit all of them. *)
     if (Heap.config t).Config.generation_friendly_guardians then target else 0
   in
-  List.iter
-    (fun e ->
-      if forwarded t e.tconc then begin
-        protected_add_gen t ~generation:entry_generation ~gid:e.gid
-          ~obj:(forward_address t e.obj)
-          ~rep:(forward_address t e.rep)
-          ~tconc:(forward_address t e.tconc);
-        stats.guardian_entries_promoted <- stats.guardian_entries_promoted + 1
-      end
-      else begin
-        stats.guardian_entries_dropped <- stats.guardian_entries_dropped + 1;
-        Telemetry.record_drop t.telemetry ~gid:e.gid
-      end)
-    !pend_hold
+  for i = Vec.Int.length hold.p_objs - 1 downto 0 do
+    let tconc = Vec.Int.get hold.p_tconcs i and gid = Vec.Int.get hold.p_gids i in
+    if forwarded t tconc then begin
+      protected_add_gen t ~generation:entry_generation ~gid
+        ~obj:(forward_address t (Vec.Int.get hold.p_objs i))
+        ~rep:(forward_address t (Vec.Int.get hold.p_reps i))
+        ~tconc:(forward_address t tconc);
+      stats.guardian_entries_promoted <- stats.guardian_entries_promoted + 1
+    end
+    else drop gid
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Weak pass                                                           *)

@@ -15,7 +15,9 @@ type t = {
       (** Generation [g] is collected every [collect_radix ** g] collect
           requests. *)
   promote : gen:int -> max_generation:int -> int;
-      (** Target generation for a collection of generations [0..gen]. *)
+      (** Target generation for a collection of generations [0..gen];
+          default the paper's simple strategy,
+          [min (gen + 1) max_generation]. *)
   generation_friendly_guardians : bool;
       (** The paper's design: protected-list entries are promoted to the
           target generation along with their objects.  [false] keeps every
@@ -43,9 +45,6 @@ type t = {
           on a startup-latency budget — the image CRC still guards
           against corruption. *)
 }
-
-val default_promote : gen:int -> max_generation:int -> int
-(** The paper's simple strategy: [min (gen + 1) max_generation]. *)
 
 val default : t
 

@@ -107,6 +107,11 @@ type t = {
       (** from-space addresses of objects forwarded while
           [gc_log_forwards] — the guardian fixpoint's worklist feed *)
   mutable gc_log_forwards : bool;
+  gc_hold : protected;
+  gc_final : protected;
+      (** guardian-pass scratch: the collected entries whose object is
+          still accessible, and those whose object proved inaccessible *)
+  gc_work : Vec.Int.t;  (** guardian-pass work list: indices into [gc_final] *)
   dirty : Vec.Int.t;  (** seg ids with [min_ref_gen < generation] *)
   mutable epoch_counter : int;
   protected : protected array;  (** per generation *)
@@ -158,6 +163,14 @@ let card_shift_of_words words =
   done;
   !s
 
+let protected_create () =
+  {
+    p_objs = Vec.Int.create ();
+    p_reps = Vec.Int.create ();
+    p_tconcs = Vec.Int.create ();
+    p_gids = Vec.Int.create ();
+  }
+
 let create ?(config = Config.default) () =
   {
     config;
@@ -176,16 +189,12 @@ let create ?(config = Config.default) () =
     gc_ephemerons = Vec.Int.create ();
     gc_forward_log = Vec.Int.create ();
     gc_log_forwards = false;
+    gc_hold = protected_create ();
+    gc_final = protected_create ();
+    gc_work = Vec.Int.create ();
     dirty = Vec.Int.create ();
     epoch_counter = 0;
-    protected =
-      Array.init (config.max_generation + 1) (fun _ ->
-          {
-            p_objs = Vec.Int.create ();
-            p_reps = Vec.Int.create ();
-            p_tconcs = Vec.Int.create ();
-            p_gids = Vec.Int.create ();
-          });
+    protected = Array.init (config.max_generation + 1) (fun _ -> protected_create ());
     global_cells = Array.make 64 Word.nil;
     global_cells_len = 0;
     global_free = [];
@@ -571,12 +580,20 @@ let with_cell t w f =
 (* ------------------------------------------------------------------ *)
 (* Protected lists (guardian registrations)                            *)
 
-let protected_add_gen t ~generation ~gid ~obj ~rep ~tconc =
-  let p = t.protected.(generation) in
+let protected_push p ~gid ~obj ~rep ~tconc =
   Vec.Int.push p.p_objs obj;
   Vec.Int.push p.p_reps rep;
   Vec.Int.push p.p_tconcs tconc;
   Vec.Int.push p.p_gids gid
+
+let protected_clear p =
+  Vec.Int.clear p.p_objs;
+  Vec.Int.clear p.p_reps;
+  Vec.Int.clear p.p_tconcs;
+  Vec.Int.clear p.p_gids
+
+let protected_add_gen t ~generation ~gid ~obj ~rep ~tconc =
+  protected_push t.protected.(generation) ~gid ~obj ~rep ~tconc
 
 (** Register [obj] with the guardian whose tconc is [tconc]: a new entry is
     added to the protected list for generation 0, exactly as in the paper.

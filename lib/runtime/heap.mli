@@ -101,6 +101,11 @@ type t = {
       (** from-space addresses of objects forwarded while
           [gc_log_forwards] — the guardian fixpoint's worklist feed *)
   mutable gc_log_forwards : bool;
+  gc_hold : protected;
+  gc_final : protected;
+      (** guardian-pass scratch: the collected entries whose object is
+          still accessible, and those whose object proved inaccessible *)
+  gc_work : Vec.Int.t;  (** guardian-pass work list: indices into [gc_final] *)
   dirty : Vec.Int.t;
   mutable epoch_counter : int;
   protected : protected array;  (** per generation *)
@@ -185,6 +190,12 @@ val note_mutation : t -> addr:int -> value:Word.t -> unit
     the segment; everything else falls out after one or two compares.
     Called by every pointer-field mutator in {!Obj}. *)
 
+val mark_card : t -> seg_info -> addr:int -> gen:int -> unit
+(** [mark_card t si ~addr ~gen] lowers the card byte covering [addr] to
+    [gen] and remembers the segment; [si] is the info of [addr]'s segment
+    and [gen] must be younger than its generation.  {!note_ref} without
+    the lookup and the test, for callers that hold both. *)
+
 val note_ref : t -> addr:int -> gen:int -> unit
 (** Collector-side barrier: record that the slot at [addr] references
     generation [gen], marking the covering card and keeping the segment
@@ -260,6 +271,12 @@ val protected_add_gen :
   t -> generation:int -> gid:int -> obj:Word.t -> rep:Word.t -> tconc:Word.t -> unit
 (** Add an entry to a generation's protected list without counting a
     registration: the collector's promotion and the image loader. *)
+
+val protected_push :
+  protected -> gid:int -> obj:Word.t -> rep:Word.t -> tconc:Word.t -> unit
+(** Append an entry to a protected list. *)
+
+val protected_clear : protected -> unit
 
 val protected_length : t -> int -> int
 

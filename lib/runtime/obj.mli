@@ -65,9 +65,6 @@ val has_code : Heap.t -> Word.t -> int -> bool
 val field : Heap.t -> Word.t -> int -> Word.t
 val set_field : Heap.t -> Word.t -> int -> Word.t -> unit
 
-val set_raw_field : Heap.t -> Word.t -> int -> Word.t -> unit
-(** Field store without the write barrier — data-space objects only. *)
-
 (** {1 Vectors} *)
 
 val make_vector : Heap.t -> len:int -> init:Word.t -> Word.t
@@ -90,7 +87,6 @@ val string_to_ocaml : Heap.t -> Word.t -> string
 (** {1 Bytevectors} *)
 
 val make_bytevector : Heap.t -> len:int -> fill:int -> Word.t
-val is_bytevector : Heap.t -> Word.t -> bool
 val bytevector_length : Heap.t -> Word.t -> int
 val bytevector_ref : Heap.t -> Word.t -> int -> int
 val bytevector_set : Heap.t -> Word.t -> int -> int -> unit
@@ -114,7 +110,6 @@ val make_symbol : Heap.t -> name:Word.t -> Word.t
 (** [name] is a heap string.  Interning lives in {!Symtab}. *)
 
 val is_symbol : Heap.t -> Word.t -> bool
-val symbol_name : Heap.t -> Word.t -> Word.t
 val symbol_name_string : Heap.t -> Word.t -> string
 
 val symbol_global : Heap.t -> Word.t -> int

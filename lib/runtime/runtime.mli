@@ -20,9 +20,6 @@ val collect_auto : Heap.t -> Collector.outcome
 
 val set_collect_request_handler : Heap.t -> (Heap.t -> unit) option -> unit
 
-val request_collect : Heap.t -> unit
-(** Run the installed handler, or [collect_auto] when none is installed. *)
-
 val safepoint : Heap.t -> unit
 (** Declare that the caller holds no unrooted heap words; serve a collect
     request if allocation since the last collection exceeds the trigger.

@@ -19,19 +19,14 @@ module Int = struct
 
   let clear t = t.len <- 0
 
-  let ensure t n =
-    if n > Array.length t.data then begin
-      let cap = ref (Array.length t.data) in
-      while !cap < n do
-        cap := !cap * 2
-      done;
-      let data = Array.make !cap 0 in
-      Array.blit t.data 0 data 0 t.len;
-      t.data <- data
-    end
+  (* Out of line, so that [push] is small enough to be inlined. *)
+  let grow t =
+    let data = Array.make (2 * Array.length t.data) 0 in
+    Array.blit t.data 0 data 0 t.len;
+    t.data <- data
 
   let push t x =
-    ensure t (t.len + 1);
+    if t.len = Array.length t.data then grow t;
     t.data.(t.len) <- x;
     t.len <- t.len + 1
 

@@ -57,9 +57,6 @@ val print_string : t -> string -> unit
 val global_cell : t -> string -> int
 (** Root cell of a global variable, created unbound on first use. *)
 
-val global_name : t -> int -> string
-val define_global : t -> string -> Word.t -> unit
-val lookup_global : t -> string -> Word.t option
 
 val materialize : t -> Sexpr.t -> Word.t
 (** Build a heap value from external data (interning symbols). *)

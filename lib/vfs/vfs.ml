@@ -37,7 +37,6 @@ type t = {
   mutable total_opens : int;
   mutable total_closes : int;
   mutable bytes_written : int;
-  mutable bytes_read : int;
 }
 
 let create ?(fd_limit = 64) () =
@@ -50,7 +49,6 @@ let create ?(fd_limit = 64) () =
     total_opens = 0;
     total_closes = 0;
     bytes_written = 0;
-    bytes_read = 0;
   }
 
 let file_exists t name = Hashtbl.mem t.files name
@@ -148,7 +146,6 @@ let read_char t fd =
   else begin
     let c = contents.[d.pos] in
     d.pos <- d.pos + 1;
-    t.bytes_read <- t.bytes_read + 1;
     Some c
   end
 
@@ -170,8 +167,7 @@ let advance t fd n =
   let d = descriptor t fd in
   if d.mode <> Read then raise (Bad_descriptor fd);
   let len = Buffer.length d.file.content in
-  d.pos <- min len (d.pos + n);
-  t.bytes_read <- t.bytes_read + n
+  d.pos <- min len (d.pos + n)
 
 (* ------------------------------------------------------------------ *)
 (* Accounting                                                          *)
@@ -181,7 +177,6 @@ let max_open t = t.max_open
 let total_opens t = t.total_opens
 let total_closes t = t.total_closes
 let bytes_written t = t.bytes_written
-let bytes_read t = t.bytes_read
 
 (** Descriptors still open: the leak count at end of run. *)
 let leaked t = t.open_count

@@ -60,7 +60,6 @@ val max_open : t -> int
 val total_opens : t -> int
 val total_closes : t -> int
 val bytes_written : t -> int
-val bytes_read : t -> int
 
 val leaked : t -> int
 (** Descriptors still open: the leak count at end of run. *)

@@ -108,6 +108,63 @@ let test_cycle_preserved () =
   check_int "b" 2 (Word.to_fixnum (Obj.car h b));
   check "cycle closed" true (Word.equal (Obj.cdr h b) a)
 
+let test_copy_edge_cases () =
+  (* One collection copies a padded zero-field object, a data-space
+     string, a typed object ending on its segment's last word and an
+     oversized single-object vector.  Garbage collected first leaves
+     stale words, which parse as long headers, in the recycled segments
+     the copies land in: a missing pad word would show. *)
+  let h = Heap.create ~config:cfg () in
+  for _ = 1 to 64 do
+    ignore (Obj.make_vector h ~len:31 ~init:(fx (1 lsl 20)))
+  done;
+  ignore (Collector.collect h ~gen:0);
+  let a = Obj.make_vector h ~len:63 ~init:Word.nil in
+  let b = Obj.make_vector h ~len:63 ~init:Word.nil in
+  check_int "b ends on the segment's last word" 128
+    (Heap.off_of_addr (Word.addr b) + 64);
+  for i = 0 to 62 do
+    Obj.vector_set h a i (fx i);
+    Obj.vector_set h b i (Obj.cons h (fx i) Word.nil)
+  done;
+  let empty = Obj.make_vector h ~len:0 ~init:Word.nil in
+  let str = Obj.string_of_ocaml h "hello, world" in
+  let big = Obj.make_vector h ~len:300 ~init:Word.nil in
+  for i = 0 to 299 do
+    Obj.vector_set h big i (if i mod 2 = 0 then fx i else Obj.cons h (fx i) Word.nil)
+  done;
+  let cells = List.map (Heap.new_cell h) [ empty; a; b; str; big ] in
+  ignore (Collector.collect h ~gen:0);
+  match List.map (Heap.read_cell h) cells with
+  | [ empty; a; b; str; big ] ->
+      for i = 0 to 62 do
+        check_int "a field" i (Word.to_fixnum (Obj.vector_ref h a i));
+        check_int "b field" i (Word.to_fixnum (Obj.car h (Obj.vector_ref h b i)))
+      done;
+      check "empty vector" true (Obj.is_vector h empty && Obj.vector_length h empty = 0);
+      Alcotest.(check string) "string" "hello, world" (Obj.string_to_ocaml h str);
+      check_int "big length" 300 (Obj.vector_length h big);
+      for i = 0 to 299 do
+        let v = Obj.vector_ref h big i in
+        check_int "big field" i
+          (Word.to_fixnum (if i mod 2 = 0 then v else Obj.car h v))
+      done;
+      check_int "verify clean" 0 (List.length (Verify.verify h))
+  | _ -> assert false
+
+let test_corrupt_forward_period () =
+  (* The seeded forwarding bug fires on every kth forward, exactly. *)
+  let k = 3 in
+  let config = Config.v ~segment_words:128 ~max_generation:3 ~corrupt_forward_period:k () in
+  let h = Heap.create ~config () in
+  for i = 0 to 9 do
+    ignore (Heap.new_cell h (Obj.cons h (fx i) (fx i)))
+  done;
+  ignore (Collector.collect h ~gen:0);
+  let n = (Heap.stats h).Stats.last.Stats.objects_copied in
+  check_int "objects forwarded" 10 n;
+  check_int "faults injected" (n / k) (Heap.faults h).Heap.injected
+
 let test_in_place_promotion_policy () =
   (* A policy that keeps generation 0 objects in generation 0. *)
   let config = Config.v ~max_generation:2 ~promote:(fun ~gen ~max_generation:_ -> gen) () in
@@ -424,6 +481,8 @@ let () =
         [
           Alcotest.test_case "sharing" `Quick test_sharing_preserved;
           Alcotest.test_case "cycles" `Quick test_cycle_preserved;
+          Alcotest.test_case "copy edge cases" `Quick test_copy_edge_cases;
+          Alcotest.test_case "corrupt-forward period" `Quick test_corrupt_forward_period;
         ] );
       ( "policy",
         [

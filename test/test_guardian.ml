@@ -218,6 +218,63 @@ let test_many_objects_fifo_like () =
   let ints = List.sort compare (List.map (fun w -> Word.to_fixnum (Obj.car h w)) saved) in
   Alcotest.(check (list int)) "every object once" (List.init 100 Fun.id) ints
 
+(* The guardian pass's order is part of its behaviour: resurrections are
+   queued in reverse protected-list order, generation 0's list first. *)
+let test_mixed_age_retrieval_order () =
+  let h = heap () in
+  let g = Handle.create h (Guardian.make h) in
+  let old = Handle.create h (Obj.make_vector h ~len:50 ~init:Word.nil) in
+  for i = 0 to 49 do
+    let x = Obj.cons h (fx i) Word.nil in
+    Obj.vector_set h (Handle.get old) i x;
+    Guardian.register h (Handle.get g) x
+  done;
+  ignore (Collector.collect h ~gen:0);
+  check_int "50 entries promoted" 50 (Heap.protected_length h 1);
+  Handle.free old;
+  for i = 50 to 99 do
+    Guardian.register h (Handle.get g) (Obj.cons h (fx i) Word.nil)
+  done;
+  full_collect h;
+  let saved = retrieve_all h (Handle.get g) in
+  Alcotest.(check (list int)) "retrieval order"
+    (List.init 50 Fun.id @ List.init 50 (fun i -> 99 - i))
+    (List.map (fun w -> Word.to_fixnum (Obj.car h w)) saved)
+
+let test_promoted_entry_order () =
+  let h = heap () in
+  let g = Handle.create h (Guardian.make h) in
+  let keep = Handle.create h (Obj.make_vector h ~len:10 ~init:Word.nil) in
+  for i = 0 to 9 do
+    let x = Obj.cons h (fx i) Word.nil in
+    Obj.vector_set h (Handle.get keep) i x;
+    Guardian.register h (Handle.get g) x
+  done;
+  ignore (Collector.collect h ~gen:0);
+  let objs = h.Heap.protected.(1).Heap.p_objs in
+  Alcotest.(check (list int)) "promoted entries, reversed"
+    (List.init 10 (fun i -> 9 - i))
+    (List.map (fun w -> Word.to_fixnum (Obj.car h w)) (Vec.Int.to_list objs));
+  Handle.free keep
+
+let test_waiter_order () =
+  (* The inner guardian's tconc forwards only when the fixpoint saves the
+     inner guardian, so its entries wait and wake in the fixpoint. *)
+  let h = heap () in
+  let outer = Handle.create h (Guardian.make h) in
+  Heap.with_cell h (Guardian.make h) (fun innerc ->
+      for i = 0 to 9 do
+        Guardian.register h (Heap.read_cell h innerc) (Obj.cons h (fx i) Word.nil)
+      done;
+      Guardian.register h (Handle.get outer) (Heap.read_cell h innerc));
+  full_collect h;
+  check_int "pend checks: 11 at partition, 10 on wake" 21
+    (Heap.stats h).Stats.last.Stats.guardian_pend_checks;
+  let inner = Option.get (Guardian.retrieve h (Handle.get outer)) in
+  let saved = retrieve_all h inner in
+  Alcotest.(check (list int)) "retrieval order" (List.init 10 (fun i -> 9 - i))
+    (List.map (fun w -> Word.to_fixnum (Obj.car h w)) saved)
+
 let test_mutator_counters () =
   let h = heap () in
   let g = Handle.create h (Guardian.make h) in
@@ -424,6 +481,9 @@ let () =
           Alcotest.test_case "immediates" `Quick test_immediates_never_returned;
           Alcotest.test_case "pending survive" `Quick test_pending_survive_collection;
           Alcotest.test_case "100 objects" `Quick test_many_objects_fifo_like;
+          Alcotest.test_case "mixed-age retrieval order" `Quick
+            test_mixed_age_retrieval_order;
+          Alcotest.test_case "waiter order" `Quick test_waiter_order;
         ] );
       ( "representative (§5)",
         [
@@ -435,6 +495,7 @@ let () =
           Alcotest.test_case "cross-generation" `Quick test_cross_generation_registration;
           Alcotest.test_case "entries promoted" `Quick test_entries_promoted_with_object;
           Alcotest.test_case "single-list ablation (D1)" `Quick test_single_list_ablation;
+          Alcotest.test_case "promoted entry order" `Quick test_promoted_entry_order;
         ] );
       ( "counters",
         [
