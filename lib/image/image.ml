@@ -29,12 +29,13 @@
     + the symbol section (count, then name + word, sorted by name);
     + named extras (count, then name + word array + opaque bytes).
 
-    Cards, the crossing map and the dirty list are {e not} stored: the
-    loader replays the allocator's crossing-map maintenance per object
-    and re-derives the remembered set exactly with {!Heap.note_ref} over
-    every pointer slot — the rebuilt cards are the precise minimum, which
-    {!Verify}'s remembered-set invariant accepts (stale-dirty cards in
-    the saved heap were a scanning overapproximation, never roots). *)
+    Cards, the crossing map and the dirty list are {e not} stored.  The
+    loader walks each segment once: it copies the words, checks every
+    pointer's target, re-derives the remembered set exactly with
+    {!Heap.note_ref} and replays {!Heap.note_object} per object.  The
+    rebuilt cards are the precise minimum, which {!Verify}'s
+    remembered-set invariant accepts (stale-dirty cards in the saved heap
+    were a scanning overapproximation, never roots). *)
 
 open Gbc_runtime
 
@@ -346,138 +347,111 @@ let load_string ?config s =
   let was_on = Telemetry.enabled tel in
   Telemetry.set_enabled tel true;
   Telemetry.phase_begin tel Telemetry.Image_load;
-  (* The loader's own segment acquisitions are exempt from fault
-     injection; the config's seed is re-armed below, once the heap is
-     whole. *)
-  (Heap.faults h).Heap.fail_segment_alloc_at <- 0;
+  (* Acquire each segment as its table entry is read.  A fresh heap hands
+     out ids 0..n-1 in acquisition order, so the image numbering is the
+     heap's own and relocation is the identity. *)
   let nsegs = ru32 r in
-  let spaces = Array.make (max 1 nsegs) Space.Pair in
-  let gens = Array.make (max 1 nsegs) 0 in
-  let useds = Array.make (max 1 nsegs) 0 in
-  let sizes = Array.make (max 1 nsegs) 0 in
-  let larges = Array.make (max 1 nsegs) false in
-  for i = 0 to nsegs - 1 do
-    let sp = ru8 r in
-    if sp >= Space.count then
-      raise (Error "gbc-image: bad space in the segment table");
-    spaces.(i) <- Space.of_index sp;
-    let g = ru32 r in
-    if g > max_generation then
-      raise (Error "gbc-image: bad generation in the segment table");
-    gens.(i) <- g;
-    useds.(i) <- ru32 r;
-    sizes.(i) <- ru32 r;
-    larges.(i) <- ru8 r <> 0;
-    let consistent =
-      useds.(i) <= sizes.(i)
-      && sizes.(i) <= Heap.max_segment_words
-      &&
-      if larges.(i) then sizes.(i) > segment_words
-      else sizes.(i) = segment_words
-    in
-    if not consistent then
-      raise (Error "gbc-image: inconsistent segment table")
-  done;
-  (* Pass 1: acquire the segments of a fresh heap in image order (so the
-     image numbering maps to ids 0..n-1) and copy the contents raw. *)
-  let seg_map = Array.make (max 1 nsegs) (-1) in
   (try
      for i = 0 to nsegs - 1 do
-       let min_words = if larges.(i) then sizes.(i) else 1 in
-       let seg =
-         Heap.acquire_segment h ~space:spaces.(i) ~generation:gens.(i)
-           ~min_words
+       let sp = ru8 r in
+       if sp >= Space.count then
+         raise (Error "gbc-image: bad space in the segment table");
+       let generation = ru32 r in
+       if generation > max_generation then
+         raise (Error "gbc-image: bad generation in the segment table");
+       let used = ru32 r in
+       let size = ru32 r in
+       let large = ru8 r <> 0 in
+       let consistent =
+         used <= size
+         && size <= Heap.max_segment_words
+         && if large then size > segment_words else size = segment_words
        in
-       seg_map.(i) <- seg;
-       (Heap.info h seg).Heap.used <- useds.(i)
+       if not consistent then
+         raise (Error "gbc-image: inconsistent segment table");
+       let seg =
+         Heap.acquire_segment h ~space:(Space.of_index sp) ~generation
+           ~min_words:(if large then size else 1)
+       in
+       assert (seg = i);
+       (Heap.info h seg).Heap.used <- used
      done
    with Heap.Out_of_memory ->
      raise
        (Error
           "gbc-image: image does not fit under the configured \
            max_heap_words"));
-  let total_words = ref 0 in
-  for i = 0 to nsegs - 1 do
-    let arr = h.Heap.segs.(seg_map.(i)) in
-    need r (8 * useds.(i));
-    for off = 0 to useds.(i) - 1 do
-      arr.(off) <- Int64.to_int (String.get_int64_le r.buf r.pos);
-      r.pos <- r.pos + 8
-    done;
-    total_words := !total_words + useds.(i)
-  done;
-  let fix w =
-    if not (Word.is_pointer w) then w
-    else begin
-      let a = Word.addr w in
-      let iseg = Heap.seg_of_addr a in
-      let off = Heap.off_of_addr a in
-      if iseg < 0 || iseg >= nsegs || off >= useds.(iseg) then
-        raise (Error "gbc-image: relocation target out of range");
-      Word.with_addr w (Heap.addr_of ~seg:seg_map.(iseg) ~off)
-    end
+  (* Relocation checks that a pointer's target lies inside a restored
+     segment's used words. *)
+  let reloc w =
+    (if Word.is_pointer w then
+       let a = Word.addr w in
+       let seg = Heap.seg_of_addr a in
+       if
+         seg < 0 || seg >= nsegs
+         || Heap.off_of_addr a >= (Heap.info h seg).Heap.used
+       then raise (Error "gbc-image: relocation target out of range"));
+    w
   in
-  (* Pass 2: fix up every pointer slot through the segment map and
-     re-derive the remembered set while we are at it (headers are
-     fixnums, so a blanket pointer sweep visits exactly the slots;
-     Data-space segments hold no pointers and raw payloads stay
-     untouched). *)
-  for i = 0 to nsegs - 1 do
-    if spaces.(i) <> Space.Data then begin
-      let seg = seg_map.(i) in
-      let arr = h.Heap.segs.(seg) in
-      for off = 0 to useds.(i) - 1 do
-        let w = arr.(off) in
-        if Word.is_pointer w then begin
-          let w' = fix w in
-          arr.(off) <- w';
+  (* One walk per segment copies its words, relocates the pointer slots,
+     re-derives the remembered set with {!Heap.note_ref} and replays the
+     allocator's crossing-map maintenance object by object.  Data-space
+     bodies hold no pointers and are copied verbatim: string bytes and
+     flonum bit patterns must not be mistaken for pointers. *)
+  let total_words = ref 0 in
+  for seg = 0 to nsegs - 1 do
+    let si = Heap.info h seg in
+    let arr = h.Heap.segs.(seg) in
+    let used = si.Heap.used in
+    need r (8 * used);
+    let base = r.pos in
+    r.pos <- base + (8 * used);
+    let word off = Int64.to_int (String.get_int64_le s (base + (8 * off))) in
+    let slots ~off ~stop =
+      for off = off to stop - 1 do
+        let w = reloc (word off) in
+        arr.(off) <- w;
+        if Word.is_pointer w then
           Heap.note_ref h
             ~addr:(Heap.addr_of ~seg ~off)
-            ~gen:(Heap.generation_of_word h w')
-        end
+            ~gen:(Heap.generation_of_word h w)
       done
-    end
-  done;
-  (* Replay the allocator's crossing-map maintenance object by object. *)
-  let cshift = Heap.card_shift h in
-  let set_crossing (si : Heap.seg_info) ~off ~nwords =
-    let first_c = (off + (1 lsl cshift) - 1) lsr cshift in
-    let last_c = (off + nwords - 1) lsr cshift in
-    for c = first_c to last_c do
-      si.Heap.crossing.(c) <- off
-    done
-  in
-  for i = 0 to nsegs - 1 do
-    let seg = seg_map.(i) in
-    let si = Heap.info h seg in
-    match spaces.(i) with
+    in
+    (match si.Heap.space with
     | Space.Pair | Space.Weak | Space.Ephemeron ->
-        if useds.(i) land 1 <> 0 then
+        if used land 1 <> 0 then
           raise (Error "gbc-image: odd word count in a pair segment");
         let off = ref 0 in
-        while !off < useds.(i) do
-          set_crossing si ~off:!off ~nwords:2;
+        while !off < used do
+          slots ~off:!off ~stop:(!off + 2);
+          Heap.note_object h si ~off:!off ~nwords:2;
           off := !off + 2
         done
     | Space.Typed | Space.Data ->
-        let arr = h.Heap.segs.(seg) in
         let off = ref 0 in
-        while !off < useds.(i) do
-          let hdr = arr.(!off) in
+        while !off < used do
+          let hdr = word !off in
           if not (Word.is_fixnum hdr) then
             raise (Error "gbc-image: bad object header in a typed segment");
           let size = 1 + Obj.header_len hdr in
-          if size <= 0 || !off + size > useds.(i) then
+          if size <= 0 || !off + size > used then
             raise (Error "gbc-image: object overruns its segment");
-          set_crossing si ~off:!off ~nwords:size;
+          arr.(!off) <- hdr;
+          if si.Heap.space = Space.Typed then
+            slots ~off:(!off + 1) ~stop:(!off + size)
+          else
+            for o = !off + 1 to !off + size - 1 do
+              arr.(o) <- word o
+            done;
+          Heap.note_object h si ~off:!off ~nwords:size;
           off := !off + size
-        done
+        done);
+    total_words := !total_words + used
   done;
   for k = 0 to Space.count - 1 do
     let idx = ri64 r in
     if idx >= nsegs then raise (Error "gbc-image: bad allocation cursor");
-    h.Heap.mutator_cursors.(k).Heap.seg <-
-      (if idx < 0 then -1 else seg_map.(idx))
+    h.Heap.mutator_cursors.(k).Heap.seg <- (if idx < 0 then -1 else idx)
   done;
   let nglobals = ru32 r in
   let cells = ref h.Heap.global_cells in
@@ -487,7 +461,7 @@ let load_string ?config s =
   h.Heap.global_cells <- !cells;
   h.Heap.global_cells_len <- nglobals;
   for i = 0 to nglobals - 1 do
-    h.Heap.global_cells.(i) <- fix (ri64 r)
+    h.Heap.global_cells.(i) <- reloc (ri64 r)
   done;
   let nfree = ru32 r in
   let free = ref [] in
@@ -500,9 +474,9 @@ let load_string ?config s =
   for g = 0 to max_generation do
     let n = ru32 r in
     for _ = 1 to n do
-      let obj = fix (ri64 r) in
-      let rep = fix (ri64 r) in
-      let tconc = fix (ri64 r) in
+      let obj = reloc (ri64 r) in
+      let rep = reloc (ri64 r) in
+      let tconc = reloc (ri64 r) in
       let gid = ru32 r in
       if gid >= nguardians then
         raise (Error "gbc-image: bad guardian id in a protected list");
@@ -518,7 +492,7 @@ let load_string ?config s =
   let nsyms = ru32 r in
   for _ = 1 to nsyms do
     let name = rstr r in
-    let w = fix (ri64 r) in
+    let w = reloc (ri64 r) in
     symbols := (name, w) :: !symbols
   done;
   let symbols = List.rev !symbols in
@@ -529,7 +503,7 @@ let load_string ?config s =
     let nw = ru32 r in
     let xwords = Array.make (max 1 nw) Word.nil in
     for j = 0 to nw - 1 do
-      xwords.(j) <- fix (ri64 r)
+      xwords.(j) <- reloc (ri64 r)
     done;
     let xwords = Array.sub xwords 0 nw in
     let xbytes = rstr r in
@@ -538,10 +512,14 @@ let load_string ?config s =
   let extras = List.rev !extras in
   if r.pos <> r.limit then
     raise (Error "gbc-image: trailing bytes in the image payload");
-  (Heap.faults h).Heap.fail_segment_alloc_at <-
-    config.Config.fail_segment_alloc_at;
   if config.Config.image_verify_on_load then begin
-    match Verify.verify h with
+    (* The symbol and extra sections are roots too: each word must point
+       at an object start, like a global cell. *)
+    let roots =
+      ("symbols", Array.of_list (List.map snd symbols))
+      :: List.map (fun (name, x) -> (name, x.xwords)) extras
+    in
+    match Verify.verify ~roots h with
     | [] -> ()
     | errs ->
         let worst =

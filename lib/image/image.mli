@@ -6,11 +6,10 @@
     allocation cursors, the global root cells, the per-generation
     guardian protected lists, plus caller-supplied named sections — the
     symbol table of a Scheme system, compiled code, whatever rides along.
-    Loading rebuilds a {e fresh} heap in two passes (copy, then pointer
-    fix-up through an image-segment → new-segment table), replays the
-    card crossing map, reconstructs the remembered set exactly, and
-    re-runs the {!Verify} invariant checker before handing the heap back
-    (see [Config.image_verify_on_load]).
+    Loading rebuilds a {e fresh} heap in one walk per segment (copy,
+    pointer check, crossing map, exact remembered set) and re-runs the
+    {!Verify} invariant checker before handing the heap back (see
+    [Config.image_verify_on_load]).
 
     {2 What round-trips}
 
@@ -81,8 +80,8 @@ val save_string :
 val load_string : ?config:Config.t -> string -> loaded
 (** Rebuild a fresh heap from image bytes.  [config] must agree with the
     image on [segment_words] and [max_generation]; when omitted, a
-    default configuration with the image's geometry is used.  The
-    loader's own segment acquisitions are exempt from fault injection.
+    default configuration with the image's geometry is used.  The new
+    heap's {!Heap.faults} start disarmed.
     Times itself under {!Telemetry.Image_load} (on the new heap's hub)
     and bumps the image counters.
     @raise Error on any malformed, truncated, corrupt or incompatible

@@ -3,7 +3,8 @@
 
     A collection of generation [g] collects generations [0..g] (younger
     generations are always collected along with older ones) into the target
-    generation chosen by the promotion policy.  Phases:
+    generation [min (g + 1) max_generation], the paper's promotion ladder.
+    Phases:
 
     + condemn the segments of generations [0..g];
     + forward the roots (global cells + registered scanners) and sweep the
@@ -86,7 +87,7 @@ let copy_condemned t ~target si w =
     end;
     stats.words_copied <- stats.words_copied + size;
     stats.objects_copied <- stats.objects_copied + 1;
-    (* Seeded debug bug (Config.corrupt_forward_period): corrupt every
+    (* Seeded debug bug (Heap.faults.corrupt_forward_period): corrupt every
        nth forwarding address to an interior pointer.  The torture
        harness must detect the damage via Verify or the oracle. *)
     let new_word = Word.with_addr w new_addr in
@@ -527,10 +528,6 @@ let collect_generations ?weak_pass_first t ~g ~target =
       (* Baseline support: weak scanners observe forwarding before from-space
          is reclaimed. *)
       weak_root_scan t;
-      (* Remember any to-space segment left pointing at a younger generation
-         (possible under non-default promotion policies). *)
-      Vec.Int.iter t.gc_new_segs ~f:(fun seg ->
-          if (info t seg).live then remember t seg);
       (* Reclaim from-space. *)
       Vec.Int.iter condemned ~f:(fun seg -> release_segment t seg);
       reset_cursors t.mutator_cursors)
@@ -542,7 +539,7 @@ let collect ?weak_pass_first t ~gen:g =
   if g < 0 || g > cfg.max_generation then invalid_arg "Collector.collect: bad generation";
   let t0 = Unix_time.now_ns () in
   let tel = t.telemetry in
-  let target = cfg.promote ~gen:g ~max_generation:cfg.max_generation in
+  let target = min (g + 1) cfg.max_generation in
   t.in_collection <- true;
   Stats.begin_collection (Heap.stats t);
   t.stats.last.collections <- 1;

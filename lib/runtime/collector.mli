@@ -2,7 +2,7 @@
     and weak-pair passes.
 
     A collection of generation [g] collects generations [0..g] into the
-    target generation chosen by the promotion policy.  Phases: condemn,
+    target generation [min (g + 1) max_generation].  Phases: condemn,
     root scan + remembered-set scan, Cheney sweep to a fixpoint, the
     {b guardian pass} (paper Section 4: pend-hold / pend-final /
     kleene-sweep), the {b weak pass} (after the guardian pass, so weak

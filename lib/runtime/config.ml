@@ -10,13 +10,6 @@ type t = {
       (** A collect request fires once this many words have been allocated
           in generation 0 since the last collection (checked at
           safepoints). *)
-  collect_radix : int;
-      (** Generation [g] is collected every [collect_radix ** g] collect
-          requests: generation 0 every time, older generations
-          exponentially less often — the paper's promotion schedule. *)
-  promote : gen:int -> max_generation:int -> int;
-      (** Target generation for a collection of generations [0..gen].  The
-          paper's simple strategy is [min (gen + 1) max_generation]. *)
   generation_friendly_guardians : bool;
       (** The paper's design: protected-list entries are promoted to the
           target generation along with their objects, so collections only
@@ -33,16 +26,6 @@ type t = {
       (** Hard ceiling on allocated words across all segments;
           {!Heap.Out_of_memory} is raised once it would be exceeded
           (default: effectively unlimited). *)
-  fail_segment_alloc_at : int;
-      (** Fault injection (torture harness): the [n]th mutator segment
-          acquisition raises {!Heap.Out_of_memory}, once; 0 disables
-          (the default).  Collections are exempt.  The armed counter lives
-          in {!Heap.faults} and can be re-armed at runtime. *)
-  corrupt_forward_period : int;
-      (** Debug bug (torture harness): every [n]th forwarded pointer is
-          deliberately corrupted to an interior address, so {!Verify} and
-          the differential oracle must catch it; 0 disables (the
-          default). *)
   image_verify_on_load : bool;
       (** Run the {!Verify} invariant checker over a heap rebuilt from a
           [gbc-image/1] file before handing it back (default [true]).
@@ -51,54 +34,37 @@ type t = {
           the CRC still guards against corruption either way. *)
 }
 
-let default_promote ~gen ~max_generation = min (gen + 1) max_generation
-
 let default =
   {
     segment_words = 512;
     max_generation = 4;
     gen0_trigger_words = 64 * 1024;
-    collect_radix = 4;
-    promote = default_promote;
     generation_friendly_guardians = true;
     card_words = 512;
     max_heap_words = max_int;
-    fail_segment_alloc_at = 0;
-    corrupt_forward_period = 0;
     image_verify_on_load = true;
   }
 
 let v ?(segment_words = default.segment_words)
     ?(max_generation = default.max_generation)
     ?(gen0_trigger_words = default.gen0_trigger_words)
-    ?(collect_radix = default.collect_radix) ?(promote = default_promote)
     ?(generation_friendly_guardians = true) ?(card_words = default.card_words)
-    ?(max_heap_words = max_int) ?(fail_segment_alloc_at = 0)
-    ?(corrupt_forward_period = 0) ?(image_verify_on_load = true) () =
+    ?(max_heap_words = max_int) ?(image_verify_on_load = true) () =
   if segment_words < 8 then invalid_arg "Config.v: segment_words too small";
   if max_generation < 0 then invalid_arg "Config.v: negative max_generation";
   if max_generation > 254 then
     (* Card bytes store generations; 255 is reserved for "clean". *)
     invalid_arg "Config.v: max_generation must be <= 254";
-  if collect_radix < 2 then invalid_arg "Config.v: collect_radix must be >= 2";
   if card_words < 8 then invalid_arg "Config.v: card_words too small";
   if card_words land (card_words - 1) <> 0 then
     invalid_arg "Config.v: card_words must be a power of two";
   if max_heap_words < segment_words then invalid_arg "Config.v: max_heap_words too small";
-  if fail_segment_alloc_at < 0 then
-    invalid_arg "Config.v: fail_segment_alloc_at must be >= 0";
-  if corrupt_forward_period < 0 then
-    invalid_arg "Config.v: corrupt_forward_period must be >= 0";
   {
     segment_words;
     max_generation;
     gen0_trigger_words;
-    collect_radix;
-    promote;
     generation_friendly_guardians;
     card_words;
     max_heap_words;
-    fail_segment_alloc_at;
-    corrupt_forward_period;
     image_verify_on_load;
   }

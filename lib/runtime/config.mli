@@ -11,13 +11,6 @@ type t = {
       (** A collect request fires once this many words have been allocated
           in generation 0 since the last collection (checked at
           safepoints). *)
-  collect_radix : int;
-      (** Generation [g] is collected every [collect_radix ** g] collect
-          requests. *)
-  promote : gen:int -> max_generation:int -> int;
-      (** Target generation for a collection of generations [0..gen];
-          default the paper's simple strategy,
-          [min (gen + 1) max_generation]. *)
   generation_friendly_guardians : bool;
       (** The paper's design: protected-list entries are promoted to the
           target generation along with their objects.  [false] keeps every
@@ -29,15 +22,6 @@ type t = {
   max_heap_words : int;
       (** Hard ceiling on allocated words; {!Heap.Out_of_memory} once it
           would be exceeded (default: effectively unlimited). *)
-  fail_segment_alloc_at : int;
-      (** Fault injection (torture harness): the [n]th mutator segment
-          acquisition raises {!Heap.Out_of_memory}, once; 0 disables (the
-          default).  Collections are exempt.  See {!Heap.faults}. *)
-  corrupt_forward_period : int;
-      (** Debug bug (torture harness): every [n]th forwarded pointer is
-          deliberately corrupted to an interior address — a seeded defect
-          that {!Verify} and the torture oracle must detect; 0 disables
-          (the default). *)
   image_verify_on_load : bool;
       (** Run the {!Verify} invariant checker over a heap rebuilt from a
           [gbc-image/1] file before handing it back (default [true]).
@@ -52,13 +36,9 @@ val v :
   ?segment_words:int ->
   ?max_generation:int ->
   ?gen0_trigger_words:int ->
-  ?collect_radix:int ->
-  ?promote:(gen:int -> max_generation:int -> int) ->
   ?generation_friendly_guardians:bool ->
   ?card_words:int ->
   ?max_heap_words:int ->
-  ?fail_segment_alloc_at:int ->
-  ?corrupt_forward_period:int ->
   ?image_verify_on_load:bool ->
   unit ->
   t

@@ -57,7 +57,7 @@ type seg_info = {
       (** card crossing map: [crossing.(c)] is the offset of the object
           covering the first word of card [c], so a card of a typed-space
           segment can be scanned from an object header.  Maintained by
-          {!bump} for every allocation. *)
+          {!note_object} for every allocation. *)
 }
 
 type cursor = { mutable seg : int }  (** -1 when no current segment *)
@@ -75,8 +75,8 @@ type protected = {
 }
 
 type faults = {
-  (* Fault-injection state for the torture harness (lib/torture).  Seeded
-     from the corresponding Config fields; re-armable at runtime. *)
+  (* Fault-injection state for the torture harness (lib/torture).  Created
+     disarmed; armed and re-armed at runtime. *)
   mutable fail_segment_alloc_at : int;
       (** mutator segment acquisitions remaining before a one-shot
           {!Out_of_memory}; 0 = disarmed *)
@@ -212,8 +212,8 @@ let create ?(config = Config.default) () =
     post_gc_hooks = [];
     faults =
       {
-        fail_segment_alloc_at = config.Config.fail_segment_alloc_at;
-        corrupt_forward_period = config.Config.corrupt_forward_period;
+        fail_segment_alloc_at = 0;
+        corrupt_forward_period = 0;
         forwards_seen = 0;
         injected = 0;
       };
@@ -226,7 +226,6 @@ let stats t = t.stats
 let telemetry t = t.telemetry
 let gc_epoch t = t.gc_epoch
 let max_generation t = t.config.max_generation
-let card_shift t = t.card_shift
 let card_words t = 1 lsl t.card_shift
 
 (* Number of cards covering [words] words of a segment. *)
@@ -385,6 +384,17 @@ let live_segments_of_gen t generation =
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 
+(* Crossing map: every card whose first word falls inside the object at
+   [off] starts mid-object; record the object's offset so a card scan can
+   find the covering header.  The loop body runs only when the object
+   crosses a card boundary, so it is O(1) amortized per allocation. *)
+let[@inline] note_object t si ~off ~nwords =
+  let first_c = (off + (1 lsl t.card_shift) - 1) lsr t.card_shift in
+  let last_c = (off + nwords - 1) lsr t.card_shift in
+  for c = first_c to last_c do
+    si.crossing.(c) <- off
+  done
+
 let bump t ~cursors ~space ~generation nwords =
   let idx = Space.to_index space in
   let cur = cursors.(idx) in
@@ -411,15 +421,7 @@ let bump t ~cursors ~space ~generation nwords =
   let si = t.infos.(seg) in
   let off = si.used in
   si.used <- si.used + nwords;
-  (* Crossing map: every card whose first word falls inside this object
-     starts mid-object; record the object's offset so a card scan can find
-     the covering header.  The loop body runs only when the allocation
-     crosses a card boundary, so it is O(1) amortized. *)
-  let first_c = (off + (1 lsl t.card_shift) - 1) lsr t.card_shift in
-  let last_c = (off + nwords - 1) lsr t.card_shift in
-  for c = first_c to last_c do
-    si.crossing.(c) <- off
-  done;
+  note_object t si ~off ~nwords;
   addr_of ~seg ~off
 
 (** Mutator allocation: raw words in generation 0.  The caller initializes

@@ -50,7 +50,7 @@ type seg_info = {
           [min_ref_gen = min generation (min over card bytes)]. *)
   mutable crossing : int array;
       (** card crossing map: offset of the object covering each card's
-          first word (maintained by the allocator). *)
+          first word (maintained by {!note_object}). *)
 }
 
 type cursor = { mutable seg : int }
@@ -66,8 +66,8 @@ type faults = {
   mutable injected : int;  (** faults actually fired so far *)
 }
 (** Fault-injection state for the torture harness ({!Gbc_torture}).
-    Seeded from {!Config.t}'s [fail_segment_alloc_at] /
-    [corrupt_forward_period]; the fields may be re-armed at runtime. *)
+    Disarmed in a new heap; the fields are armed and re-armed at
+    runtime. *)
 
 type protected = {
   p_objs : Vec.Int.t;
@@ -182,6 +182,11 @@ val gc_alloc : t -> space:Space.t -> generation:int -> int -> int
 
 val reset_cursors : cursor array -> unit
 
+val note_object : t -> seg_info -> off:int -> nwords:int -> unit
+(** [note_object t si ~off ~nwords] records an object of [nwords] words at
+    offset [off] of [si]'s segment in the crossing map.  The allocator
+    calls it for every object; the image loader replays it. *)
+
 (** {1 Remembered set (card marking)} *)
 
 val note_mutation : t -> addr:int -> value:Word.t -> unit
@@ -213,7 +218,6 @@ val refresh_remembered : t -> int -> unit
 val card_clean : int
 (** The card byte meaning "no younger-generation references" (255). *)
 
-val card_shift : t -> int
 val card_words : t -> int
 (** Effective card size in words: the next power of two >=
     [Config.card_words], capped at {!max_segment_words}. *)

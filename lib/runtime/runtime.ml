@@ -4,8 +4,8 @@
     Mutator allocation itself never collects; instead, code that holds no
     unrooted words calls {!safepoint}, and once enough generation-0
     allocation has accumulated a {e collect request} fires.  By default the
-    request collects according to the radix schedule (generation [g] every
-    [radix]{^ g} requests); a program may install its own collect-request
+    request collects according to the radix-4 schedule (generation [g] every
+    4{^ g} requests); a program may install its own collect-request
     handler — e.g. to run [close-dropped-ports] after each collection, as in
     the paper — in which case the handler is responsible for calling
     {!collect_auto} (or not). *)
@@ -25,14 +25,13 @@ let scheduled_generation ~radix ~max_generation count =
   loop 0 1
 
 (** Collect according to the generation schedule, advancing the request
-    counter: generation 0 every time, each older generation exponentially
-    less often. *)
+    counter: generation 0 every time, generation [g] every 4{^ g}
+    requests. *)
 let collect_auto h =
-  let cfg = Heap.config h in
   h.Heap.collect_count <- h.Heap.collect_count + 1;
   let gen =
-    scheduled_generation ~radix:cfg.Config.collect_radix
-      ~max_generation:cfg.Config.max_generation h.Heap.collect_count
+    scheduled_generation ~radix:4 ~max_generation:(Heap.max_generation h)
+      h.Heap.collect_count
   in
   Collector.collect h ~gen
 

@@ -7,9 +7,9 @@
       counts; pair/weak segments hold whole two-word cells;
     - object parse: typed/data segments parse as a sequence of well-formed
       headers covering exactly [used] words;
-    - pointers: every pointer field, global cell and protected-list word
-      points into a live segment, at a valid object start, and never at a
-      forwarding marker outside a collection;
+    - pointers: every pointer field, global cell, protected-list word and
+      caller-supplied root word points into a live segment, at a valid
+      object start, and never at a forwarding marker outside a collection;
     - spaces: weak pairs live only in weak space; headers only in
       typed/data space;
     - remembered set: a pointer from an older into a younger generation is
@@ -25,20 +25,21 @@ type error = { what : string; where : string }
    object at offset [b] in segment [a] (car/cdr in pair space, field [k]
    after the header otherwise).  [Global]: global cell [a].  [Entry]: the
    obj/rep/tconc word [k] of entry [b] in generation [a]'s protected
-   list. *)
-type slot = Field | Global | Entry
+   list.  [Root]: word [b] of the caller's root group [a]. *)
+type slot = Field | Global | Entry | Root
 
 let is_pair_space = function
   | Space.Pair | Space.Weak | Space.Ephemeron -> true
   | Space.Typed | Space.Data -> false
 
-let slot_label h kind a b k =
+let slot_label h roots kind a b k =
   match kind with
   | Field when is_pair_space (Heap.info h a).Heap.space ->
       Printf.sprintf "seg %d off %d %s" a b (if k = 0 then "car" else "cdr")
   | Field -> Printf.sprintf "seg %d off %d field %d" a b k
   | Global -> Printf.sprintf "global cell %d" a
   | Entry -> Printf.sprintf "gen %d entry %d %s" a b [| "obj"; "rep"; "tconc" |].(k)
+  | Root -> Printf.sprintf "%s[%d]" (fst roots.(a)) b
 
 (* Object-start bitmap of a typed/data segment: byte [off] is 1 iff an
    object header sits at [off].  Pair-space starts are the even offsets. *)
@@ -56,7 +57,9 @@ let object_starts h seg =
   done;
   starts
 
-let verify h =
+let verify ?(roots = []) h =
+  let roots = Array.of_list roots in
+  let slot_label = slot_label h roots in
   let errors = ref [] in
   let err what where = errors := { what; where } :: !errors in
   let starts_cache = Array.make h.Heap.nsegs None in
@@ -83,33 +86,33 @@ let verify h =
       let off = Heap.off_of_addr addr in
       if seg < 0 || seg >= h.Heap.nsegs then
         err "pointer to unknown segment"
-          (Printf.sprintf "%s -> seg %d" (slot_label h kind a b k) seg)
+          (Printf.sprintf "%s -> seg %d" (slot_label kind a b k) seg)
       else begin
         let ti = Heap.info h seg in
         if not ti.Heap.live then
           if kind = Entry then
-            err "protected entry into freed segment" (slot_label h kind a b k)
-          else err "pointer into freed segment" (slot_label h kind a b k)
+            err "protected entry into freed segment" (slot_label kind a b k)
+          else err "pointer into freed segment" (slot_label kind a b k)
         else if off >= ti.Heap.used then
           err "pointer past used area"
-            (Printf.sprintf "%s -> seg %d off %d used %d" (slot_label h kind a b k) seg
+            (Printf.sprintf "%s -> seg %d off %d used %d" (slot_label kind a b k) seg
                off ti.Heap.used)
         else if not (is_start seg ti off) then
           err "pointer to object interior"
-            (Printf.sprintf "%s -> seg %d off %d" (slot_label h kind a b k) seg off)
+            (Printf.sprintf "%s -> seg %d off %d" (slot_label kind a b k) seg off)
         else begin
           if Word.is_pair_ptr w <> is_pair_space ti.Heap.space then
             if Word.is_pair_ptr w then
-              err "pair pointer into non-pair space" (slot_label h kind a b k)
-            else err "typed pointer into pair space" (slot_label h kind a b k);
+              err "pair pointer into non-pair space" (slot_label kind a b k)
+            else err "typed pointer into pair space" (slot_label kind a b k);
           if Word.equal h.Heap.segs.(seg).(off) Word.forward_marker then
-            err "pointer at forwarding marker outside collection" (slot_label h kind a b k);
+            err "pointer at forwarding marker outside collection" (slot_label kind a b k);
           match kind with
-          | Global -> ()
+          | Global | Root -> ()
           | Entry ->
               if ti.Heap.generation < a then
                 err "protected entry younger than its list"
-                  (Printf.sprintf "%s (obj gen %d)" (slot_label h kind a b k)
+                  (Printf.sprintf "%s (obj gen %d)" (slot_label kind a b k)
                      ti.Heap.generation)
           | Field ->
               (* Remembered-set invariant, at both granularities. *)
@@ -118,7 +121,7 @@ let verify h =
                 if ti.Heap.generation < fi.Heap.min_ref_gen then
                   err "old-to-young pointer not remembered"
                     (Printf.sprintf "%s: seg %d gen %d min_ref %d -> gen %d"
-                       (slot_label h kind a b k) a fi.Heap.generation fi.Heap.min_ref_gen
+                       (slot_label kind a b k) a fi.Heap.generation fi.Heap.min_ref_gen
                        ti.Heap.generation);
                 let from_off = if is_pair_space fi.Heap.space then b + k else b + 1 + k in
                 let card = Heap.card_of_off h from_off in
@@ -126,13 +129,13 @@ let verify h =
                 if ti.Heap.generation < cg then
                   err "old-to-young pointer's card not marked"
                     (Printf.sprintf "%s: seg %d card %d byte %d -> gen %d"
-                       (slot_label h kind a b k) a card cg ti.Heap.generation)
+                       (slot_label kind a b k) a card cg ti.Heap.generation)
               end
         end
       end
     end
     else if Word.equal w Word.forward_marker then
-      err "forwarding marker stored as a value" (slot_label h kind a b k)
+      err "forwarding marker stored as a value" (slot_label kind a b k)
   in
   let errf what fmt = Printf.ksprintf (err what) fmt in
   for seg = 0 to h.Heap.nsegs - 1 do
@@ -186,6 +189,9 @@ let verify h =
   for i = 0 to h.Heap.global_cells_len - 1 do
     check_pointer Global i 0 0 h.Heap.global_cells.(i)
   done;
+  Array.iteri
+    (fun a (_, words) -> Array.iteri (fun b w -> check_pointer Root a b 0 w) words)
+    roots;
   for gen = 0 to max_gen do
     let p = h.Heap.protected.(gen) in
     for j = 0 to Vec.Int.length p.Heap.p_objs - 1 do

@@ -6,9 +6,10 @@
 
 type error = { what : string; where : string }
 
-val verify : Heap.t -> error list
-(** Empty when the heap is consistent.  Must not be called during a
-    collection. *)
+val verify : ?roots:(string * Word.t array) list -> Heap.t -> error list
+(** Empty when the heap is consistent.  Each [(name, words)] of [roots]
+    is checked like the global cells; an error names word [i] of it as
+    [name[i]].  Must not be called during a collection. *)
 
 val check_exn : Heap.t -> unit
 (** @raise Failure listing every violation. *)

@@ -127,16 +127,31 @@ let source =
 ;; objects, so guardian-stats can accept either form.  Entries are
 ;; ephemerons keyed by the closure: the registry keeps neither the
 ;; closure nor (crucially) its guardian alive, so dropping the procedure
-;; still cancels the guardian's registrations.
+;; still cancels the guardian's registrations.  Once the registry has
+;; doubled since the last prune, make-guardian drops the entries whose
+;; key has died: O(1) amortized per guardian, O(live guardians) space.
 (define %guardian-registry '())
+(define %guardian-registry-size 0)
+(define %guardian-registry-limit 16)
 
 (define (make-guardian)
+  (when (>= %guardian-registry-size %guardian-registry-limit)
+    (let loop ([r %guardian-registry] [keep '()] [n 0])
+      (if (null? r)
+          (begin
+            (set! %guardian-registry keep)
+            (set! %guardian-registry-size n)
+            (set! %guardian-registry-limit (max 16 (* 2 n))))
+          (if (car (car r))
+              (loop (cdr r) (cons (car r) keep) (+ n 1))
+              (loop (cdr r) keep n)))))
   (let* ([g (%make-guardian)]
          [proc (case-lambda
                  [() (%guardian-retrieve g)]
                  [(obj) (%guardian-register g obj)]
                  [(obj rep) (%guardian-register-rep g obj rep)])])
     (set! %guardian-registry (cons (ephemeron-cons proc g) %guardian-registry))
+    (set! %guardian-registry-size (+ %guardian-registry-size 1))
     proc))
 
 ;; Lifecycle metrics as a vector #(registrations resurrections drops polls

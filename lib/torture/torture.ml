@@ -493,9 +493,11 @@ let profiles : (string * (unit -> Config.t)) array =
           ~max_heap_words:6144 () );
   |]
 
-let run_episode ~config ~arm_fault ops =
+let run_episode ~config ~arm_fault ~corrupt_period ops =
   let st = new_state config in
-  if arm_fault > 0 then (Heap.faults st.h).Heap.fail_segment_alloc_at <- arm_fault;
+  let f = Heap.faults st.h in
+  f.Heap.fail_segment_alloc_at <- arm_fault;
+  f.Heap.corrupt_forward_period <- corrupt_period;
   let nops = Array.length ops in
   let failure = ref None in
   let ran = ref 0 in
@@ -630,21 +632,21 @@ let run_seed ~seed ~opts =
     let name, mk =
       if !e = 0 then profiles.(0) else profiles.(Prng.int rng (Array.length profiles))
     in
-    let base = mk () in
-    let config =
-      if opts.inject_bug then { base with Config.corrupt_forward_period = 3 } else base
-    in
+    let config = mk () in
+    let corrupt_period = if opts.inject_bug then 3 else 0 in
     let arm_fault = if opts.faults && Prng.bool rng then 1 + Prng.int rng 60 else 0 in
     let nops = if !e = 0 then max 1 (opts.ops - (per * (nepisodes - 1))) else per in
     let ops = Array.init nops (fun _ -> gen_op rng) in
-    let summary, raw = run_episode ~config ~arm_fault ops in
+    let summary, raw = run_episode ~config ~arm_fault ~corrupt_period ops in
     episodes := summary ~profile:name :: !episodes;
     (match raw with
     | None -> ()
     | Some { rf_index; rf_reason } ->
         (* Minimize: first truncate to the failing prefix, then ddmin. *)
         let prefix = Array.sub ops 0 (min (Array.length ops) (rf_index + 1)) in
-        let still_fails cand = snd (run_episode ~config ~arm_fault cand) <> None in
+        let still_fails cand =
+          snd (run_episode ~config ~arm_fault ~corrupt_period cand) <> None
+        in
         let minimal = if still_fails prefix then shrink ~test:still_fails prefix else prefix in
         failure :=
           Some

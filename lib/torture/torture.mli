@@ -17,9 +17,9 @@
     including extremes (one card per segment, a single generation, tiny
     segments, a hard heap ceiling).  With faults enabled, episodes also arm
     a one-shot segment-allocation failure ({!Heap.faults}) and must recover
-    gracefully; with the seeded bug enabled
-    ([Config.corrupt_forward_period]), the harness must {e detect} the
-    corruption and shrink the failing trace.
+    gracefully; with the seeded bug enabled (the [corrupt_forward_period]
+    of {!Heap.faults}), the harness must {e detect} the corruption and
+    shrink the failing trace.
 
     Everything — op generation, interpretation, comparison, reporting — is
     a pure function of the seed, so [run_seed] is bit-for-bit reproducible

@@ -155,8 +155,9 @@ let test_copy_edge_cases () =
 let test_corrupt_forward_period () =
   (* The seeded forwarding bug fires on every kth forward, exactly. *)
   let k = 3 in
-  let config = Config.v ~segment_words:128 ~max_generation:3 ~corrupt_forward_period:k () in
+  let config = Config.v ~segment_words:128 ~max_generation:3 () in
   let h = Heap.create ~config () in
+  (Heap.faults h).Heap.corrupt_forward_period <- k;
   for i = 0 to 9 do
     ignore (Heap.new_cell h (Obj.cons h (fx i) (fx i)))
   done;
@@ -164,15 +165,6 @@ let test_corrupt_forward_period () =
   let n = (Heap.stats h).Stats.last.Stats.objects_copied in
   check_int "objects forwarded" 10 n;
   check_int "faults injected" (n / k) (Heap.faults h).Heap.injected
-
-let test_in_place_promotion_policy () =
-  (* A policy that keeps generation 0 objects in generation 0. *)
-  let config = Config.v ~max_generation:2 ~promote:(fun ~gen ~max_generation:_ -> gen) () in
-  let h = Heap.create ~config () in
-  let c = Heap.new_cell h (Obj.cons h (fx 5) Word.nil) in
-  ignore (Collector.collect h ~gen:0);
-  check_int "stayed in gen 0" 0 (Heap.generation_of_word h (Heap.read_cell h c));
-  check_int "still readable" 5 (Word.to_fixnum (Obj.car h (Heap.read_cell h c)))
 
 let test_copy_work_proportional_to_live () =
   (* E7 foundation: the same live set with 10x the garbage costs the same
@@ -475,7 +467,6 @@ let () =
           Alcotest.test_case "old garbage" `Quick test_garbage_in_old_generation;
           Alcotest.test_case "old-to-young chain" `Quick test_old_to_young_chain;
           Alcotest.test_case "dirty recompute" `Quick test_dirty_segment_recomputed;
-          Alcotest.test_case "in-place policy" `Quick test_in_place_promotion_policy;
         ] );
       ( "structure",
         [

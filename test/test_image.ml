@@ -169,6 +169,72 @@ let test_large_object () =
   check_int "last" 897 (Word.to_fixnum (Obj.vector_ref h' v' 299));
   check_canonical "large object" s l
 
+(* The rebuilt crossing map and card bytes are exact.  Every in-use
+   card's object start matches the source heap's, and every card byte is
+   the minimum recomputed from the card's pointer slots.  Data-space words
+   are payload, never slots, even when their bits carry a pointer tag. *)
+let test_cards_and_crossing_exact () =
+  let config = Config.v ~segment_words:128 ~card_words:8 ~max_generation:3 () in
+  let h = Heap.create ~config () in
+  let keep = Heap.new_cell h Word.nil in
+  let push w = Heap.write_cell h keep (Obj.cons h w (Heap.read_cell h keep)) in
+  let fake = Word.pair_ptr (Heap.addr_of ~seg:999 ~off:3) in
+  for round = 0 to 3 do
+    for i = 0 to 40 do
+      push (Obj.make_vector h ~len:(1 + (i * 7 mod 23)) ~init:(fx i));
+      let fl = Obj.make_flonum h (float_of_int i) in
+      Heap.store h (Word.addr fl + 1) fake;
+      Heap.store h (Word.addr fl + 2) (Heap.read_cell h keep);
+      push fl;
+      push (Obj.weak_cons h (Heap.read_cell h keep) Word.nil);
+      push (Obj.ephemeron_cons h (Heap.read_cell h keep) (fx i))
+    done;
+    ignore (Collector.collect h ~gen:round)
+  done;
+  (* Old-to-young stores: young pairs into old vectors and old spine
+     cells. *)
+  let rec store_young l i =
+    if Word.is_pair_ptr l then begin
+      let x = Obj.car h l in
+      if i mod 3 = 0 then Obj.set_car h l (Obj.cons h (fx i) Word.nil)
+      else if Obj.is_vector h x then Obj.vector_set h x 0 (Obj.cons h (fx i) Word.nil);
+      store_young (Obj.cdr h l) (i + 1)
+    end
+  in
+  store_young (Heap.read_cell h keep) 0;
+  let _, l, _ = roundtrip h in
+  let h' = l.Image.heap in
+  let cw = Heap.card_words h' in
+  let source = ref [] in
+  for seg = h.Heap.nsegs - 1 downto 0 do
+    if (Heap.info h seg).Heap.live then source := seg :: !source
+  done;
+  let cards = ref 0 and dirty = ref 0 in
+  let bad_crossing = ref 0 and bad_byte = ref 0 in
+  List.iteri
+    (fun seg src ->
+      let si = Heap.info h' seg in
+      for card = 0 to Heap.cards_in_use h' seg - 1 do
+        incr cards;
+        if Heap.card_object_start h ~seg:src ~card <> Heap.card_object_start h' ~seg ~card
+        then incr bad_crossing;
+        let m = ref Heap.card_clean in
+        if si.Heap.space <> Space.Data then
+          for off = card * cw to min si.Heap.used ((card + 1) * cw) - 1 do
+            let w = Heap.load h' (Heap.addr_of ~seg ~off) in
+            let g = Heap.generation_of_word h' w in
+            if g < si.Heap.generation && g < !m then m := g
+          done;
+        if !m <> Heap.card_clean then incr dirty;
+        if !m <> Heap.card_min_gen h' ~seg ~card then incr bad_byte
+      done)
+    !source;
+  check_int "crossing mismatches" 0 !bad_crossing;
+  check_int "card byte mismatches" 0 !bad_byte;
+  check "many cards" true (!cards > 500);
+  check "some old-to-young cards" true (!dirty > 10);
+  check "verify clean" true (Verify.verify h' = [])
+
 let test_weak_and_ephemeron () =
   let h = heap () in
   let target = Obj.cons h (fx 11) Word.nil in
@@ -499,32 +565,40 @@ let test_crc32_reference () =
     (reference_crc32 s ~pos:20 ~len:plen)
     (Int32.to_int (String.get_int32_le s (20 + plen)) land 0xFFFFFFFF)
 
+let le64 w =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int w);
+  Bytes.to_string b
+
+(* The one payload offset where [pattern] occurs. *)
+let find_once name s pattern =
+  let n = String.length pattern in
+  let at = ref [] in
+  for i = 20 to String.length s - n - 4 do
+    if String.sub s i n = pattern then at := i :: !at
+  done;
+  check_int (name ^ " found once") 1 (List.length !at);
+  List.hd !at
+
+(* [s] with the pointer word at [pos] moved [by] words into its object,
+   and the CRC trailer recomputed. *)
+let interior_at ~by s pos =
+  let w = Int64.to_int (String.get_int64_le s pos) in
+  let b = Bytes.of_string s in
+  Bytes.blit_string (le64 (Word.with_addr w (Word.addr w + by))) 0 b pos 8;
+  let plen = Bytes.length b - 24 in
+  let crc = Image.crc32 (Bytes.to_string b) ~pos:20 ~len:plen in
+  Bytes.set_int32_le b (20 + plen) (Int32.of_int crc);
+  Bytes.to_string b
+
 (* A crafted image whose global cell points into the middle of a vector
    (with a valid CRC) must be rejected by the verified load. *)
 let test_interior_root_rejected () =
   let h = heap () in
   let v = Handle.create h (Obj.make_vector h ~len:6 ~init:(fx 0)) in
   let s = Image.save_string h in
-  let word w =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int w);
-    Bytes.to_string b
-  in
-  let target = word (Handle.get v) in
-  let at = ref [] in
-  for i = 20 to String.length s - 12 do
-    if String.sub s i 8 = target then at := i :: !at
-  done;
-  check_int "cell word found once" 1 (List.length !at);
-  let b = Bytes.of_string s in
-  Bytes.blit_string
-    (word (Word.typed_ptr (Word.addr (Handle.get v) + 2)))
-    0 b (List.hd !at) 8;
-  let plen = Bytes.length b - 24 in
-  let crc = Image.crc32 (Bytes.to_string b) ~pos:20 ~len:plen in
-  Bytes.set_int32_le b (20 + plen) (Int32.of_int crc);
-  expect_error "interior root" (fun () ->
-      Image.load_string ~config:cfg (Bytes.to_string b))
+  let s = interior_at ~by:2 s (find_once "cell word" s (le64 (Handle.get v))) in
+  expect_error "interior root" (fun () -> Image.load_string ~config:cfg s)
 
 (* Scheme system images whose code section carries one crafted block:
    the codec writes any operand, and the restore must reject each one
@@ -553,6 +627,50 @@ let expect_code_rejected name make_instrs =
       Alcotest.failf "%s: expected Image.Error, got %s" name (Printexc.to_string e)
 
 let ncells m = (Machine.heap m).Heap.global_cells_len
+
+let expect_section_rejected name ~section s =
+  match load_scheme s with
+  | () -> Alcotest.fail (name ^ ": crafted image accepted")
+  | exception Image.Error msg ->
+      check (name ^ ": names " ^ section) true (contains_sub msg (section ^ "["))
+  | exception e ->
+      Alcotest.failf "%s: expected Image.Error, got %s" name (Printexc.to_string e)
+
+let le_str name =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 (Int32.of_int (String.length name));
+  Bytes.to_string b ^ name
+
+let scheme_sections () =
+  let m = Scheme.create () in
+  let s = Scheme.Scheme_image.save_string m in
+  Machine.dispose m;
+  (s, Image.load_string s)
+
+(* The symbol section entry for [car] (name, then word) with its word
+   moved one word into the symbol object. *)
+let test_interior_symbol_rejected () =
+  let s, l = scheme_sections () in
+  let w = List.assoc "car" l.Image.symbols in
+  let pos = find_once "car entry" s (le_str "car" ^ le64 w) + 7 in
+  expect_section_rejected "interior symbol" ~section:"symbols" (interior_at ~by:1 s pos)
+
+(* The first scheme/consts word that points at an object of more than
+   one word, moved one word into it. *)
+let test_interior_constant_rejected () =
+  let s, l = scheme_sections () in
+  let consts = (List.assoc "scheme/consts" l.Image.extras).Image.xwords in
+  let spans w =
+    Word.is_pair_ptr w
+    || Word.is_typed_ptr w && Obj.header_len (Heap.load l.Image.heap (Word.addr w)) > 0
+  in
+  let rec first j = if spans consts.(j) then j else first (j + 1) in
+  let j = first 0 in
+  let name = le_str "scheme/consts" in
+  (* The section's name, its word count, then its words. *)
+  let pos = find_once "consts section" s name + String.length name + 4 + (8 * j) in
+  expect_section_rejected "interior constant" ~section:"scheme/consts"
+    (interior_at ~by:1 s pos)
 
 let test_code_global_cell_rejected () =
   load_scheme (scheme_image_with (fun m -> [| Instr.Global_ref (ncells m - 1); Instr.Halt |]));
@@ -607,6 +725,7 @@ let () =
             test_old_to_young_remembered;
           Alcotest.test_case "large object" `Quick test_large_object;
           Alcotest.test_case "weak + ephemeron" `Quick test_weak_and_ephemeron;
+          Alcotest.test_case "cards + crossing exact" `Quick test_cards_and_crossing_exact;
           Alcotest.test_case "cursors restored" `Quick
             test_allocation_continues_in_cursor_segment;
           Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
@@ -639,6 +758,8 @@ let () =
           Alcotest.test_case "save during collection" `Quick
             test_save_during_collection_rejected;
           Alcotest.test_case "interior root" `Quick test_interior_root_rejected;
+          Alcotest.test_case "interior symbol" `Quick test_interior_symbol_rejected;
+          Alcotest.test_case "interior constant" `Quick test_interior_constant_rejected;
           Alcotest.test_case "code: global cell" `Quick test_code_global_cell_rejected;
           Alcotest.test_case "code: constant index" `Quick test_code_constant_rejected;
           Alcotest.test_case "code: closure" `Quick test_code_closure_rejected;

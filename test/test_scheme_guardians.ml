@@ -312,6 +312,26 @@ let cancel_by_dropping_guardian () =
   Alcotest.(check int) "no resurrections" 0
     stats.Gbc_runtime.Stats.last.Gbc_runtime.Stats.guardian_resurrections
 
+let dropped_guardians_leave_the_registry () =
+  (* make-guardian's registry drops the entries of dead guardians, so
+     neither its length nor the live heap grows with the number of
+     guardians ever made. *)
+  let m = fresh () in
+  let h = Machine.heap m in
+  ignore (ev m gc);
+  let before = Gbc_runtime.Heap.live_words h in
+  ignore (ev m "(let loop ([i 0]) (when (< i 20000) (make-guardian) (loop (+ i 1))))");
+  ignore (ev m gc);
+  let grown = Gbc_runtime.Heap.live_words h - before in
+  let entries = int_of_string (ev m "(length %guardian-registry)") in
+  (* Unpruned, the registry keeps all 20 000 entries, 4 words each. *)
+  check "registry pruned" true (entries < 5000);
+  check "under a word per guardian" true (grown < 20000);
+  (* guardian-stats still takes both forms. *)
+  ignore (ev m "(define G (make-guardian)) (G (cons 1 2))");
+  check_str "procedure" "1" (ev m "(vector-ref (guardian-stats G) 0)");
+  check_str "raw guardian" "0" (ev m "(vector-ref (guardian-stats (%make-guardian)) 0)")
+
 let () =
   Alcotest.run "scheme_guardians"
     [
@@ -341,5 +361,7 @@ let () =
           Alcotest.test_case "ephemeron prims" `Quick ephemeron_prims;
           Alcotest.test_case "will executors" `Quick scheme_will_executors;
           Alcotest.test_case "multiple wills" `Quick scheme_will_multiple;
+          Alcotest.test_case "dropped guardians leave the registry" `Quick
+            dropped_guardians_leave_the_registry;
         ] );
     ]
