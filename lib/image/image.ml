@@ -58,11 +58,11 @@ let format_version = 1
 (* ------------------------------------------------------------------ *)
 (* CRC-32                                                              *)
 
-(* Slice-by-8: table [k] advances the CRC over a byte followed by [k]
-   zero bytes, so eight table lookups consume eight input bytes. *)
+(* Slice-by-16: table [k] advances the CRC over a byte followed by [k]
+   zero bytes, so sixteen table lookups consume sixteen input bytes. *)
 let crc_tables =
   lazy
-    (let t = Array.make (8 * 256) 0 in
+    (let t = Array.make (16 * 256) 0 in
      for n = 0 to 255 do
        let c = ref n in
        for _ = 0 to 7 do
@@ -70,34 +70,38 @@ let crc_tables =
        done;
        t.(n) <- !c
      done;
-     for i = 256 to (8 * 256) - 1 do
+     for i = 256 to (16 * 256) - 1 do
        let c = t.(i - 256) in
        t.(i) <- (c lsr 8) lxor t.(c land 0xff)
      done;
      t)
+
+(* Entry [x land 0xff] of table [k]: the index is masked to a byte, so
+   the read cannot leave the 16 tables. *)
+let[@inline] tb (t : int array) k x = Array.unsafe_get t ((k lsl 8) lor (x land 0xff))
 
 let crc32 s ~pos ~len =
   let t = Lazy.force crc_tables in
   let c = ref 0xFFFFFFFF in
   let i = ref pos in
   let stop = pos + len in
-  (* Two 32-bit reads: a 64-bit one would lose bit 63 in an OCaml int. *)
-  while !i + 8 <= stop do
-    let lo = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
-    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
+  while !i + 16 <= stop do
+    (* Split each 64-bit read with a logical shift: an OCaml int would
+       drop bit 63. *)
+    let a = String.get_int64_le s !i and b = String.get_int64_le s (!i + 8) in
+    let a0 = !c lxor (Int64.to_int a land 0xFFFFFFFF) in
+    let a1 = Int64.to_int (Int64.shift_right_logical a 32) in
+    let b0 = Int64.to_int b land 0xFFFFFFFF in
+    let b1 = Int64.to_int (Int64.shift_right_logical b 32) in
     c :=
-      t.((7 * 256) + (lo land 0xff))
-      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
-      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
-      lxor t.((4 * 256) + (lo lsr 24))
-      lxor t.((3 * 256) + (hi land 0xff))
-      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
-      lxor t.(256 + ((hi lsr 16) land 0xff))
-      lxor t.(hi lsr 24);
-    i := !i + 8
+      tb t 15 a0 lxor tb t 14 (a0 lsr 8) lxor tb t 13 (a0 lsr 16) lxor tb t 12 (a0 lsr 24)
+      lxor tb t 11 a1 lxor tb t 10 (a1 lsr 8) lxor tb t 9 (a1 lsr 16) lxor tb t 8 (a1 lsr 24)
+      lxor tb t 7 b0 lxor tb t 6 (b0 lsr 8) lxor tb t 5 (b0 lsr 16) lxor tb t 4 (b0 lsr 24)
+      lxor tb t 3 b1 lxor tb t 2 (b1 lsr 8) lxor tb t 1 (b1 lsr 16) lxor tb t 0 (b1 lsr 24);
+    i := !i + 16
   done;
   while !i < stop do
-    c := t.((!c lxor Char.code s.[!i]) land 0xff) lxor (!c lsr 8);
+    c := tb t 0 (!c lxor Char.code s.[!i]) lxor (!c lsr 8);
     incr i
   done;
   !c lxor 0xFFFFFFFF
@@ -174,7 +178,9 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
   for seg = 0 to nsegs - 1 do
     if imap.(seg) >= 0 then live.(imap.(seg)) <- seg
   done;
-  let reloc w =
+  (* One relocation for segment slots and roots alike: a pointer's target
+     must lie inside a live segment's used words. *)
+  let[@inline] reloc w =
     if not (Word.is_pointer w) then w
     else begin
       let a = Word.addr w in
@@ -187,98 +193,121 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
       Word.with_addr w (Heap.addr_of ~seg:imap.(seg) ~off)
     end
   in
-  (* The whole frame goes into one buffer; the payload length and the CRC
-     are patched in once the payload is complete. *)
+  (* The frame is sized exactly up front and written in place; the
+     payload length and the CRC are patched in at the end. *)
   let total_words = ref 0 in
   for i = 0 to !nlive - 1 do
     total_words := !total_words + h.Heap.infos.(live.(i)).Heap.used
   done;
-  let b = Buffer.create (65536 + (8 * !total_words)) in
-  Buffer.add_string b magic;
-  u32 b format_version;
-  i64 b 0;
-  u32 b Heap.stride_bits;
-  u32 b cfg.Config.segment_words;
-  u32 b cfg.Config.max_generation;
-  u32 b cfg.Config.card_words;
-  i64 b h.Heap.gc_epoch;
-  i64 b h.Heap.collect_count;
-  i64 b h.Heap.last_gc_generation;
-  i64 b (Heap.stats h).Stats.words_allocated_since_gc;
-  u32 b (Telemetry.guardian_count tel);
-  u32 b !nlive;
+  let symbols = List.sort (fun (a, _) (b, _) -> String.compare a b) symbols in
+  let sum f l = List.fold_left (fun n x -> n + f x) 0 l in
+  let size =
+    (20 + 52 + 4) (* frame header; geometry and schedule; segment count *)
+    + (14 * !nlive) + (8 * !total_words) + (8 * Space.count)
+    + (4 + (8 * h.Heap.global_cells_len)) + (4 + (4 * List.length h.Heap.global_free))
+    + Array.fold_left
+        (fun n pr -> n + 4 + (28 * Vec.Int.length pr.Heap.p_objs)) 0 h.Heap.protected
+    + (4 + sum (fun (name, _) -> 4 + String.length name + 8) symbols)
+    + 4
+    + sum
+        (fun (name, x) ->
+          12 + String.length name + (8 * Array.length x.xwords) + String.length x.xbytes)
+        extras
+    + 4 (* CRC *)
+  in
+  let b = Bytes.create size and p = ref 0 in
+  let[@inline] w8 v = Bytes.set_uint8 b !p v; p := !p + 1 in
+  let[@inline] w32 v = Bytes.set_int32_le b !p (Int32.of_int v); p := !p + 4 in
+  let[@inline] w64 v = Bytes.set_int64_le b !p (Int64.of_int v); p := !p + 8 in
+  let wstr s =
+    w32 (String.length s);
+    Bytes.blit_string s 0 b !p (String.length s);
+    p := !p + String.length s
+  in
+  Bytes.blit_string magic 0 b 0 8;
+  p := 8;
+  w32 format_version;
+  w64 0;
+  w32 Heap.stride_bits;
+  w32 cfg.Config.segment_words;
+  w32 cfg.Config.max_generation;
+  w32 cfg.Config.card_words;
+  w64 h.Heap.gc_epoch;
+  w64 h.Heap.collect_count;
+  w64 h.Heap.last_gc_generation;
+  w64 (Heap.stats h).Stats.words_allocated_since_gc;
+  w32 (Telemetry.guardian_count tel);
+  w32 !nlive;
   for i = 0 to !nlive - 1 do
     let si = h.Heap.infos.(live.(i)) in
-    u8 b (Space.to_index si.Heap.space);
-    u32 b si.Heap.generation;
-    u32 b si.Heap.used;
-    u32 b si.Heap.size;
-    u8 b (if si.Heap.large then 1 else 0)
+    w8 (Space.to_index si.Heap.space);
+    w32 si.Heap.generation;
+    w32 si.Heap.used;
+    w32 si.Heap.size;
+    w8 (if si.Heap.large then 1 else 0)
   done;
   for i = 0 to !nlive - 1 do
     let seg = live.(i) in
     let si = h.Heap.infos.(seg) in
     let arr = h.Heap.segs.(seg) in
+    let base = !p in
     if si.Heap.space = Space.Data then
       (* No pointers by construction, and raw payloads (flonum bit
          patterns) may alias pointer tags: copy verbatim. *)
       for off = 0 to si.Heap.used - 1 do
-        i64 b arr.(off)
+        Bytes.set_int64_le b (base + (8 * off)) (Int64.of_int arr.(off))
       done
     else
       for off = 0 to si.Heap.used - 1 do
-        i64 b (reloc arr.(off))
-      done
+        Bytes.set_int64_le b (base + (8 * off)) (Int64.of_int (reloc arr.(off)))
+      done;
+    p := base + (8 * si.Heap.used)
   done;
   for k = 0 to Space.count - 1 do
     let cur = h.Heap.mutator_cursors.(k).Heap.seg in
-    i64 b (if cur >= 0 && imap.(cur) >= 0 then imap.(cur) else -1)
+    w64 (if cur >= 0 && imap.(cur) >= 0 then imap.(cur) else -1)
   done;
-  u32 b h.Heap.global_cells_len;
+  w32 h.Heap.global_cells_len;
   for i = 0 to h.Heap.global_cells_len - 1 do
-    i64 b (reloc h.Heap.global_cells.(i))
+    w64 (reloc h.Heap.global_cells.(i))
   done;
-  u32 b (List.length h.Heap.global_free);
-  List.iter (fun i -> u32 b i) h.Heap.global_free;
+  w32 (List.length h.Heap.global_free);
+  List.iter w32 h.Heap.global_free;
   for g = 0 to cfg.Config.max_generation do
-    let p = h.Heap.protected.(g) in
-    let n = Vec.Int.length p.Heap.p_objs in
-    u32 b n;
+    let pr = h.Heap.protected.(g) in
+    let n = Vec.Int.length pr.Heap.p_objs in
+    w32 n;
     for i = 0 to n - 1 do
-      i64 b (reloc (Vec.Int.get p.Heap.p_objs i));
-      i64 b (reloc (Vec.Int.get p.Heap.p_reps i));
-      i64 b (reloc (Vec.Int.get p.Heap.p_tconcs i));
-      u32 b (Vec.Int.get p.Heap.p_gids i)
+      w64 (reloc (Vec.Int.get pr.Heap.p_objs i));
+      w64 (reloc (Vec.Int.get pr.Heap.p_reps i));
+      w64 (reloc (Vec.Int.get pr.Heap.p_tconcs i));
+      w32 (Vec.Int.get pr.Heap.p_gids i)
     done
   done;
-  let symbols =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) symbols
-  in
-  u32 b (List.length symbols);
+  w32 (List.length symbols);
   List.iter
     (fun (name, w) ->
-      str b name;
-      i64 b (reloc w))
+      wstr name;
+      w64 (reloc w))
     symbols;
-  u32 b (List.length extras);
+  w32 (List.length extras);
   List.iter
     (fun (name, x) ->
-      str b name;
-      u32 b (Array.length x.xwords);
-      Array.iter (fun w -> i64 b (reloc w)) x.xwords;
-      str b x.xbytes)
+      wstr name;
+      w32 (Array.length x.xwords);
+      Array.iter (fun w -> w64 (reloc w)) x.xwords;
+      wstr x.xbytes)
     extras;
-  u32 b 0;
-  let frame = Buffer.to_bytes b in
-  let plen = Bytes.length frame - 24 in
-  Bytes.set_int64_le frame 12 (Int64.of_int plen);
-  let crc = crc32 (Bytes.unsafe_to_string frame) ~pos:20 ~len:plen in
-  Bytes.set_int32_le frame (20 + plen) (Int32.of_int crc);
-  let s = Bytes.unsafe_to_string frame in
+  let plen = !p - 20 in
+  assert (20 + plen + 4 = size);
+  Bytes.set_int64_le b 12 (Int64.of_int plen);
+  let crc = crc32 (Bytes.unsafe_to_string b) ~pos:20 ~len:plen in
+  Bytes.set_int32_le b (20 + plen) (Int32.of_int crc);
+  let s = Bytes.unsafe_to_string b in
   Telemetry.phase_end tel Telemetry.Image_save ~work:!total_words;
   let st = Heap.stats h in
   st.Stats.image_saves <- st.Stats.image_saves + 1;
-  st.Stats.image_bytes_written <- st.Stats.image_bytes_written + String.length s;
+  st.Stats.image_bytes_written <- st.Stats.image_bytes_written + size;
   st.Stats.image_words_written <- st.Stats.image_words_written + !total_words;
   s
 
@@ -381,49 +410,52 @@ let load_string ?config s =
        (Error
           "gbc-image: image does not fit under the configured \
            max_heap_words"));
-  (* Relocation checks that a pointer's target lies inside a restored
-     segment's used words. *)
+  (* A pointer's target must lie inside a restored segment's used words;
+     [target] returns that segment's info. *)
+  let infos = h.Heap.infos in
+  let[@inline] target w =
+    let a = Word.addr w in
+    let seg = Heap.seg_of_addr a in
+    if seg < 0 || seg >= nsegs || Heap.off_of_addr a >= infos.(seg).Heap.used then
+      raise (Error "gbc-image: relocation target out of range");
+    infos.(seg)
+  in
   let reloc w =
-    (if Word.is_pointer w then
-       let a = Word.addr w in
-       let seg = Heap.seg_of_addr a in
-       if
-         seg < 0 || seg >= nsegs
-         || Heap.off_of_addr a >= (Heap.info h seg).Heap.used
-       then raise (Error "gbc-image: relocation target out of range"));
+    if Word.is_pointer w then ignore (target w);
     w
   in
-  (* One walk per segment copies its words, relocates the pointer slots,
+  (* One walk per segment copies its words, checks the pointer slots,
      re-derives the remembered set with {!Heap.note_ref} and replays the
      allocator's crossing-map maintenance object by object.  Data-space
      bodies hold no pointers and are copied verbatim: string bytes and
      flonum bit patterns must not be mistaken for pointers. *)
   let total_words = ref 0 in
   for seg = 0 to nsegs - 1 do
-    let si = Heap.info h seg in
+    let si = infos.(seg) in
+    let gen = si.Heap.generation in
     let arr = h.Heap.segs.(seg) in
     let used = si.Heap.used in
     need r (8 * used);
     let base = r.pos in
     r.pos <- base + (8 * used);
-    let word off = Int64.to_int (String.get_int64_le s (base + (8 * off))) in
+    let[@inline] word off = Int64.to_int (String.get_int64_le s (base + (8 * off))) in
     let slots ~off ~stop =
       for off = off to stop - 1 do
-        let w = reloc (word off) in
+        let w = word off in
         arr.(off) <- w;
-        if Word.is_pointer w then
-          Heap.note_ref h
-            ~addr:(Heap.addr_of ~seg ~off)
-            ~gen:(Heap.generation_of_word h w)
+        if Word.is_pointer w then begin
+          let tgen = (target w).Heap.generation in
+          if tgen < gen then Heap.note_ref h ~addr:(Heap.addr_of ~seg ~off) ~gen:tgen
+        end
       done
     in
     (match si.Heap.space with
     | Space.Pair | Space.Weak | Space.Ephemeron ->
         if used land 1 <> 0 then
           raise (Error "gbc-image: odd word count in a pair segment");
+        slots ~off:0 ~stop:used;
         let off = ref 0 in
         while !off < used do
-          slots ~off:!off ~stop:(!off + 2);
           Heap.note_object h si ~off:!off ~nwords:2;
           off := !off + 2
         done

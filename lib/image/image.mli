@@ -134,4 +134,5 @@ val magic : string  (** ["GBCIMG01"], 8 bytes *)
 val format_version : int  (** 1 *)
 
 val crc32 : string -> pos:int -> len:int -> int
-(** The IEEE 802.3 CRC-32 (polynomial 0xEDB88320) the trailer carries. *)
+(** The IEEE 802.3 CRC-32 (polynomial 0xEDB88320) the trailer carries.
+    @raise Invalid_argument if [pos + len] is past the end of the string. *)

@@ -35,7 +35,7 @@ let of_fixnum n =
   n lsl 1
 
 let is_fixnum w = w land 1 = 0
-let to_fixnum w =
+let[@inline] to_fixnum w =
   assert (is_fixnum w);
   w asr 1
 
@@ -53,12 +53,12 @@ let imm_tag = 0b101
 
 let is_pair_ptr w = w land tag_mask = pair_tag
 let is_typed_ptr w = w land tag_mask = typed_tag
-let is_pointer w = w land 1 = 1 && w land tag_mask <> imm_tag
+let[@inline] is_pointer w = w land 1 = 1 && w land tag_mask <> imm_tag
 
 let pair_ptr addr = (addr lsl 3) lor pair_tag
 let typed_ptr addr = (addr lsl 3) lor typed_tag
 
-let addr w =
+let[@inline] addr w =
   assert (is_pointer w);
   w lsr 3
 

@@ -55,6 +55,21 @@ let test_empty_heap () =
   check "verify clean" true (Verify.verify l.Image.heap = []);
   check_canonical "empty" s l
 
+(* The save sizes its frame before writing it: edge-sized sections must
+   land exactly, and round-trip byte-identically. *)
+let test_frame_sizes () =
+  let case name ?(symbols = []) ?(extras = []) h =
+    let s = Image.save_string ~symbols ~extras h in
+    check_canonical name s (Image.load_string ~config:(Heap.config h) s)
+  in
+  case "empty heap" (heap ());
+  let h = heap () in
+  ignore (Handle.create h (Obj.cons h (fx 1) Word.nil));
+  case "empty symbol name" ~symbols:[ ("", fx 7) ] h;
+  case "empty extra" ~extras:[ ("", { Image.xwords = [||]; xbytes = "" }) ] h;
+  let name = String.make 70_000 'n' and xbytes = String.make 700_000 'b' in
+  case "dominant extra" ~extras:[ (name, { Image.xwords = [| fx 3 |]; xbytes }) ] h
+
 let test_structure_and_sharing () =
   let h = heap () in
   let shared = Obj.cons h (fx 1) (fx 2) in
@@ -535,6 +550,45 @@ let test_save_during_collection_rejected () =
   h.Heap.alloc_forbidden <- false;
   check "save inside finalization thunk rejected" true !hit2
 
+(* Words a save must refuse, planted past the write barrier: pointers
+   into a segment the heap does not have and into one a collection
+   released, and one at the first unused word of a live segment.  Each
+   goes once into a vector slot and once into a global cell, on a fresh
+   heap. *)
+let test_save_bad_pointer_rejected () =
+  let dead = "gbc-image: save: pointer into a dead segment" in
+  let unknown h = Word.pair_ptr (Heap.addr_of ~seg:h.Heap.nsegs ~off:0) in
+  let released h =
+    let seg = Heap.seg_of_addr (Word.addr (Obj.cons h (fx 1) Word.nil)) in
+    full_collect h;
+    check "segment released" false (Heap.info h seg).Heap.live;
+    Word.pair_ptr (Heap.addr_of ~seg ~off:0)
+  in
+  let past h =
+    let seg = Heap.seg_of_addr (Word.addr (Obj.cons h (fx 1) Word.nil)) in
+    Word.pair_ptr (Heap.addr_of ~seg ~off:(Heap.info h seg).Heap.used)
+  in
+  List.iter
+    (fun (msg, bad) ->
+      List.iter
+        (fun (where, plant) ->
+          let h = heap () in
+          let v = Handle.create h (Obj.make_vector h ~len:2 ~init:(fx 0)) in
+          let w = bad h in
+          plant h (Handle.get v) w;
+          match Image.save_string h with
+          | _ -> Alcotest.failf "%s: %s saved" where msg
+          | exception Image.Error m -> check_str (where ^ ": message") msg m)
+        [
+          ("vector slot", fun h v w -> Heap.store h (Word.addr v + 1) w);
+          ("global cell", fun h _ w -> ignore (Heap.new_cell h w));
+        ])
+    [
+      (dead, unknown);
+      (dead, released);
+      ("gbc-image: save: pointer past a segment's used words", past);
+    ]
+
 (* Byte-at-a-time CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320),
    written out here as an independent reference. *)
 let reference_crc32 s ~pos ~len =
@@ -549,16 +603,24 @@ let reference_crc32 s ~pos ~len =
 
 let test_crc32_reference () =
   check_int "check value" 0xCBF43926 (Image.crc32 "123456789" ~pos:0 ~len:9);
-  (* High bytes everywhere: a 64-bit read would lose bit 63. *)
-  let buf = String.init 80 (fun i -> Char.chr (0x80 lor ((i * 37) land 0x7f))) in
-  for pos = 0 to 7 do
-    for len = 0 to 64 do
+  (* High bytes everywhere: a 64-bit read would lose bit 63.  Every tail
+     length after zero, one and several 16-byte blocks, at every
+     alignment. *)
+  let buf = String.init 96 (fun i -> Char.chr (0x80 lor ((i * 37) land 0x7f))) in
+  for pos = 0 to 15 do
+    for len = 0 to 80 do
       check_int
         (Printf.sprintf "pos %d len %d" pos len)
         (reference_crc32 buf ~pos ~len)
         (Image.crc32 buf ~pos ~len)
     done
   done;
+  List.iter
+    (fun (pos, len) ->
+      match Image.crc32 buf ~pos ~len with
+      | _ -> Alcotest.failf "pos %d len %d past the end accepted" pos len
+      | exception Invalid_argument _ -> ())
+    [ (0, 97); (81, 16); (90, 7); (96, 1) ];
   let s = small_image () in
   let plen = String.length s - 24 in
   check_int "image trailer"
@@ -715,6 +777,7 @@ let () =
       ( "round-trip",
         [
           Alcotest.test_case "empty heap" `Quick test_empty_heap;
+          Alcotest.test_case "frame sizes" `Quick test_frame_sizes;
           Alcotest.test_case "structure + sharing" `Quick
             test_structure_and_sharing;
           Alcotest.test_case "restored heap collects" `Quick
@@ -757,6 +820,8 @@ let () =
             test_ceiling_too_small_rejected;
           Alcotest.test_case "save during collection" `Quick
             test_save_during_collection_rejected;
+          Alcotest.test_case "save of a bad pointer" `Quick
+            test_save_bad_pointer_rejected;
           Alcotest.test_case "interior root" `Quick test_interior_root_rejected;
           Alcotest.test_case "interior symbol" `Quick test_interior_symbol_rejected;
           Alcotest.test_case "interior constant" `Quick test_interior_constant_rejected;
