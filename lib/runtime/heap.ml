@@ -219,10 +219,10 @@ let create ?(config = Config.default) () =
       };
   }
 
-let check_poisoned t = match t.poisoned with Some e -> raise (Poisoned e) | None -> ()
-let config t = t.config
+let[@inline] check_poisoned t = match t.poisoned with Some e -> raise (Poisoned e) | None -> ()
+let[@inline] config t = t.config
 let faults t = t.faults
-let stats t = t.stats
+let[@inline] stats t = t.stats
 let telemetry t = t.telemetry
 let gc_epoch t = t.gc_epoch
 let max_generation t = t.config.max_generation
@@ -238,8 +238,8 @@ let seg_of_addr addr = addr lsr stride_bits
 let off_of_addr addr = addr land (max_segment_words - 1)
 let addr_of ~seg ~off = (seg lsl stride_bits) lor off
 
-let load t addr = t.segs.(seg_of_addr addr).(off_of_addr addr)
-let store t addr w = t.segs.(seg_of_addr addr).(off_of_addr addr) <- w
+let[@inline] load t addr = t.segs.(seg_of_addr addr).(off_of_addr addr)
+let[@inline] store t addr w = t.segs.(seg_of_addr addr).(off_of_addr addr) <- w
 
 let info t seg = t.infos.(seg)
 let info_of_word t w = t.infos.(seg_of_addr (Word.addr w))
@@ -475,7 +475,7 @@ let note_ref t ~addr ~gen =
     write barrier.  Cheap on the fast paths: non-pointer stores and stores
     into generation-0 segments exit after one or two compares; only an
     old-to-young store (a "hit") touches the card table. *)
-let note_mutation t ~addr ~value =
+let[@inline] note_mutation t ~addr ~value =
   let st = t.stats in
   st.barrier_calls <- st.barrier_calls + 1;
   if Word.is_pointer value then begin
@@ -532,8 +532,8 @@ let new_cell t init =
       t.global_cells.(i) <- init;
       i
 
-let read_cell t i = t.global_cells.(i)
-let write_cell t i w = t.global_cells.(i) <- w
+let[@inline] read_cell t i = t.global_cells.(i)
+let[@inline] write_cell t i w = t.global_cells.(i) <- w
 
 let free_cell t i =
   t.global_cells.(i) <- Word.nil;

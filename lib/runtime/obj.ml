@@ -84,11 +84,11 @@ let is_weak_pair h w = Word.is_pair_ptr w && (Heap.info_of_word h w).space = Spa
 let is_ephemeron h w =
   Word.is_pair_ptr w && (Heap.info_of_word h w).space = Space.Ephemeron
 
-let car h w =
+let[@inline] car h w =
   assert (Word.is_pair_ptr w);
   Heap.load h (Word.addr w)
 
-let cdr h w =
+let[@inline] cdr h w =
   assert (Word.is_pair_ptr w);
   Heap.load h (Word.addr w + 1)
 
@@ -120,22 +120,22 @@ let make_typed h ~code ?(data = false) ~len ~init () =
   if size > len + 1 then Heap.store h (addr + len + 1) (header ~len:0 ~code:code_pad);
   Word.typed_ptr addr
 
-let typed_code h w =
+let[@inline] typed_code h w =
   assert (Word.is_typed_ptr w);
   header_code (Heap.load h (Word.addr w))
 
-let typed_len h w =
+let[@inline] typed_len h w =
   assert (Word.is_typed_ptr w);
   header_len (Heap.load h (Word.addr w))
 
 let has_code h w code = Word.is_typed_ptr w && typed_code h w = code
 
-let field h w i =
+let[@inline] field h w i =
   assert (Word.is_typed_ptr w);
   assert (i >= 0 && i < typed_len h w);
   Heap.load h (Word.addr w + 1 + i)
 
-let set_field h w i v =
+let[@inline] set_field h w i v =
   assert (Word.is_typed_ptr w);
   assert (i >= 0 && i < typed_len h w);
   let addr = Word.addr w + 1 + i in

@@ -47,7 +47,7 @@ let request_collect h =
 
 (** Declare a safepoint: no unrooted heap words are live in the caller.  If
     enough allocation has accumulated, serve a collect request. *)
-let safepoint h =
+let[@inline] safepoint h =
   Heap.check_poisoned h;
   let stats = Heap.stats h in
   if

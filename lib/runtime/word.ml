@@ -30,11 +30,11 @@ let compare (a : t) (b : t) = compare a b
 let fixnum_min = min_int asr 1
 let fixnum_max = max_int asr 1
 
-let of_fixnum n =
+let[@inline] of_fixnum n =
   assert (n >= fixnum_min && n <= fixnum_max);
   n lsl 1
 
-let is_fixnum w = w land 1 = 0
+let[@inline] is_fixnum w = w land 1 = 0
 let[@inline] to_fixnum w =
   assert (is_fixnum w);
   w asr 1
@@ -51,8 +51,8 @@ let pair_tag = 0b001
 let typed_tag = 0b011
 let imm_tag = 0b101
 
-let is_pair_ptr w = w land tag_mask = pair_tag
-let is_typed_ptr w = w land tag_mask = typed_tag
+let[@inline] is_pair_ptr w = w land tag_mask = pair_tag
+let[@inline] is_typed_ptr w = w land tag_mask = typed_tag
 let[@inline] is_pointer w = w land 1 = 1 && w land tag_mask <> imm_tag
 
 let pair_ptr addr = (addr lsl 3) lor pair_tag

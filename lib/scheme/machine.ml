@@ -20,6 +20,14 @@ exception Load_image_signal of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
+(* The top-level codes {!run_code} has registered, by physical identity. *)
+module Code_ids = Hashtbl.Make (struct
+  type t = Instr.code
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type special = Plain | Callcc | Apply
 
 type prim = {
@@ -30,36 +38,31 @@ type prim = {
   fn : t -> int -> int -> Word.t;
 }
 
-(* Reused in place: [control.(0 .. depth - 1)] are live.  A continuation
-   copies frame values into the heap, so reuse never aliases one. *)
-and frame = {
-  mutable ret_instrs : Instr.instr array;
-  mutable ret_pc : int;
-  mutable ret_fp : int;
-  mutable ret_clos : Word.t;
-  (* Where [ret_instrs] came from, so continuations can snapshot control
-     frames into the heap: code id and clause index, or (-1, -1) for host
-     boundaries (synthetic frames of apply_closure / top level). *)
-  mutable ret_code_id : int;
-  mutable ret_clause : int;
-}
-
 and t = {
   ctx : Gbc.Ctx.t;
   heap : Heap.t;
   stats : Stats.t;  (** the heap's, for the VM call counters *)
   symtab : Symtab.t;
   codes : Instr.code Vec.Poly.t;
+  clauses : Instr.clause array Vec.Poly.t;
+      (** per code id, its clauses: where calls and returns find their
+          instructions *)
+  top_ids : int Code_ids.t;  (** {!run_code}'s registered top-level codes *)
   consts : Vec.Int.t;  (** heap words, rooted *)
   mutable stack : int array;
   mutable sp : int;
   mutable fp : int;
   mutable acc : Word.t;
   mutable clos : Word.t;
-  mutable control : frame array;
+  mutable control : int array;
+      (** [frame_size] ints per frame: caller's code id, clause, pc, fp and
+          closure.  Code id -1 marks a host boundary, the synthetic caller
+          of {!apply_closure}, which returns to a [Halt]. *)
   mutable depth : int;  (** live control frames *)
   mutable cur_code_id : int;  (** code id of the running clause, -1 = host *)
   mutable cur_clause : int;
+  mutable next_pc : int;
+      (** where a call or return continues, in the array it returns *)
   global_names : (int, string) Hashtbl.t;
   prims : prim Vec.Poly.t;
   op_prims : Word.t array;
@@ -78,9 +81,10 @@ let no_word = Word.forward_marker
 
 let dummy_code : Instr.code = { name = "dummy"; clauses = [] }
 
-let new_frame () =
-  { ret_instrs = [||]; ret_pc = 0; ret_fp = 0; ret_clos = Word.nil;
-    ret_code_id = -1; ret_clause = -1 }
+let frame_size = 5
+
+(* What a host-boundary frame returns to. *)
+let host_return = [| Instr.Halt |]
 
 let dummy_prim =
   { pname = ""; arity_min = 0; arity_max = 0; special = Plain; fn = (fun _ _ _ -> Word.void) }
@@ -95,16 +99,19 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
       stats = Heap.stats heap;
       symtab = Symtab.create heap;
       codes = Vec.Poly.create ~dummy:dummy_code ();
+      clauses = Vec.Poly.create ~dummy:[||] ();
+      top_ids = Code_ids.create 16;
       consts = Vec.Int.create ();
       stack = Array.make 4096 0;
       sp = 0;
       fp = 0;
       acc = Word.void;
       clos = Word.nil;
-      control = Array.init 256 (fun _ -> new_frame ());
+      control = Array.make (256 * frame_size) 0;
       depth = 0;
       cur_code_id = -1;
       cur_clause = -1;
+      next_pc = 0;
       global_names = Hashtbl.create 64;
       prims = Vec.Poly.create ~dummy:dummy_prim ();
       op_prims = Array.make (Array.length Instr.ops) no_word;
@@ -125,7 +132,10 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
     done;
     m.acc <- rewrite m.acc;
     m.clos <- rewrite m.clos;
-    for i = 0 to m.depth - 1 do m.control.(i).ret_clos <- rewrite m.control.(i).ret_clos done;
+    for i = 0 to m.depth - 1 do
+      let o = (i * frame_size) + 4 in
+      m.control.(o) <- rewrite m.control.(o)
+    done;
     Vec.Int.iteri m.consts ~f:(fun i w -> Vec.Int.set m.consts i (rewrite w));
     Array.iteri (fun i w -> m.op_prims.(i) <- rewrite w) m.op_prims
   in
@@ -214,8 +224,9 @@ let add_const m d =
   Vec.Int.push m.consts w;
   Vec.Int.length m.consts - 1
 
-let add_code m code =
+let add_code m (code : Instr.code) =
   Vec.Poly.push m.codes code;
+  Vec.Poly.push m.clauses (Array.of_list code.Instr.clauses);
   Vec.Poly.length m.codes - 1
 
 let code m id = Vec.Poly.get m.codes id
@@ -287,7 +298,9 @@ let image_consts m = Array.init (Vec.Int.length m.consts) (Vec.Int.get m.consts)
 
 let restore_image_state m ~codes ~consts ~symbols =
   Vec.Poly.clear m.codes;
-  Array.iter (Vec.Poly.push m.codes) codes;
+  Vec.Poly.clear m.clauses;
+  Code_ids.reset m.top_ids;
+  Array.iter (fun c -> ignore (add_code m c)) codes;
   Vec.Int.clear m.consts;
   Array.iter (Vec.Int.push m.consts) consts;
   Symtab.restore m.symtab symbols;
@@ -315,21 +328,21 @@ let ensure_stack m n =
     m.stack <- stack
   end
 
-let push m w =
-  ensure_stack m (m.sp + 1);
+let[@inline] push m w =
+  if m.sp = Array.length m.stack then ensure_stack m (m.sp + 1);
   m.stack.(m.sp) <- w;
   m.sp <- m.sp + 1
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-(* Index of the first clause accepting [n] arguments, or -1. *)
-let rec select_clause (clauses : Instr.clause list) n i =
-  match clauses with
-  | [] -> -1
-  | c :: rest ->
-      if (c.required = n && not c.rest) || (c.required <= n && c.rest) then i
-      else select_clause rest n (i + 1)
+(* Index of the first clause from [i] accepting [n] arguments, or -1. *)
+let rec select_clause (clauses : Instr.clause array) n i =
+  if i = Array.length clauses then -1
+  else
+    let c = clauses.(i) in
+    if (c.required = n && not c.rest) || (c.required <= n && c.rest) then i
+    else select_clause clauses n (i + 1)
 
 (* Collect [n - required] extra arguments (stack top) into a list placed at
    slot [fp + required]. *)
@@ -350,25 +363,46 @@ let rec spread_list m l count =
     spread_list m (Obj.cdr m.heap l) (count + 1)
   end
 
-(* Fill the next control frame record, growing the array when full. *)
-let push_frame m ~instrs ~pc ~fp ~clos ~code_id ~clause =
-  let n = Array.length m.control in
-  if m.depth = n then m.control <- Array.append m.control (Array.init n (fun _ -> new_frame ()));
-  let f = m.control.(m.depth) in
-  f.ret_instrs <- instrs;
-  f.ret_pc <- pc;
-  f.ret_fp <- fp;
-  f.ret_clos <- clos;
-  f.ret_code_id <- code_id;
-  f.ret_clause <- clause;
+(* Push a control frame, doubling the array when full. *)
+let[@inline] push_frame m ~code_id ~clause ~pc ~fp ~clos =
+  let o = m.depth * frame_size in
+  if o = Array.length m.control then m.control <- Array.append m.control (Array.make o 0);
+  let c = m.control in
+  c.(o) <- code_id;
+  c.(o + 1) <- clause;
+  c.(o + 2) <- pc;
+  c.(o + 3) <- fp;
+  c.(o + 4) <- clos;
   m.depth <- m.depth + 1
+
+(* Pop the top control frame into the registers.  Like every call path
+   below, it returns the instruction array to continue in and leaves the
+   pc in [m.next_pc]. *)
+let[@inline] do_return m ~base =
+  if m.depth <= base then error "return past base frame";
+  m.depth <- m.depth - 1;
+  let c = m.control and o = m.depth * frame_size in
+  let code_id = c.(o) and clause = c.(o + 1) in
+  m.sp <- m.fp;
+  m.fp <- c.(o + 3);
+  m.clos <- c.(o + 4);
+  m.cur_code_id <- code_id;
+  m.cur_clause <- clause;
+  if code_id < 0 then begin
+    m.next_pc <- 0;
+    host_return
+  end
+  else begin
+    m.next_pc <- c.(o + 2);
+    (Vec.Poly.get m.clauses code_id).(clause).Instr.instrs
+  end
 
 (* The value of open-coded [kind] on [a] and [x] ([a] = [x] for arity 1),
    or [no_word] where the primitive's generic path is needed: a non-fixnum
    or an overflow for the numeric ops, a non-pair for car/cdr.  For those
    two it returns the pair, which the caller reads after its safepoint.
    Tagged fixnum words order like the integers they carry. *)
-let op_value (kind : Instr.kind) a x =
+let[@inline] op_value (kind : Instr.kind) a x =
   let fixnums = Word.is_fixnum a && Word.is_fixnum x in
   let exact n = if n < Word.fixnum_min || n > Word.fixnum_max then no_word else Word.of_fixnum n in
   match kind with
@@ -386,106 +420,146 @@ let op_value (kind : Instr.kind) a x =
   | Instr.Not -> Word.of_bool (Word.is_false x)
   | Instr.Is_zero -> Word.of_bool (Word.equal x (Word.of_fixnum 0))
 
-let rec enter m (instrs0 : Instr.instr array) =
-  let base = m.depth in
-  let instrs = ref instrs0 and pc = ref 0 in
-  let halted = ref false in
-  while not !halted do
-    let i = !instrs.(!pc) in
-    incr pc;
-    match i with
-    | Instr.Const k -> m.acc <- Vec.Int.get m.consts k
-    | Instr.Imm w -> m.acc <- w
-    | Instr.Local_ref k -> m.acc <- m.stack.(m.fp + k)
-    | Instr.Free_ref k -> m.acc <- Obj.field m.heap m.clos (1 + k)
-    | Instr.Unbox -> m.acc <- Obj.box_ref m.heap m.acc
-    | Instr.Local_set_box k ->
-        Obj.box_set m.heap m.stack.(m.fp + k) m.acc;
-        m.acc <- Word.void
-    | Instr.Free_set_box k ->
-        Obj.box_set m.heap (Obj.field m.heap m.clos (1 + k)) m.acc;
-        m.acc <- Word.void
-    | Instr.Global_ref cell ->
-        let w = Heap.read_cell m.heap cell in
-        if Word.equal w Word.unbound then
-          error "variable %s is not bound" (global_name m cell);
-        m.acc <- w
-    | Instr.Global_set cell ->
-        if Word.equal (Heap.read_cell m.heap cell) Word.unbound then
-          error "cannot set! unbound variable %s" (global_name m cell);
-        Heap.write_cell m.heap cell m.acc;
-        m.acc <- Word.void
-    | Instr.Global_define cell -> Heap.write_cell m.heap cell m.acc
-    | Instr.Push -> push m m.acc
-    | Instr.Box_local k -> m.stack.(m.fp + k) <- Obj.make_box m.heap m.stack.(m.fp + k)
-    | Instr.Make_closure { code_id; nfree } ->
-        let c = make_closure_obj m ~code_id ~nfree in
-        for j = 0 to nfree - 1 do
-          Obj.set_field m.heap c (1 + j) m.stack.(m.sp - nfree + j)
-        done;
-        m.sp <- m.sp - nfree;
-        m.acc <- c
-    | Instr.Branch_false target -> if Word.is_false m.acc then pc := target
-    | Instr.Jump target -> pc := target
-    | Instr.Call n -> do_call m instrs pc ~tail:false n
-    | Instr.Tail_call n -> do_call m instrs pc ~tail:true n
-    | Instr.Op { op; cell; tail } -> do_op m instrs pc op cell ~tail
-    | Instr.Return -> do_return m instrs pc ~base
-    | Instr.Halt ->
-        if m.depth <> base then error "halt with pending frames";
-        halted := true
+let call_code m pc ~tail callee code_id n =
+  let clauses = Vec.Poly.get m.clauses code_id in
+  let clause_idx = select_clause clauses n 0 in
+  if clause_idx < 0 then error "%s: no clause for %d arguments" (code m code_id).Instr.name n;
+  let clause = clauses.(clause_idx) in
+  if tail then begin
+    (* Slide the arguments down onto the current frame. *)
+    for j = 0 to n - 1 do
+      m.stack.(m.fp + j) <- m.stack.(m.sp - n + j)
+    done;
+    m.sp <- m.fp + n
+  end
+  else begin
+    push_frame m ~code_id:m.cur_code_id ~clause:m.cur_clause ~pc ~fp:m.fp ~clos:m.clos;
+    m.fp <- m.sp - n
+  end;
+  m.cur_code_id <- code_id;
+  m.cur_clause <- clause_idx;
+  if clause.Instr.rest then begin
+    if n < clause.Instr.required then error "%s: too few arguments" (code m code_id).Instr.name;
+    build_rest m ~required:clause.Instr.required ~n
+  end;
+  m.clos <- callee;
+  m.next_pc <- 0;
+  clause.Instr.instrs
+
+(* ------------------------------------------------------------------ *)
+(* Continuations                                                       *)
+
+(* Layout of a reified continuation (typed object, code_continuation):
+   0 value-stack snapshot (heap vector of words)
+   1 control snapshot (heap vector, one control frame per [frame_size]
+     slots, fixnums but the closure)
+   2 fp at capture
+   3 resume code id   4 resume clause   5 resume pc
+   6 closure at capture *)
+
+let capture_continuation m pc ~tail =
+  let h = m.heap and c = m.control in
+  (* Resume point.  Non-tail: just after the Call instruction of the
+     current clause.  Tail: the current frame is about to be discarded, so
+     the continuation resumes at the caller recorded in the top control
+     frame — exactly what Return would do. *)
+  let sp_snap, fp_snap, clos_snap, resume_code, resume_clause, resume_pc, skip_top =
+    if not tail then (m.sp, m.fp, m.clos, m.cur_code_id, m.cur_clause, pc, 0)
+    else begin
+      if m.depth = 0 then error "call/cc: no caller to return to";
+      let o = (m.depth - 1) * frame_size in
+      (m.fp, c.(o + 3), c.(o + 4), c.(o), c.(o + 1), c.(o + 2), 1)
+    end
+  in
+  if resume_code < 0 then error "call/cc: cannot capture across a host boundary";
+  let depth = m.depth - skip_top in
+  (* Host-boundary frames cannot be reinstated; reject at capture time so
+     the error points at the call/cc, not a later throw. *)
+  for i = 0 to depth - 1 do
+    if c.(i * frame_size) < 0 then error "call/cc: cannot capture across a host boundary"
   done;
-  m.acc
+  let vstack = Obj.make_vector h ~len:sp_snap ~init:(Word.of_fixnum 0) in
+  for i = 0 to sp_snap - 1 do
+    Obj.vector_set h vstack i m.stack.(i)
+  done;
+  let control = Obj.make_vector h ~len:(depth * frame_size) ~init:(Word.of_fixnum 0) in
+  for o = 0 to (depth * frame_size) - 1 do
+    Obj.vector_set h control o (if o mod frame_size = 4 then c.(o) else Word.of_fixnum c.(o))
+  done;
+  let k = Obj.make_typed h ~code:Obj.code_continuation ~len:7 ~init:(Word.of_fixnum 0) () in
+  Obj.set_field h k 0 vstack;
+  Obj.set_field h k 1 control;
+  Obj.set_field h k 2 (Word.of_fixnum fp_snap);
+  Obj.set_field h k 3 (Word.of_fixnum resume_code);
+  Obj.set_field h k 4 (Word.of_fixnum resume_clause);
+  Obj.set_field h k 5 (Word.of_fixnum resume_pc);
+  Obj.set_field h k 6 clos_snap;
+  k
 
-and do_return m instrs pc ~base =
-  if m.depth <= base then error "return past base frame";
-  m.depth <- m.depth - 1;
-  let f = m.control.(m.depth) in
-  m.sp <- m.fp;
-  m.fp <- f.ret_fp;
-  m.clos <- f.ret_clos;
-  m.cur_code_id <- f.ret_code_id;
-  m.cur_clause <- f.ret_clause;
-  instrs := f.ret_instrs;
-  pc := f.ret_pc
+(* The instructions at a continuation's resume point or saved frame, its
+   code id, clause and pc checked against the clause table and its fp
+   against the [sp]-word value-stack snapshot. *)
+let resume_instrs m ~sp ~code_id ~clause ~pc ~fp =
+  let bad what n = error "continuation: %s %d out of range" what n in
+  if code_id < 0 || code_id >= Vec.Poly.length m.clauses then bad "code id" code_id;
+  let clauses = Vec.Poly.get m.clauses code_id in
+  if clause < 0 || clause >= Array.length clauses then bad "clause" clause;
+  let instrs = clauses.(clause).Instr.instrs in
+  if pc < 0 || pc >= Array.length instrs then bad "pc" pc;
+  if fp < 0 || fp > sp then bad "fp" fp;
+  instrs
 
-and do_call m instrs pc ~tail n =
+(* Install continuation [k] with value [v].  A continuation can come from
+   a heap image, so everything is checked before the first register is
+   overwritten: a malformed one is a Scheme error that leaves the machine
+   as it was. *)
+let reinstate_continuation m k v =
+  let h = m.heap in
+  let malformed () = error "continuation: malformed object" in
+  let int w = if Word.is_fixnum w then Word.to_fixnum w else malformed () in
+  let vector w = if Obj.is_vector h w then w else malformed () in
+  if Obj.typed_len h k <> 7 then malformed ();
+  let vstack = vector (Obj.field h k 0) and control = vector (Obj.field h k 1) in
+  let sp = Obj.vector_length h vstack and nslots = Obj.vector_length h control in
+  if nslots mod frame_size <> 0 then malformed ();
+  let slot o = Obj.vector_ref h control o in
+  let nframes = nslots / frame_size in
+  for i = 0 to nframes - 1 do
+    let o = i * frame_size in
+    ignore
+      (resume_instrs m ~sp ~code_id:(int (slot o)) ~clause:(int (slot (o + 1)))
+         ~pc:(int (slot (o + 2))) ~fp:(int (slot (o + 3))))
+  done;
+  let fp = int (Obj.field h k 2) and code_id = int (Obj.field h k 3) in
+  let clause = int (Obj.field h k 4) and pc = int (Obj.field h k 5) in
+  let instrs = resume_instrs m ~sp ~code_id ~clause ~pc ~fp in
+  ensure_stack m sp;
+  for i = 0 to sp - 1 do
+    m.stack.(i) <- Obj.vector_ref h vstack i
+  done;
+  m.sp <- sp;
+  m.fp <- fp;
+  m.clos <- Obj.field h k 6;
+  m.depth <- 0;
+  for i = 0 to nframes - 1 do
+    let o = i * frame_size in
+    push_frame m ~code_id:(int (slot o)) ~clause:(int (slot (o + 1))) ~pc:(int (slot (o + 2)))
+      ~fp:(int (slot (o + 3))) ~clos:(slot (o + 4))
+  done;
+  m.cur_code_id <- code_id;
+  m.cur_clause <- clause;
+  m.next_pc <- pc;
+  m.acc <- v;
+  instrs
+
+(* ------------------------------------------------------------------ *)
+(* Calls and the dispatch loop                                         *)
+
+let rec do_call m instrs pc ~tail n =
   (* Safepoint: everything live is rooted (stack, acc = callee, control). *)
   Runtime.safepoint m.heap;
   m.stats.Stats.vm_calls <- m.stats.Stats.vm_calls + 1;
   apply_word m instrs pc ~tail m.acc n
-
-(* An open-coded primitive: operands on the stack top (arity 2) and in
-   acc.  The cell is read once, where the generic code's Global_ref would
-   read it.  The fast path is [call_prim] of the op's primitive inlined:
-   same safepoint, counters and tail return, and car/cdr read their pair
-   after the safepoint.  Otherwise the machine makes the generic call:
-   the last operand pushed, the operator checked as Global_ref does. *)
-and do_op m instrs pc (op : Instr.op) cell ~tail =
-  let w = Heap.read_cell m.heap cell in
-  let x = m.acc in
-  let v =
-    if w <> m.op_prims.(op.index) then no_word
-    else op_value op.kind (if op.arity = 2 then m.stack.(m.sp - 1) else x) x
-  in
-  if v <> no_word then begin
-    Runtime.safepoint m.heap;
-    m.stats.Stats.vm_calls <- m.stats.Stats.vm_calls + 1;
-    m.stats.Stats.vm_prim_calls <- m.stats.Stats.vm_prim_calls + 1;
-    m.sp <- m.sp - (op.arity - 1);
-    m.acc <-
-      (match op.kind with
-      | Instr.Car -> Obj.car m.heap m.acc
-      | Instr.Cdr -> Obj.cdr m.heap m.acc
-      | _ -> v);
-    if tail then do_return m instrs pc ~base:0
-  end
-  else begin
-    push m x;
-    if Word.equal w Word.unbound then error "variable %s is not bound" (global_name m cell);
-    m.acc <- w;
-    do_call m instrs pc ~tail op.arity
-  end
 
 (* Apply [callee] to the [n] arguments on the stack top.  One header read
    classifies it; field 0 holds the code id, negative for a primitive. *)
@@ -497,14 +571,14 @@ and apply_word m instrs pc ~tail callee n =
     if n <> 1 then error "continuation: expected 1 value, got %d" n;
     let v = m.stack.(m.sp - 1) in
     m.sp <- m.sp - 1;
-    reinstate_continuation m instrs pc callee v
+    reinstate_continuation m callee v
   end
   else if kind <> Obj.code_closure then
     error "attempt to apply non-procedure: %s" (Printer.to_string h callee)
   else
     let id = Word.to_fixnum (Heap.load h (Word.addr callee + 1)) in
     if id < 0 then call_prim m instrs pc ~tail (Vec.Poly.get m.prims (-1 - id)) n
-    else call_code m instrs pc ~tail callee id n
+    else call_code m pc ~tail callee id n
 
 and call_prim m instrs pc ~tail prim n =
   match prim.special with
@@ -533,131 +607,114 @@ and call_prim m instrs pc ~tail prim n =
       let base = m.sp - n in
       m.acc <- prim.fn m base n;
       m.sp <- base;
-      if tail then do_return m instrs pc ~base:0
+      if tail then do_return m ~base:0
+      else begin
+        m.next_pc <- pc;
+        instrs
+      end
 
-and call_code m instrs pc ~tail callee code_id n =
-  let code = Vec.Poly.get m.codes code_id in
-  let clause_idx = select_clause code.Instr.clauses n 0 in
-  if clause_idx < 0 then error "%s: no clause for %d arguments" code.Instr.name n;
-  let clause = List.nth code.Instr.clauses clause_idx in
-  if tail then begin
-    (* Slide the arguments down onto the current frame. *)
-    for j = 0 to n - 1 do
-      m.stack.(m.fp + j) <- m.stack.(m.sp - n + j)
-    done;
-    m.sp <- m.fp + n
-  end
-  else begin
-    push_frame m ~instrs:!instrs ~pc:!pc ~fp:m.fp ~clos:m.clos
-      ~code_id:m.cur_code_id ~clause:m.cur_clause;
-    m.fp <- m.sp - n
-  end;
-  m.cur_code_id <- code_id;
-  m.cur_clause <- clause_idx;
-  if clause.Instr.rest then begin
-    if n < clause.Instr.required then error "%s: too few arguments" code.Instr.name;
-    build_rest m ~required:clause.Instr.required ~n
-  end;
-  m.clos <- callee;
-  instrs := clause.Instr.instrs;
-  pc := 0
+(* An open-coded primitive's generic call: the last operand pushed, the
+   operator [w] (its cell, read once) checked as Global_ref does. *)
+let op_call m instrs pc (op : Instr.op) cell w ~tail =
+  push m m.acc;
+  if Word.equal w Word.unbound then error "variable %s is not bound" (global_name m cell);
+  m.acc <- w;
+  do_call m instrs pc ~tail op.arity
 
-(* ------------------------------------------------------------------ *)
-(* Continuations                                                       *)
+(* One activation's dispatch loop, with the instruction array and pc as
+   arguments; it ends at a Halt at its base depth. *)
+let rec run m ~base (instrs : Instr.instr array) pc =
+  let next = pc + 1 in
+  match instrs.(pc) with
+  | Instr.Const k -> m.acc <- Vec.Int.get m.consts k; run m ~base instrs next
+  | Instr.Imm w -> m.acc <- w; run m ~base instrs next
+  | Instr.Local_ref k -> m.acc <- m.stack.(m.fp + k); run m ~base instrs next
+  | Instr.Free_ref k -> m.acc <- Obj.field m.heap m.clos (1 + k); run m ~base instrs next
+  | Instr.Unbox -> m.acc <- Obj.box_ref m.heap m.acc; run m ~base instrs next
+  | Instr.Local_set_box k ->
+      Obj.box_set m.heap m.stack.(m.fp + k) m.acc;
+      m.acc <- Word.void;
+      run m ~base instrs next
+  | Instr.Free_set_box k ->
+      Obj.box_set m.heap (Obj.field m.heap m.clos (1 + k)) m.acc;
+      m.acc <- Word.void;
+      run m ~base instrs next
+  | Instr.Global_ref cell ->
+      let w = Heap.read_cell m.heap cell in
+      if Word.equal w Word.unbound then error "variable %s is not bound" (global_name m cell);
+      m.acc <- w;
+      run m ~base instrs next
+  | Instr.Global_set cell ->
+      if Word.equal (Heap.read_cell m.heap cell) Word.unbound then
+        error "cannot set! unbound variable %s" (global_name m cell);
+      Heap.write_cell m.heap cell m.acc;
+      m.acc <- Word.void;
+      run m ~base instrs next
+  | Instr.Global_define cell -> Heap.write_cell m.heap cell m.acc; run m ~base instrs next
+  | Instr.Push -> push m m.acc; run m ~base instrs next
+  | Instr.Box_local k ->
+      m.stack.(m.fp + k) <- Obj.make_box m.heap m.stack.(m.fp + k);
+      run m ~base instrs next
+  | Instr.Make_closure { code_id; nfree } ->
+      let c = make_closure_obj m ~code_id ~nfree in
+      for j = 0 to nfree - 1 do
+        Obj.set_field m.heap c (1 + j) m.stack.(m.sp - nfree + j)
+      done;
+      m.sp <- m.sp - nfree;
+      m.acc <- c;
+      run m ~base instrs next
+  | Instr.Branch_false target -> run m ~base instrs (if Word.is_false m.acc then target else next)
+  | Instr.Jump target -> run m ~base instrs target
+  | Instr.Call n ->
+      let instrs = do_call m instrs next ~tail:false n in
+      run m ~base instrs m.next_pc
+  | Instr.Tail_call n ->
+      let instrs = do_call m instrs next ~tail:true n in
+      run m ~base instrs m.next_pc
+  | Instr.Op { op; cell; tail } ->
+      (* The cell is read once, where the generic code's Global_ref would
+         read it.  The fast path is [call_prim] of the op's primitive
+         inlined: same safepoint, counters and tail return, and car/cdr
+         read their pair after the safepoint. *)
+      let w = Heap.read_cell m.heap cell in
+      let x = m.acc in
+      let v =
+        if w <> m.op_prims.(op.index) then no_word
+        else op_value op.kind (if op.arity = 2 then m.stack.(m.sp - 1) else x) x
+      in
+      if v = no_word then
+        let instrs = op_call m instrs next op cell w ~tail in
+        run m ~base instrs m.next_pc
+      else begin
+        Runtime.safepoint m.heap;
+        m.stats.Stats.vm_calls <- m.stats.Stats.vm_calls + 1;
+        m.stats.Stats.vm_prim_calls <- m.stats.Stats.vm_prim_calls + 1;
+        m.sp <- m.sp - (op.arity - 1);
+        m.acc <-
+          (match op.kind with
+          | Instr.Car -> Obj.car m.heap m.acc
+          | Instr.Cdr -> Obj.cdr m.heap m.acc
+          | _ -> v);
+        if not tail then run m ~base instrs next
+        else
+          let instrs = do_return m ~base:0 in
+          run m ~base instrs m.next_pc
+      end
+  | Instr.Return ->
+      let instrs = do_return m ~base in
+      run m ~base instrs m.next_pc
+  | Instr.Halt ->
+      if m.depth <> base then error "halt with pending frames";
+      m.acc
 
-(* Layout of a reified continuation (typed object, code_continuation):
-   0 value-stack snapshot (heap vector of words)
-   1 control snapshot (heap vector, 5 slots per frame:
-     code_id, clause, pc, fp, clos)
-   2 fp at capture
-   3 resume code id   4 resume clause   5 resume pc
-   6 closure at capture *)
-
-and capture_continuation m pc ~tail =
-  let h = m.heap in
-  (* Resume point.  Non-tail: just after the Call instruction of the
-     current clause.  Tail: the current frame is about to be discarded, so
-     the continuation resumes at the caller recorded in the top control
-     frame — exactly what Return would do. *)
-  let sp_snap, fp_snap, clos_snap, resume_code, resume_clause, resume_pc, skip_top =
-    if not tail then (m.sp, m.fp, m.clos, m.cur_code_id, m.cur_clause, !pc, 0)
-    else begin
-      if m.depth = 0 then error "call/cc: no caller to return to";
-      let fr = m.control.(m.depth - 1) in
-      (m.fp, fr.ret_fp, fr.ret_clos, fr.ret_code_id, fr.ret_clause, fr.ret_pc, 1)
-    end
-  in
-  if resume_code < 0 then error "call/cc: cannot capture across a host boundary";
-  let depth = m.depth - skip_top in
-  (* Host-boundary frames cannot be reinstated; reject at capture time so
-     the error points at the call/cc, not a later throw. *)
-  for i = 0 to depth - 1 do
-    if m.control.(i).ret_code_id < 0 then
-      error "call/cc: cannot capture across a host boundary"
-  done;
-  let vstack = Obj.make_vector h ~len:sp_snap ~init:(Word.of_fixnum 0) in
-  for i = 0 to sp_snap - 1 do
-    Obj.vector_set h vstack i m.stack.(i)
-  done;
-  let control = Obj.make_vector h ~len:(depth * 5) ~init:(Word.of_fixnum 0) in
-  for i = 0 to depth - 1 do
-    let fr = m.control.(i) in
-    Obj.vector_set h control ((i * 5) + 0) (Word.of_fixnum fr.ret_code_id);
-    Obj.vector_set h control ((i * 5) + 1) (Word.of_fixnum fr.ret_clause);
-    Obj.vector_set h control ((i * 5) + 2) (Word.of_fixnum fr.ret_pc);
-    Obj.vector_set h control ((i * 5) + 3) (Word.of_fixnum fr.ret_fp);
-    Obj.vector_set h control ((i * 5) + 4) fr.ret_clos
-  done;
-  let k = Obj.make_typed h ~code:Obj.code_continuation ~len:7 ~init:(Word.of_fixnum 0) () in
-  Obj.set_field h k 0 vstack;
-  Obj.set_field h k 1 control;
-  Obj.set_field h k 2 (Word.of_fixnum fp_snap);
-  Obj.set_field h k 3 (Word.of_fixnum resume_code);
-  Obj.set_field h k 4 (Word.of_fixnum resume_clause);
-  Obj.set_field h k 5 (Word.of_fixnum resume_pc);
-  Obj.set_field h k 6 clos_snap;
-  k
-
-and clause_instrs m ~code_id ~clause =
-  let code = Vec.Poly.get m.codes code_id in
-  (List.nth code.Instr.clauses clause).Instr.instrs
-
-and reinstate_continuation m instrs pc k v =
-  let h = m.heap in
-  let vstack = Obj.field h k 0 in
-  let control = Obj.field h k 1 in
-  let sp_snap = Obj.vector_length h vstack in
-  ensure_stack m sp_snap;
-  for i = 0 to sp_snap - 1 do
-    m.stack.(i) <- Obj.vector_ref h vstack i
-  done;
-  m.sp <- sp_snap;
-  m.fp <- Word.to_fixnum (Obj.field h k 2);
-  m.clos <- Obj.field h k 6;
-  m.depth <- 0;
-  let nframes = Obj.vector_length h control / 5 in
-  for i = 0 to nframes - 1 do
-    let slot j = Obj.vector_ref h control ((i * 5) + j) in
-    let code_id = Word.to_fixnum (slot 0) and clause = Word.to_fixnum (slot 1) in
-    push_frame m
-      ~instrs:(if code_id >= 0 then clause_instrs m ~code_id ~clause else [||])
-      ~pc:(Word.to_fixnum (slot 2)) ~fp:(Word.to_fixnum (slot 3)) ~clos:(slot 4)
-      ~code_id ~clause
-  done;
-  let resume_code = Word.to_fixnum (Obj.field h k 3) in
-  let resume_clause = Word.to_fixnum (Obj.field h k 4) in
-  m.cur_code_id <- resume_code;
-  m.cur_clause <- resume_clause;
-  instrs := clause_instrs m ~code_id:resume_code ~clause:resume_clause;
-  pc := Word.to_fixnum (Obj.field h k 5);
-  m.acc <- v
+let enter m instrs = run m ~base:m.depth instrs 0
 
 (* ------------------------------------------------------------------ *)
 (* Re-entrant application (for collect-request handlers etc.)          *)
 
 (* Call [clos_w] with [args] from OCaml: saves the register file on the
    (rooted) value stack, runs a nested interpreter activation, restores. *)
-and apply_closure m clos_w args =
+let apply_closure m clos_w args =
   (* Root everything we must restore. *)
   push m m.acc;
   push m m.clos;
@@ -667,8 +724,9 @@ and apply_closure m clos_w args =
   m.cur_clause <- -1;
   List.iter (push m) args;
   m.acc <- clos_w;
-  (* Synthetic caller whose next instruction is Halt: the callee's Return
-     pops back to it and stops the nested activation. *)
+  (* Synthetic caller whose next instruction is Halt.  Its Call pushes a
+     host-boundary frame, which the callee's Return pops to a Halt,
+     stopping the nested activation. *)
   let synthetic = [| Instr.Call (List.length args); Instr.Halt |] in
   let result = enter m synthetic in
   (* enter runs from pc 0: executes the Call, the body, Return, Halt. *)
@@ -715,9 +773,16 @@ let call_with_error_handler m ~thunk ~handler =
 let run_code m (code : Instr.code) =
   match code.Instr.clauses with
   | [ clause ] ->
-      (* Register the top-level block so continuations captured inside it
-         can name their resume point. *)
-      let id = add_code m code in
+      (* Register the top-level block, once, so continuations captured
+         inside it can name their resume point. *)
+      let id =
+        match Code_ids.find_opt m.top_ids code with
+        | Some id -> id
+        | None ->
+            let id = add_code m code in
+            Code_ids.add m.top_ids code id;
+            id
+      in
       let saved_fp = m.fp in
       m.fp <- m.sp;
       m.cur_code_id <- id;

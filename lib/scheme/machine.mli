@@ -133,6 +133,10 @@ val call_with_error_handler : t -> thunk:Word.t -> handler:Word.t -> Word.t
 (** {1 Evaluation} *)
 
 val run_code : t -> Instr.code -> Word.t
+(** Run a compiled top-level code (one clause, no arguments).  The first
+    run registers it in the code table, where continuations captured
+    inside it find their resume point; later runs of the same (physically
+    equal) code reuse that entry. *)
 
 val eval_datum : t -> Sexpr.t -> Word.t
 (** Compile and run one top-level form; the returned word is valid until

@@ -690,6 +690,28 @@ let expect_code_rejected name make_instrs =
 
 let ncells m = (Machine.heap m).Heap.global_cells_len
 
+(* Continuations name their resume points by code id, clause and pc,
+   which the image keeps: one captured in clause 1 of a case-lambda, and
+   one 300 frames deep (past a fresh machine's control array), resume in
+   the restored system. *)
+let test_continuation_survives_image () =
+  let m = Scheme.create () in
+  ignore
+    (Scheme.eval m
+       "(define k #f)\n\
+        (define f (case-lambda (() 'none) ((x) (list 'first (+ x (call/cc (lambda (c) (set! k c) 0)))))))\n\
+        (define kd #f)\n\
+        (define (deep d) (if (= d 0) (call/cc (lambda (c) (set! kd c) 0)) (+ 1 (deep (- d 1)))))");
+  check_str "captured" "(first 10)" (Scheme.eval m "(f 10)");
+  check_str "deep" "300" (Scheme.eval m "(deep 300)");
+  let s = Scheme.Scheme_image.save_string m in
+  Machine.dispose m;
+  let r = Scheme.Scheme_image.load_string ~install:Scheme.Primitives.install s in
+  check_str "resumed" "(first 11)" (Scheme.eval r "(k 1)");
+  check_str "resumed again" "(first 12)" (Scheme.eval r "(k 2)");
+  check_str "deep resumed" "305" (Scheme.eval r "(kd 5)");
+  Machine.dispose r
+
 let expect_section_rejected name ~section s =
   match load_scheme s with
   | () -> Alcotest.fail (name ^ ": crafted image accepted")
@@ -806,6 +828,11 @@ let () =
         ] );
       ( "symtab",
         [ Alcotest.test_case "interned identity" `Quick test_symtab_identity ] );
+      ( "scheme",
+        [
+          Alcotest.test_case "continuation survives an image" `Quick
+            test_continuation_survives_image;
+        ] );
       ( "rejection",
         [
           Alcotest.test_case "every byte flip" `Quick

@@ -822,6 +822,141 @@ let call_path =
           (Scheme.eval restored "(define y 7) (list (f 1) (+ y y) (let ([x 5]) (+ x 1)))"));
   ]
 
+(* The dispatch loop keeps the instruction array and pc in registers and
+   control frames as ints: a frame names its caller by code id and
+   clause, a host-boundary frame returns to a Halt, and continuations
+   are checked against the clause table when they are reinstated. *)
+
+let case_lambda_src =
+  "(define k #f)\n\
+   (define f (case-lambda (() 'none) ((x) (list 'first (+ x (call/cc (lambda (c) (set! k c) 0)))))))\n\
+   (define (grab) (call/cc (lambda (c) (set! k c) 0)))\n\
+   (define g (case-lambda (() 'none) ((x) (list 'second (+ x (grab))))))"
+
+(* A copy of the continuation [src] returns, changed by [patch] and bound
+   to the global [bad].  No collection runs between the capture and the
+   binding: the machine reaches no safepoint. *)
+let forge_continuation mach src patch =
+  let h = Machine.heap mach in
+  let k = Machine.eval_string mach src in
+  let f = Obj.make_typed h ~code:Obj.code_continuation ~len:7 ~init:(Word.of_fixnum 0) () in
+  for i = 0 to 6 do
+    Obj.set_field h f i (Obj.field h k i)
+  done;
+  patch h f;
+  Heap.write_cell h (Machine.global_cell mach "bad") f
+
+let dispatch =
+  [
+    Alcotest.test_case "continuation in case-lambda clause 1" `Quick (fun () ->
+        (* [f] captures at its own call/cc (the resume point names clause
+           1); [grab] captures in tail position, so the resume point is
+           the control frame of [g]'s clause 1.  Both are re-entered after
+           the clause returned. *)
+        let mach = Scheme.create () in
+        ignore (Scheme.eval mach case_lambda_src);
+        check_str "f" "(first 10)" (Scheme.eval mach "(f 10)");
+        check_str "f re-entered" "(first 11)" (Scheme.eval mach "(k 1)");
+        check_str "g" "(second 20)" (Scheme.eval mach "(g 20)");
+        check_str "g re-entered" "(second 22)" (Scheme.eval mach "(k 2)");
+        check_str "g re-entered again" "(second 23)" (Scheme.eval mach "(k 3)"));
+    Alcotest.test_case "capture past control-array growth, re-entered twice" `Quick (fun () ->
+        (* 300 frames: a fresh machine's control array holds 256. *)
+        let mach = Scheme.create () in
+        check_str "results" "(2300 1300 300)"
+          (Scheme.eval mach
+             "(define kd #f)\n\
+              (define (deep d) (if (= d 0) (call/cc (lambda (c) (set! kd c) 0)) (+ 1 (deep (- d 1)))))\n\
+              (let ([n 0] [rs '()])\n\
+             \  (let ([r (deep 300)])\n\
+             \    (set! rs (cons r rs))\n\
+             \    (set! n (+ n 1))\n\
+             \    (if (< n 3) (kd (* n 1000)) rs)))"));
+    Alcotest.test_case "collect-request handler between Scheme frames" `Quick (fun () ->
+        (* Collections every 512 words fire the handler at safepoints deep
+           in [build] and [sum]: its host-boundary frame sits on top of
+           Scheme frames, with the handler's own calls above it.  The
+           counts are those of the dispatch loop this one replaced. *)
+        let config = Config.v ~gen0_trigger_words:512 () in
+        let mach = Scheme.create ~config () in
+        ignore
+          (Scheme.eval mach
+             "(define fired 0)\n\
+              (define (build n) (if (= n 0) '() (cons n (build (- n 1)))))\n\
+              (define (sum l) (if (null? l) 0 (+ (car l) (sum (cdr l)))))\n\
+              (collect-request-handler\n\
+             \  (lambda () (set! fired (+ fired 1)) (collect) (sum (build 3))))\n\
+              (define (loop i acc) (if (= i 0) acc (loop (- i 1) (+ acc (sum (build 200))))))");
+        let s = Heap.stats (Machine.heap mach) in
+        let calls = s.Stats.vm_calls and prims = s.Stats.vm_prim_calls in
+        check_str "result" "(1005000 40)" (Scheme.eval mach "(list (loop 50 0) fired)");
+        Alcotest.(check int) "vm_calls" 91763 (s.Stats.vm_calls - calls);
+        Alcotest.(check int) "vm_prim_calls" 71252 (s.Stats.vm_prim_calls - prims);
+        Machine.dispose mach);
+    Alcotest.test_case "fib 25 call counts" `Quick (fun () ->
+        let mach = Scheme.create () in
+        ignore (Scheme.eval mach "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))");
+        let s = Heap.stats (Machine.heap mach) in
+        let calls = s.Stats.vm_calls and prims = s.Stats.vm_prim_calls in
+        check_str "fib 25" "75025" (Scheme.eval mach "(fib 25)");
+        Alcotest.(check int) "vm_calls" 849746 (s.Stats.vm_calls - calls);
+        Alcotest.(check int) "vm_prim_calls" 606961 (s.Stats.vm_prim_calls - prims));
+    Alcotest.test_case "run_code registers a code once" `Quick (fun () ->
+        let mach = Scheme.create () in
+        ignore (Scheme.eval mach "(define kk #f) (define hits 0)");
+        let code =
+          List.hd
+            (Compile.compile_toplevel (Machine.linker mach)
+               (Reader.read_one
+                  "(+ 1 (call/cc (lambda (c) (if (= hits 0) (set! kk c)) (set! hits (+ hits 1)) 0)))"))
+        in
+        let n0 = Array.length (Machine.image_codes mach) in
+        for _ = 1 to 1000 do
+          ignore (Machine.run_code mach code)
+        done;
+        Alcotest.(check int) "codes" (n0 + 1) (Array.length (Machine.image_codes mach));
+        check_str "hits" "1000" (Scheme.eval mach "hits");
+        check_str "resumed" "42" (Scheme.eval mach "(kk 41)"));
+    Alcotest.test_case "malformed continuations are Scheme errors" `Quick (fun () ->
+        (* The raw continuation, not [call/cc]'s dynamic-wind wrapper. *)
+        let captured = "(%call/cc-prim (lambda (c) c))" in
+        (* Inside [h]'s non-tail call: one control frame, the top level's. *)
+        let framed = "(define (h) (list (%call/cc-prim (lambda (c) c)))) (car (h))" in
+        let set field value h f = Obj.set_field h f field value in
+        (* Frame 0 of the control snapshot, in a copy, names code 9999. *)
+        let bad_frame h f =
+          let ctl = Obj.field h f 1 in
+          let n = Obj.vector_length h ctl in
+          let copy = Obj.make_vector h ~len:n ~init:(Word.of_fixnum 9999) in
+          for i = 1 to n - 1 do
+            Obj.vector_set h copy i (Obj.vector_ref h ctl i)
+          done;
+          Obj.set_field h f 1 copy
+        in
+        let cases =
+          [
+            ("code id", captured, set 3 (Word.of_fixnum 9999));
+            ("clause", captured, set 4 (Word.of_fixnum 5));
+            ("pc", captured, set 5 (Word.of_fixnum 100_000));
+            ("fp", captured, set 2 (Word.of_fixnum 100_000));
+            ("resume code id not a fixnum", captured, set 3 Word.nil);
+            ("value stack not a vector", captured, set 0 (Word.of_fixnum 0));
+            ("frame code id", framed, bad_frame);
+          ]
+        in
+        List.iter
+          (fun (name, src, patch) ->
+            let mach = Scheme.create () in
+            forge_continuation mach src patch;
+            (match Scheme.eval mach "(bad 1)" with
+            | exception Machine.Error msg ->
+                check (name ^ ": " ^ msg) true (String.starts_with ~prefix:"continuation: " msg)
+            | v -> Alcotest.failf "%s: expected a Scheme error, got %s" name v);
+            Machine.reset mach;
+            check_str (name ^ ": machine still works") "3" (Scheme.eval mach "(+ 1 2)"))
+          cases);
+  ]
+
 let () =
   Alcotest.run "scheme_eval"
     [
@@ -843,4 +978,5 @@ let () =
       ("errors", errors);
       ("overflow", fixnum_overflow);
       ("call path", call_path);
+      ("dispatch", dispatch);
     ]
