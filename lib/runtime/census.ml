@@ -36,10 +36,9 @@ let slack t = t.heap_live_words - t.reachable.words
 (** Words allocated but not reachable: garbage awaiting collection (plus
     pad words after zero-field objects). *)
 
-(** Run a census.  [include_protected] (default true) also treats guardian
-    registrations (object, representative and tconc) as roots, matching
-    what a collection would preserve. *)
-let run ?(include_protected = true) h =
+(** Run a census.  Guardian registrations (object, representative and
+    tconc) count as roots, matching what a collection would preserve. *)
+let run h =
   let c = empty_counts () in
   let visited = Hashtbl.create 1024 in
   let pending_ephemerons = ref [] in
@@ -97,15 +96,14 @@ let run ?(include_protected = true) h =
       scan (fun w ->
           push w;
           w));
-  if include_protected then
-    for gen = 0 to Heap.max_generation h do
-      let p = h.Heap.protected.(gen) in
-      for j = 0 to Vec.Int.length p.Heap.p_objs - 1 do
-        push (Vec.Int.get p.Heap.p_objs j);
-        push (Vec.Int.get p.Heap.p_reps j);
-        push (Vec.Int.get p.Heap.p_tconcs j)
-      done
-    done;
+  for gen = 0 to Heap.max_generation h do
+    let p = h.Heap.protected.(gen) in
+    for j = 0 to Vec.Int.length p.Heap.p_objs - 1 do
+      push (Vec.Int.get p.Heap.p_objs j);
+      push (Vec.Int.get p.Heap.p_reps j);
+      push (Vec.Int.get p.Heap.p_tconcs j)
+    done
+  done;
   drain ();
   (* Ephemeron fixpoint: trace values whose keys have been reached. *)
   let progress = ref true in

@@ -17,9 +17,9 @@ type t = {
   heap_live_words : int;
 }
 
-val run : ?include_protected:bool -> Heap.t -> t
-(** [include_protected] (default true) treats guardian registrations as
-    roots, matching what a collection preserves. *)
+val run : Heap.t -> t
+(** Guardian registrations count as roots, matching what a collection
+    preserves. *)
 
 val slack : t -> int
 (** Allocated-but-unreachable words: garbage awaiting collection. *)

@@ -125,7 +125,7 @@ let copy t ~target w =
 (* The one sweep, shared by the Cheney scan and the dirty-card scan: sweep
    the words of [seg] in [from, upto) as strong references, copying each
    traced slot's from-space target and noting the referenced generations
-   in the card table (which keeps min_ref_gen in sync).  A slot is written
+   in the card table (which remembers the segment).  A slot is written
    back only when its target moved; immediates are skipped outright.
    Weak-space segments trace only cdr fields.  [start] is where the
    typed-space object walk begins: [from] itself for the Cheney scan, and
@@ -418,9 +418,10 @@ let weak_pass t ~dirty_weak_cards =
 (* Sweep the remembered segments of generations older than [g] as roots —
    card-granularly: only cards recorded as possibly reaching into the
    condemned generations are visited; each is reset and its references
-   re-noted from scratch by the sweep.  Returns the dirty weak-space card
-   ranges, whose car fields still need the weak pass.  Rebuilds the dirty
-   list. *)
+   re-noted from scratch by the sweep, which re-remembers the segment if
+   one still reaches a younger generation.  Returns the dirty weak-space
+   card ranges, whose car fields still need the weak pass.  Rebuilds the
+   dirty list. *)
 let dirty_scan t ~g ~target =
   let stats = (Heap.stats t).last in
   let old_dirty = Vec.Int.to_list t.dirty in
@@ -432,32 +433,29 @@ let dirty_scan t ~g ~target =
       let si = info t seg in
       si.on_dirty_list <- false;
       if si.live && not si.condemned then begin
-        if si.min_ref_gen <= g then begin
+        let cards_before = stats.cards_scanned and marked = ref false in
+        for c = 0 to cards_in_use t seg - 1 do
+          let b = Bytes.get_uint8 si.cards c in
+          if b <= g then begin
+            stats.cards_scanned <- stats.cards_scanned + 1;
+            Bytes.set_uint8 si.cards c card_clean;
+            let from = c * cw in
+            let upto = min si.used (from + cw) in
+            stats.card_words_swept <- stats.card_words_swept + (upto - from);
+            sweep t ~target seg ~from ~upto ~start:(card_object_start t ~seg ~card:c);
+            if si.space = Space.Weak then weak_cards := (seg, from, upto) :: !weak_cards
+          end
+          else if b <> card_clean then marked := true
+        done;
+        if stats.cards_scanned > cards_before then begin
           stats.dirty_segments_scanned <- stats.dirty_segments_scanned + 1;
-          stats.dirty_candidate_words <- stats.dirty_candidate_words + si.used;
-          let ncards = cards_in_use t seg in
-          for c = 0 to ncards - 1 do
-            if Bytes.get_uint8 si.cards c <= g then begin
-              stats.cards_scanned <- stats.cards_scanned + 1;
-              Bytes.set_uint8 si.cards c card_clean;
-              let from = c * cw in
-              let upto = min si.used (from + cw) in
-              stats.card_words_swept <- stats.card_words_swept + (upto - from);
-              sweep t ~target seg ~from ~upto
-                ~start:(card_object_start t ~seg ~card:c);
-              if si.space = Space.Weak then
-                weak_cards := (seg, from, upto) :: !weak_cards
-            end
-          done;
-          (* Cards dirty only towards uncollected generations survive the
-             reset above and keep the segment remembered. *)
-          refresh_remembered t seg
-        end
-        else
-          (* Still dirty, but only with respect to generations not being
-             collected: keep it remembered, no scanning needed — this is the
-             "no additional overhead for older objects" property. *)
-          remember t seg
+          stats.dirty_candidate_words <- stats.dirty_candidate_words + si.used
+        end;
+        (* Cards dirty only with respect to generations not being collected
+           keep the segment remembered without being scanned: the "no
+           additional overhead for older objects" property.  A segment left
+           with no marked card leaves the list. *)
+        if !marked then remember t seg
       end)
     old_dirty;
   !weak_cards
@@ -495,12 +493,16 @@ let collect_generations ?weak_pass_first t ~g ~target =
   in
   Vec.Int.clear t.gc_new_segs;
   Vec.Int.clear t.gc_ephemerons;
-  (* Condemn from-space: all segments of generations 0..g. *)
+  (* Condemn from-space: all segments of generations 0..g.  Their lists
+     are emptied here, before the first copy can acquire a segment, so a
+     list never names a segment freed below. *)
   let condemned = Vec.Int.create () in
   for i = 0 to g do
-    Vec.Int.iter (live_segments_of_gen t i) ~f:(fun seg ->
+    let segs = t.gen_segs.(i) in
+    Vec.Int.iter segs ~f:(fun seg ->
         (info t seg).condemned <- true;
-        Vec.Int.push condemned seg)
+        Vec.Int.push condemned seg);
+    Vec.Int.clear segs
   done;
   (* Only segments acquired during this collection are Cheney-swept (fresh
      segments start with scan = 0); pre-existing target segments keep their

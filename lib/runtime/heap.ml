@@ -39,20 +39,16 @@ type seg_info = {
   mutable generation : int;
   mutable used : int;  (** words allocated so far *)
   mutable size : int;  (** capacity in words *)
-  mutable min_ref_gen : int;
-      (** youngest generation this segment may hold a pointer into; equal to
-          [generation] when clean.  The remembered set. *)
   mutable live : bool;
   mutable condemned : bool;  (** part of from-space of the current GC *)
   mutable scan : int;  (** collector scan cursor (words) *)
-  mutable on_dirty_list : bool;
+  mutable on_dirty_list : bool;  (** listed in [dirty] *)
   mutable large : bool;  (** oversized single-object segment *)
-  mutable mark_epoch : int;  (** dedup marker for segment-list compaction *)
   mutable cards : Bytes.t;
       (** byte-per-card remembered set: card [c] holds the youngest
           generation any slot in card [c] may reference, or {!card_clean}
-          (255) when no slot references a younger generation.  Invariant:
-          [min_ref_gen = min generation (min over card bytes)]. *)
+          (255) when no slot references a younger generation.  A segment
+          with a marked card is on the dirty list. *)
   mutable crossing : int array;
       (** card crossing map: [crossing.(c)] is the offset of the object
           covering the first word of card [c], so a card of a typed-space
@@ -98,7 +94,7 @@ type t = {
   mutable free_ids : int list;  (** free segment ids whose array was dropped *)
   mutator_cursors : cursor array;  (** per space: generation-0 allocation *)
   gc_cursors : cursor array;  (** per space: target-generation allocation *)
-  gen_segs : Vec.Int.t array;  (** per generation: seg ids (may be stale) *)
+  gen_segs : Vec.Int.t array;  (** per generation: its live seg ids *)
   gc_new_segs : Vec.Int.t;  (** segments acquired during the current GC *)
   gc_ephemerons : Vec.Int.t;
       (** key-slot addresses of ephemerons discovered but not yet resolved
@@ -112,8 +108,7 @@ type t = {
       (** guardian-pass scratch: the collected entries whose object is
           still accessible, and those whose object proved inaccessible *)
   gc_work : Vec.Int.t;  (** guardian-pass work list: indices into [gc_final] *)
-  dirty : Vec.Int.t;  (** seg ids with [min_ref_gen < generation] *)
-  mutable epoch_counter : int;
+  dirty : Vec.Int.t;  (** seg ids with a marked card *)
   protected : protected array;  (** per generation *)
   mutable global_cells : int array;
   mutable global_cells_len : int;
@@ -139,13 +134,11 @@ let fresh_info () =
     generation = 0;
     used = 0;
     size = 0;
-    min_ref_gen = 0;
     live = false;
     condemned = false;
     scan = 0;
     on_dirty_list = false;
     large = false;
-    mark_epoch = 0;
     cards = Bytes.empty;
     crossing = [||];
   }
@@ -193,7 +186,6 @@ let create ?(config = Config.default) () =
     gc_final = protected_create ();
     gc_work = Vec.Int.create ();
     dirty = Vec.Int.create ();
-    epoch_counter = 0;
     protected = Array.init (config.max_generation + 1) (fun _ -> protected_create ());
     global_cells = Array.make 64 Word.nil;
     global_cells_len = 0;
@@ -319,7 +311,6 @@ let acquire_segment t ~space ~generation ~min_words =
   si.generation <- generation;
   si.used <- 0;
   si.size <- Array.length t.segs.(seg);
-  si.min_ref_gen <- generation;
   si.live <- true;
   si.condemned <- false;
   si.scan <- 0;
@@ -355,31 +346,10 @@ let release_segment t seg =
   end
   else t.free_std <- seg :: t.free_std
 
-(** Live segments currently assigned to [generation].  The per-generation
-    lists may contain stale ids (segments freed or re-assigned) and
-    duplicates (segments re-acquired for the same generation); both are
-    filtered out by compacting the list in place — no allocation — and the
-    compacted list itself is returned, keeping enumeration proportional to
-    the size of the generation, not of the heap.  The result aliases the
-    heap's own list: it is valid until the next allocation into
-    [generation] appends to it. *)
-let live_segments_of_gen t generation =
-  t.epoch_counter <- t.epoch_counter + 1;
-  let epoch = t.epoch_counter in
-  let v = t.gen_segs.(generation) in
-  let n = Vec.Int.length v in
-  let w = ref 0 in
-  for i = 0 to n - 1 do
-    let seg = Vec.Int.get v i in
-    let si = t.infos.(seg) in
-    if si.live && si.generation = generation && si.mark_epoch <> epoch then begin
-      si.mark_epoch <- epoch;
-      Vec.Int.set v !w seg;
-      incr w
-    end
-  done;
-  Vec.Int.truncate v !w;
-  v
+(** Live segments of [generation]: the heap's own list, exact because a
+    segment is only freed after the collector has condemned its whole
+    generation and emptied the list. *)
+let live_segments_of_gen t generation = t.gen_segs.(generation)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
@@ -399,19 +369,14 @@ let bump t ~cursors ~space ~generation nwords =
   let idx = Space.to_index space in
   let cur = cursors.(idx) in
   let seg =
-    if cur.seg >= 0 then begin
+    if
+      cur.seg >= 0
+      &&
       let si = t.infos.(cur.seg) in
-      if
-        si.live && (not si.condemned) && si.generation = generation
-        && si.space = space
-        && si.used + nwords <= si.size
-      then cur.seg
-      else begin
-        let s = acquire_segment t ~space ~generation ~min_words:nwords in
-        if not t.infos.(s).large then cur.seg <- s;
-        s
-      end
-    end
+      si.live && (not si.condemned) && si.generation = generation
+      && si.space = space
+      && si.used + nwords <= si.size
+    then cur.seg
     else begin
       let s = acquire_segment t ~space ~generation ~min_words:nwords in
       if not t.infos.(s).large then cur.seg <- s;
@@ -442,11 +407,10 @@ let reset_cursors cursors = Array.iter (fun c -> c.seg <- -1) cursors
 (* ------------------------------------------------------------------ *)
 (* Remembered set (card-marked dirty segments)                         *)
 
-(** Put [seg] on the dirty list if it may reference a younger generation
-    and is not there already. *)
+(** Put [seg] on the dirty list unless it is there already. *)
 let remember t seg =
   let si = t.infos.(seg) in
-  if si.min_ref_gen < si.generation && not si.on_dirty_list then begin
+  if not si.on_dirty_list then begin
     si.on_dirty_list <- true;
     Vec.Int.push t.dirty seg
   end
@@ -461,12 +425,11 @@ let mark_card t si ~addr ~gen =
     if cur = card_clean then t.stats.cards_dirtied <- t.stats.cards_dirtied + 1;
     Bytes.set_uint8 si.cards c g
   end;
-  if gen < si.min_ref_gen then si.min_ref_gen <- gen;
   remember t (seg_of_addr addr)
 
 (** Record (collector-side) that the slot at [addr] references generation
-    [gen]: marks the covering card and keeps the segment summary in sync.
-    The slot's own write must be done by the caller. *)
+    [gen]: marks the covering card and remembers the segment.  The slot's
+    own write must be done by the caller. *)
 let note_ref t ~addr ~gen =
   let si = t.infos.(seg_of_addr addr) in
   if gen < si.generation then mark_card t si ~addr ~gen
@@ -489,19 +452,16 @@ let[@inline] note_mutation t ~addr ~value =
     end
   end
 
-(** Recompute [min_ref_gen] from the card bytes (the cards are ground
-    truth after a card-granular scan) and re-remember the segment if some
-    card still reaches into a younger generation. *)
+(** Re-remember [seg] after a card-granular scan if some card is still
+    marked. *)
 let refresh_remembered t seg =
   let si = t.infos.(seg) in
-  let m = ref si.generation in
   let ncards = cards_for t si.used in
-  for c = 0 to ncards - 1 do
-    let b = Bytes.get_uint8 si.cards c in
-    if b < !m then m := b
+  let c = ref 0 in
+  while !c < ncards && Bytes.get_uint8 si.cards !c = card_clean do
+    incr c
   done;
-  si.min_ref_gen <- !m;
-  remember t seg
+  if !c < ncards then remember t seg
 
 (** {2 Card introspection} (tests, {!Verify}) *)
 

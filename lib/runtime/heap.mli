@@ -34,20 +34,16 @@ type seg_info = {
   mutable generation : int;
   mutable used : int;  (** words allocated so far *)
   mutable size : int;  (** capacity in words *)
-  mutable min_ref_gen : int;
-      (** youngest generation this segment may hold a pointer into; equal
-          to [generation] when clean.  The remembered set. *)
   mutable live : bool;
   mutable condemned : bool;  (** part of from-space of the current GC *)
   mutable scan : int;  (** collector scan cursor (words) *)
-  mutable on_dirty_list : bool;
+  mutable on_dirty_list : bool;  (** listed in [dirty] *)
   mutable large : bool;  (** oversized single-object segment *)
-  mutable mark_epoch : int;
   mutable cards : Bytes.t;
       (** byte-per-card remembered set: card [c] holds the youngest
           generation any slot in card [c] may reference, or {!card_clean}
-          when clean.  Invariant:
-          [min_ref_gen = min generation (min over card bytes)]. *)
+          when clean.  A segment with a marked card is on the dirty
+          list. *)
   mutable crossing : int array;
       (** card crossing map: offset of the object covering each card's
           first word (maintained by {!note_object}). *)
@@ -92,7 +88,7 @@ type t = {
   mutable free_ids : int list;
   mutator_cursors : cursor array;
   gc_cursors : cursor array;
-  gen_segs : Vec.Int.t array;
+  gen_segs : Vec.Int.t array;  (** per generation: its live seg ids *)
   gc_new_segs : Vec.Int.t;  (** segments acquired during the current GC *)
   gc_ephemerons : Vec.Int.t;
       (** key-slot addresses of ephemerons discovered but not yet resolved
@@ -106,8 +102,7 @@ type t = {
       (** guardian-pass scratch: the collected entries whose object is
           still accessible, and those whose object proved inaccessible *)
   gc_work : Vec.Int.t;  (** guardian-pass work list: indices into [gc_final] *)
-  dirty : Vec.Int.t;
-  mutable epoch_counter : int;
+  dirty : Vec.Int.t;  (** seg ids with a marked card: the remembered set *)
   protected : protected array;  (** per generation *)
   mutable global_cells : int array;
   mutable global_cells_len : int;
@@ -165,10 +160,8 @@ val acquire_segment : t -> space:Space.t -> generation:int -> min_words:int -> i
 val release_segment : t -> int -> unit
 
 val live_segments_of_gen : t -> int -> Vec.Int.t
-(** Live segments of a generation, deduplicated and compacted in place
-    (no allocation); cost is proportional to the generation, not the
-    heap.  The result aliases the heap's own per-generation list and is
-    valid until the next allocation into that generation. *)
+(** Live segments of a generation, each once: the heap's own list, valid
+    until the next allocation into that generation. *)
 
 (** {1 Allocation} *)
 
@@ -203,17 +196,16 @@ val mark_card : t -> seg_info -> addr:int -> gen:int -> unit
 
 val note_ref : t -> addr:int -> gen:int -> unit
 (** Collector-side barrier: record that the slot at [addr] references
-    generation [gen], marking the covering card and keeping the segment
-    summary in sync.  The slot's own write is the caller's. *)
+    generation [gen], marking the covering card and remembering the
+    segment when [gen] is younger.  The slot's own write is the
+    caller's. *)
 
 val remember : t -> int -> unit
-(** Put a segment on the dirty list if its [min_ref_gen] reaches into a
-    younger generation and it is not on the list already. *)
+(** Put a segment on the dirty list unless it is there already. *)
 
 val refresh_remembered : t -> int -> unit
-(** Recompute a segment's [min_ref_gen] from its card bytes and put it
-    back on the dirty list if some card still reaches into a younger
-    generation.  Used after a card-granular scan. *)
+(** Put a segment back on the dirty list if some card byte is not
+    {!card_clean}.  Used after a card-granular scan. *)
 
 val card_clean : int
 (** The card byte meaning "no younger-generation references" (255). *)

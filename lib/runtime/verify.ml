@@ -13,8 +13,8 @@
     - spaces: weak pairs live only in weak space; headers only in
       typed/data space;
     - remembered set: a pointer from an older into a younger generation is
-      covered by the segment's [min_ref_gen] AND by the byte of the card
-      holding the pointer slot (card-granular precision);
+      covered by the byte of the card holding the pointer slot, and its
+      segment is on the dirty list the collector scans;
     - protected lists: entries of generation [i]'s list reference objects
       and tconcs in generations [>= i] (or immediates). *)
 
@@ -115,14 +115,13 @@ let verify ?(roots = []) h =
                   (Printf.sprintf "%s (obj gen %d)" (slot_label kind a b k)
                      ti.Heap.generation)
           | Field ->
-              (* Remembered-set invariant, at both granularities. *)
+              (* Remembered-set invariant: the card and the dirty list. *)
               let fi = Heap.info h a in
               if ti.Heap.generation < fi.Heap.generation then begin
-                if ti.Heap.generation < fi.Heap.min_ref_gen then
+                if not fi.Heap.on_dirty_list then
                   err "old-to-young pointer not remembered"
-                    (Printf.sprintf "%s: seg %d gen %d min_ref %d -> gen %d"
-                       (slot_label kind a b k) a fi.Heap.generation fi.Heap.min_ref_gen
-                       ti.Heap.generation);
+                    (Printf.sprintf "%s: seg %d gen %d not on the dirty list -> gen %d"
+                       (slot_label kind a b k) a fi.Heap.generation ti.Heap.generation);
                 let from_off = if is_pair_space fi.Heap.space then b + k else b + 1 + k in
                 let card = Heap.card_of_off h from_off in
                 let cg = Heap.card_min_gen h ~seg:a ~card in

@@ -577,8 +577,14 @@ and apply_word m instrs pc ~tail callee n =
     error "attempt to apply non-procedure: %s" (Printer.to_string h callee)
   else
     let id = Word.to_fixnum (Heap.load h (Word.addr callee + 1)) in
-    if id < 0 then call_prim m instrs pc ~tail (Vec.Poly.get m.prims (-1 - id)) n
-    else call_code m pc ~tail callee id n
+    if id < 0 then begin
+      if -1 - id >= Vec.Poly.length m.prims then error "closure: primitive id %d out of range" id;
+      call_prim m instrs pc ~tail (Vec.Poly.get m.prims (-1 - id)) n
+    end
+    else begin
+      if id >= Vec.Poly.length m.clauses then error "closure: code id %d out of range" id;
+      call_code m pc ~tail callee id n
+    end
 
 and call_prim m instrs pc ~tail prim n =
   match prim.special with

@@ -55,6 +55,35 @@ let test_oversized_rejected () =
   Alcotest.check_raises "too big" (Invalid_argument "object larger than the maximum segment size")
     (fun () -> ignore (Obj.make_vector h ~len:(1 lsl 21) ~init:Word.nil))
 
+(* The per-generation segment lists stay exact across collections of
+   every generation, with churn that frees standard and large segments:
+   each id is live, of the list's generation, and listed once, and every
+   live segment is listed. *)
+let test_generation_lists_exact () =
+  let h = Heap.create ~config:small_config () in
+  let keep = Heap.new_cell h (Obj.make_vector h ~len:16 ~init:Word.nil) in
+  let bad = ref 0 in
+  for i = 1 to 30 do
+    for j = 0 to 40 do
+      let l = Obj.list_of h (List.init ((j mod 7) + 1) Word.of_fixnum) in
+      if j mod 5 = 0 then Obj.vector_set h (Heap.read_cell h keep) ((i + j) mod 16) l
+    done;
+    ignore (Obj.make_vector h ~len:100 ~init:Word.nil);
+    ignore (Collector.collect h ~gen:[| 0; 0; 1; 0; 2; 0; 1; 3 |].(i mod 8));
+    let listed = ref 0 in
+    for g = 0 to Heap.max_generation h do
+      let seen = Hashtbl.create 16 in
+      Vec.Int.iter h.Heap.gen_segs.(g) ~f:(fun seg ->
+          incr listed;
+          let si = Heap.info h seg in
+          if (not si.Heap.live) || si.Heap.generation <> g || Hashtbl.mem seen seg then
+            incr bad;
+          Hashtbl.replace seen seg ())
+    done;
+    check_int "every live segment listed" (Heap.live_segments h) !listed
+  done;
+  check_int "stale or duplicate ids" 0 !bad
+
 let test_root_cells () =
   let h = Heap.create () in
   let a = Heap.new_cell h (Word.of_fixnum 1) in
@@ -204,6 +233,7 @@ let () =
           Alcotest.test_case "many segments" `Quick test_many_segments;
           Alcotest.test_case "large object" `Quick test_large_object;
           Alcotest.test_case "oversized rejected" `Quick test_oversized_rejected;
+          Alcotest.test_case "generation lists exact" `Quick test_generation_lists_exact;
         ] );
       ( "roots",
         [

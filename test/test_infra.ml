@@ -68,6 +68,24 @@ let test_catches_remembered_set_violation () =
   check "unremembered old-to-young caught" true
     (has_error (Verify.verify h) "old-to-young pointer not remembered")
 
+(* The card alone is not enough: the collector only scans segments on the
+   dirty list.  Dropping a barriered segment from the list must be
+   caught even though its card stays marked. *)
+let test_catches_unlisted_dirty_segment () =
+  let h = heap () in
+  let v = Handle.create h (Obj.make_vector h ~len:2 ~init:Word.nil) in
+  full_collect h;
+  full_collect h;
+  Obj.vector_set h (Handle.get v) 0 (Obj.cons h (fx 1) Word.nil);
+  check_int "barriered store verifies" 0 (List.length (Verify.verify h));
+  let seg = Heap.seg_of_addr (Word.addr (Handle.get v)) in
+  let others = List.filter (( <> ) seg) (Vec.Int.to_list h.Heap.dirty) in
+  Vec.Int.clear h.Heap.dirty;
+  List.iter (Vec.Int.push h.Heap.dirty) others;
+  (Heap.info h seg).Heap.on_dirty_list <- false;
+  check "unlisted segment caught" true
+    (has_error (Verify.verify h) "old-to-young pointer not remembered")
+
 let test_catches_smashed_header () =
   let h = heap () in
   let v = Handle.create h (Obj.make_vector h ~len:3 ~init:(fx 0)) in
@@ -300,6 +318,8 @@ let () =
           Alcotest.test_case "wrong tag" `Quick test_catches_wrong_tag;
           Alcotest.test_case "remembered-set violation" `Quick
             test_catches_remembered_set_violation;
+          Alcotest.test_case "unlisted dirty segment" `Quick
+            test_catches_unlisted_dirty_segment;
           Alcotest.test_case "smashed header" `Quick test_catches_smashed_header;
           Alcotest.test_case "stored marker" `Quick test_catches_stored_forward_marker;
           Alcotest.test_case "error locations" `Quick test_error_locations;

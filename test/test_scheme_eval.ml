@@ -917,6 +917,22 @@ let dispatch =
         Alcotest.(check int) "codes" (n0 + 1) (Array.length (Machine.image_codes mach));
         check_str "hits" "1000" (Scheme.eval mach "hits");
         check_str "resumed" "42" (Scheme.eval mach "(kk 41)"));
+    Alcotest.test_case "forged closure ids are Scheme errors" `Quick (fun () ->
+        (* Field 0 of a closure names a code id, or a primitive id when
+           negative; one past either table must not escape the VM. *)
+        List.iter
+          (fun (name, id) ->
+            let mach = Scheme.create () in
+            let h = Machine.heap mach in
+            let c = Obj.make_typed h ~code:Obj.code_closure ~len:1 ~init:(Word.of_fixnum id) () in
+            Heap.write_cell h (Machine.global_cell mach "badc") c;
+            (match Scheme.eval mach "(badc)" with
+            | exception Machine.Error msg ->
+                check (name ^ ": " ^ msg) true (String.starts_with ~prefix:"closure: " msg)
+            | v -> Alcotest.failf "%s: expected a Scheme error, got %s" name v);
+            Machine.reset mach;
+            check_str (name ^ ": machine still works") "3" (Scheme.eval mach "(+ 1 2)"))
+          [ ("code id", 9999); ("prim id", -9999) ]);
     Alcotest.test_case "malformed continuations are Scheme errors" `Quick (fun () ->
         (* The raw continuation, not [call/cc]'s dynamic-wind wrapper. *)
         let captured = "(%call/cc-prim (lambda (c) c))" in
