@@ -32,7 +32,6 @@ type t = {
   mutable epoch : int;  (** heap gc_epoch the buckets were last valid for *)
   mutable count : int;
   mutable rehash_work : int;  (** entries re-bucketed since creation *)
-  mutable refreshes : int;
 }
 
 let create heap ~strategy ~size =
@@ -49,7 +48,6 @@ let create heap ~strategy ~size =
     epoch = Heap.gc_epoch heap;
     count = 0;
     rehash_work = 0;
-    refreshes = 0;
   }
 
 let dispose t =
@@ -90,7 +88,6 @@ let refresh t =
   match t.strategy with
   | `Full_rehash ->
       if Heap.gc_epoch h <> t.epoch then begin
-        t.refreshes <- t.refreshes + 1;
         t.epoch <- Heap.gc_epoch h;
         let v = Handle.get t.buckets in
         (* Unhook every entry, then re-bucket all of them. *)
@@ -117,10 +114,7 @@ let refresh t =
   | `Transport ->
       let tg = Option.get t.transport in
       let moved = ref true in
-      if Heap.gc_epoch h <> t.epoch then begin
-        t.refreshes <- t.refreshes + 1;
-        t.epoch <- Heap.gc_epoch h
-      end;
+      t.epoch <- Heap.gc_epoch h;
       while !moved do
         match
           Transport_guardian.poll_choose tg ~keep:(fun ~obj:_ ~payload ->
@@ -186,4 +180,3 @@ let remove t key =
 
 let count t = t.count
 let rehash_work t = t.rehash_work
-let refreshes t = t.refreshes

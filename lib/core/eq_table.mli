@@ -24,6 +24,3 @@ val count : t -> int
 
 val rehash_work : t -> int
 (** Entries re-bucketed since creation (the E4 work counter). *)
-
-val refreshes : t -> int
-(** Collections noticed and compensated for. *)

@@ -92,6 +92,7 @@ type t = {
   mutable nsegs : int;
   mutable free_std : int list;  (** free segments whose array is retained *)
   mutable free_ids : int list;  (** free segment ids whose array was dropped *)
+  mutable spare_large : int array;  (** the array of the last large segment freed *)
   mutator_cursors : cursor array;  (** per space: generation-0 allocation *)
   gc_cursors : cursor array;  (** per space: target-generation allocation *)
   gen_segs : Vec.Int.t array;  (** per generation: its live seg ids *)
@@ -175,6 +176,7 @@ let create ?(config = Config.default) () =
     nsegs = 0;
     free_std = [];
     free_ids = [];
+    spare_large = [||];
     mutator_cursors = Array.init Space.count (fun _ -> { seg = -1 });
     gc_cursors = Array.init Space.count (fun _ -> { seg = -1 });
     gen_segs = Array.init (config.max_generation + 1) (fun _ -> Vec.Int.create ());
@@ -301,8 +303,16 @@ let acquire_segment t ~space ~generation ~min_words =
           t.segs.(id) <- Array.make std 0;
           id
     else begin
-      let id = fresh_seg_id t in
-      t.segs.(id) <- Array.make min_words 0;
+      (* A surviving large object is copied to a new large segment each
+         time its generation is collected: reuse the array its last copy
+         left, rather than feed the OCaml major heap a new one. *)
+      let id = fresh_seg_id t and spare = t.spare_large in
+      if Array.length spare = min_words then begin
+        t.spare_large <- [||];
+        Array.fill spare 0 min_words 0;
+        t.segs.(id) <- spare
+      end
+      else t.segs.(id) <- Array.make min_words 0;
       id
     end
   in
@@ -337,6 +347,7 @@ let release_segment t seg =
   si.on_dirty_list <- false;
   t.stats.last.segments_freed <- t.stats.last.segments_freed + 1;
   if si.large then begin
+    t.spare_large <- t.segs.(seg);
     t.segs.(seg) <- [||];
     si.large <- false;
     si.size <- 0;

@@ -86,6 +86,7 @@ type t = {
   mutable nsegs : int;
   mutable free_std : int list;
   mutable free_ids : int list;
+  mutable spare_large : int array;
   mutator_cursors : cursor array;
   gc_cursors : cursor array;
   gen_segs : Vec.Int.t array;  (** per generation: its live seg ids *)

@@ -174,7 +174,6 @@ end
 (* Per-guardian metrics                                                *)
 
 type guardian_stats = {
-  gid : int;
   mutable g_registrations : int;
   mutable g_resurrections : int;
   mutable g_drops : int;
@@ -182,7 +181,7 @@ type guardian_stats = {
   mutable g_hits : int;
   mutable g_latency_sum : int;
   mutable g_latency_max : int;
-  g_pending_epochs : int Queue.t;
+  g_pending_epochs : Vec.Int_ring.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -306,39 +305,26 @@ let pause_histogram t = t.pauses
 (* ------------------------------------------------------------------ *)
 (* Per-guardian metrics                                                *)
 
+let fresh_guardian_stats () =
+  {
+    g_registrations = 0;
+    g_resurrections = 0;
+    g_drops = 0;
+    g_polls = 0;
+    g_hits = 0;
+    g_latency_sum = 0;
+    g_latency_max = 0;
+    g_pending_epochs = Vec.Int_ring.create ();
+  }
+
 let new_guardian t =
   let gid = t.nguardians in
   if gid = Array.length t.guardians then begin
-    let cap = max 8 (2 * Array.length t.guardians) in
-    let dummy =
-      {
-        gid = -1;
-        g_registrations = 0;
-        g_resurrections = 0;
-        g_drops = 0;
-        g_polls = 0;
-        g_hits = 0;
-        g_latency_sum = 0;
-        g_latency_max = 0;
-        g_pending_epochs = Queue.create ();
-      }
-    in
-    let gs = Array.make cap dummy in
-    Array.blit t.guardians 0 gs 0 t.nguardians;
+    let gs = Array.make (max 8 (2 * gid)) (fresh_guardian_stats ()) in
+    Array.blit t.guardians 0 gs 0 gid;
     t.guardians <- gs
   end;
-  t.guardians.(gid) <-
-    {
-      gid;
-      g_registrations = 0;
-      g_resurrections = 0;
-      g_drops = 0;
-      g_polls = 0;
-      g_hits = 0;
-      g_latency_sum = 0;
-      g_latency_max = 0;
-      g_pending_epochs = Queue.create ();
-    };
+  t.guardians.(gid) <- fresh_guardian_stats ();
   t.nguardians <- gid + 1;
   gid
 
@@ -357,9 +343,10 @@ let record_resurrection t ~gid ~epoch =
   let g = guardian_stats t gid in
   g.g_resurrections <- g.g_resurrections + 1;
   (* The tconc is FIFO and only the guardian's retrieve dequeues it, so a
-     plain queue of resurrection epochs stays aligned with the queued
-     objects. *)
-  Queue.push epoch g.g_pending_epochs
+     FIFO of resurrection epochs stays aligned with the queued objects.
+     An int ring, not a [Queue]: an entry can wait several collections
+     for its poll, and a queue cell would be promoted to the major heap. *)
+  Vec.Int_ring.push g.g_pending_epochs epoch
 
 let record_drop t ~gid =
   let g = guardian_stats t gid in
@@ -370,8 +357,8 @@ let record_poll t ~gid ~hit ~epoch =
   g.g_polls <- g.g_polls + 1;
   if hit then begin
     g.g_hits <- g.g_hits + 1;
-    if not (Queue.is_empty g.g_pending_epochs) then begin
-      let resurrected_at = Queue.pop g.g_pending_epochs in
+    if not (Vec.Int_ring.is_empty g.g_pending_epochs) then begin
+      let resurrected_at = Vec.Int_ring.pop g.g_pending_epochs in
       let latency = max 0 (epoch - resurrected_at) in
       g.g_latency_sum <- g.g_latency_sum + latency;
       if latency > g.g_latency_max then g.g_latency_max <- latency

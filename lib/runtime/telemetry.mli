@@ -159,7 +159,6 @@ val pause_histogram : t -> Histogram.t
     heap object itself, so the id survives copying collections. *)
 
 type guardian_stats = {
-  gid : int;
   mutable g_registrations : int;
   mutable g_resurrections : int;  (** entries saved and queued *)
   mutable g_drops : int;  (** entries dropped because the guardian died *)
@@ -169,7 +168,7 @@ type guardian_stats = {
       (** total collections elapsed between each hit's resurrection and
           its retrieval — the finalization-lag metric *)
   mutable g_latency_max : int;
-  g_pending_epochs : int Queue.t;
+  g_pending_epochs : Vec.Int_ring.t;
       (** resurrection epochs of queued-but-not-yet-retrieved entries;
           FIFO, mirroring the guardian's tconc *)
 }

@@ -38,11 +38,6 @@ module Int = struct
     assert (i >= 0 && i < t.len);
     t.data.(i) <- x
 
-  let pop t =
-    assert (t.len > 0);
-    t.len <- t.len - 1;
-    t.data.(t.len)
-
   let truncate t n =
     assert (n >= 0 && n <= t.len);
     t.len <- n
@@ -74,8 +69,6 @@ module Poly = struct
 
   let length t = t.len
 
-  let is_empty t = t.len = 0
-
   let clear t =
     (* Release references so the host GC can reclaim elements. *)
     Array.fill t.data 0 t.len t.dummy;
@@ -100,24 +93,38 @@ module Poly = struct
   let get t i =
     assert (i >= 0 && i < t.len);
     t.data.(i)
+end
 
-  let set t i x =
-    assert (i >= 0 && i < t.len);
-    t.data.(i) <- x
+module Int_ring = struct
+  (* [len] ints from [head], wrapping; the capacity is 0 or a power of
+     two, so an index wraps with a mask. *)
+  type t = {
+    mutable data : int array;
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let create () = { data = [||]; head = 0; len = 0 }
+  let length t = t.len
+  let is_empty t = t.len = 0
+  let nth t i = t.data.((t.head + i) land (Array.length t.data - 1))
+
+  (* Out of line, so that [push] is small enough to be inlined. *)
+  let grow t =
+    t.data <- Array.init (max 8 (2 * t.len)) (fun i -> if i < t.len then nth t i else 0);
+    t.head <- 0
+
+  let push t x =
+    if t.len = Array.length t.data then grow t;
+    t.len <- t.len + 1;
+    t.data.((t.head + t.len - 1) land (Array.length t.data - 1)) <- x
 
   let pop t =
     assert (t.len > 0);
+    let x = t.data.(t.head) in
+    t.head <- (t.head + 1) land (Array.length t.data - 1);
     t.len <- t.len - 1;
-    let x = t.data.(t.len) in
-    t.data.(t.len) <- t.dummy;
     x
 
-  let iter t ~f =
-    for i = 0 to t.len - 1 do
-      f t.data.(i)
-    done
-
-  let to_list t =
-    let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in
-    loop (t.len - 1) []
+  let to_list t = List.init t.len (nth t)
 end

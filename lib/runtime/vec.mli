@@ -1,4 +1,4 @@
-(** Growable arrays (OCaml 5.1 has no [Dynarray]). *)
+(** Growable arrays (OCaml 5.1 has no [Dynarray]), and a growable int FIFO. *)
 
 module Int : sig
   type t
@@ -10,7 +10,6 @@ module Int : sig
   val push : t -> int -> unit
   val get : t -> int -> int
   val set : t -> int -> int -> unit
-  val pop : t -> int
   val truncate : t -> int -> unit
   val iter : t -> f:(int -> unit) -> unit
   val iteri : t -> f:(int -> int -> unit) -> unit
@@ -25,12 +24,24 @@ module Poly : sig
       host-heap references. *)
 
   val length : 'a t -> int
-  val is_empty : 'a t -> bool
   val clear : 'a t -> unit
   val push : 'a t -> 'a -> unit
   val get : 'a t -> int -> 'a
-  val set : 'a t -> int -> 'a -> unit
-  val pop : 'a t -> 'a
-  val iter : 'a t -> f:('a -> unit) -> unit
-  val to_list : 'a t -> 'a list
+end
+
+(** A FIFO of ints in one array that doubles when full: a push allocates
+    nothing until it grows, and a fresh ring allocates nothing at all. *)
+module Int_ring : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+  val is_empty : t -> bool
+  val push : t -> int -> unit
+
+  val pop : t -> int
+  (** The oldest element; the ring must not be empty. *)
+
+  val to_list : t -> int list
+  (** Oldest first. *)
 end

@@ -38,11 +38,6 @@ val mul_exact : int -> int -> int
 
 (** {1 Pointers} *)
 
-val pair_tag : int
-val typed_tag : int
-val imm_tag : int
-val tag_mask : int
-
 val is_pair_ptr : t -> bool
 (** Pair pointer (ordinary or weak — weakness is a property of the
     segment, not the tag). *)
@@ -69,14 +64,7 @@ val imm : int -> int -> t
 
 val is_imm : t -> bool
 val imm_code : t -> int
-val imm_payload : t -> int
 
-val code_nil : int
-val code_false : int
-val code_true : int
-val code_eof : int
-val code_void : int
-val code_unbound : int
 val code_char : int
 
 val code_forward : int

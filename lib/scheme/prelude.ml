@@ -38,41 +38,6 @@ let source =
 
 (define (list-ref l n) (car (list-tail l n)))
 
-(define (memq x l)
-  (cond [(null? l) #f]
-        [(eq? x (car l)) l]
-        [else (memq x (cdr l))]))
-
-(define (memv x l)
-  (cond [(null? l) #f]
-        [(eqv? x (car l)) l]
-        [else (memv x (cdr l))]))
-
-(define (member x l)
-  (cond [(null? l) #f]
-        [(equal? x (car l)) l]
-        [else (member x (cdr l))]))
-
-(define (assq x l)
-  (cond [(null? l) #f]
-        [(eq? x (caar l)) (car l)]
-        [else (assq x (cdr l))]))
-
-(define (assv x l)
-  (cond [(null? l) #f]
-        [(eqv? x (caar l)) (car l)]
-        [else (assv x (cdr l))]))
-
-(define (assoc x l)
-  (cond [(null? l) #f]
-        [(equal? x (caar l)) (car l)]
-        [else (assoc x (cdr l))]))
-
-(define (remq x l)
-  (cond [(null? l) '()]
-        [(eq? x (car l)) (remq x (cdr l))]
-        [else (cons (car l) (remq x (cdr l)))]))
-
 (define (map1 f l)
   (if (null? l) '() (cons (f (car l)) (map1 f (cdr l)))))
 

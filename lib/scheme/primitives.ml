@@ -101,6 +101,23 @@ let rec equal h a b =
       in
       loop 0)
 
+(* The one walker of the list searches: call [stop] on each pair of [l]
+   until it returns true, and return that pair, or #f at the end.  An
+   improper tail or a cycle is an error naming [name].  The tortoise
+   [slow] takes one step for the walk's two, so a cycle is caught only
+   after every element has been visited. *)
+let walk name h stop l =
+  let rec go l slow n =
+    if not (Word.is_pair_ptr l) then
+      if Word.is_nil l then Word.false_ else err "%s: improper list" name
+    else if stop l then l
+    else
+      let next = Obj.cdr h l in
+      let slow = if n land 1 = 1 then Obj.cdr h slow else slow in
+      if Word.equal next slow then err "%s: circular list" name else go next slow (n + 1)
+  in
+  go l l 0
+
 let install (m : Machine.t) =
   let h = Machine.heap m in
   let ctx = Machine.ctx m in
@@ -312,43 +329,34 @@ let install (m : Machine.t) =
       let tel = Heap.telemetry h in
       List.fold_right
         (fun ph l ->
-          let v = Obj.make_vector h ~len:5 ~init:(Word.of_fixnum 0) in
-          Obj.vector_set h v 0
-            (Symtab.intern (Machine.symtab m) (Telemetry.phase_name ph));
-          Obj.vector_set h v 1 (Obj.make_flonum h (Telemetry.phase_ns_total tel ph));
-          Obj.vector_set h v 2 (Obj.make_flonum h (Telemetry.phase_ns_last tel ph));
-          Obj.vector_set h v 3 (Word.of_fixnum (Telemetry.phase_work_total tel ph));
-          Obj.vector_set h v 4 (Word.of_fixnum (Telemetry.phase_work_last tel ph));
-          Obj.cons h v l)
+          Obj.cons h
+            (Obj.vector_of_list h
+               [ Symtab.intern (Machine.symtab m) (Telemetry.phase_name ph);
+                 Obj.make_flonum h (Telemetry.phase_ns_total tel ph);
+                 Obj.make_flonum h (Telemetry.phase_ns_last tel ph);
+                 Word.of_fixnum (Telemetry.phase_work_total tel ph);
+                 Word.of_fixnum (Telemetry.phase_work_last tel ph) ])
+            l)
         Telemetry.all_phases Word.nil);
   p "pause-histogram" ~min:0 (fun _ _ _ ->
       (* Non-empty log2 buckets of full-collection pause times, as
          #(lo-ns hi-ns count) with flonum bounds, smallest first. *)
-      let hist = Telemetry.pause_histogram (Heap.telemetry h) in
-      let lst = ref Word.nil in
-      List.iter
-        (fun (lo, hi, count) ->
-          let v = Obj.make_vector h ~len:3 ~init:(Word.of_fixnum 0) in
-          Obj.vector_set h v 0 (Obj.make_flonum h lo);
-          Obj.vector_set h v 1 (Obj.make_flonum h hi);
-          Obj.vector_set h v 2 (Word.of_fixnum count);
-          lst := Obj.cons h v !lst)
-        (List.rev (Telemetry.Histogram.nonempty_buckets hist));
-      !lst);
+      List.fold_right
+        (fun (lo, hi, count) l ->
+          Obj.cons h
+            (Obj.vector_of_list h
+               [ Obj.make_flonum h lo; Obj.make_flonum h hi; Word.of_fixnum count ])
+            l)
+        (Telemetry.Histogram.nonempty_buckets (Telemetry.pause_histogram (Heap.telemetry h)))
+        Word.nil);
   p1 "%guardian-stats" (fun _ g ->
       (* #(registrations resurrections drops polls hits latency-sum
           latency-max pending) for one guardian. *)
       let gs = Guardian.stats h (want_guardian "guardian-stats" h g) in
-      let v = Obj.make_vector h ~len:8 ~init:(Word.of_fixnum 0) in
-      Obj.vector_set h v 0 (Word.of_fixnum gs.Telemetry.g_registrations);
-      Obj.vector_set h v 1 (Word.of_fixnum gs.Telemetry.g_resurrections);
-      Obj.vector_set h v 2 (Word.of_fixnum gs.Telemetry.g_drops);
-      Obj.vector_set h v 3 (Word.of_fixnum gs.Telemetry.g_polls);
-      Obj.vector_set h v 4 (Word.of_fixnum gs.Telemetry.g_hits);
-      Obj.vector_set h v 5 (Word.of_fixnum gs.Telemetry.g_latency_sum);
-      Obj.vector_set h v 6 (Word.of_fixnum gs.Telemetry.g_latency_max);
-      Obj.vector_set h v 7 (Word.of_fixnum (Guardian.pending_count h g));
-      v);
+      Obj.vector_of_list h
+        (List.map Word.of_fixnum
+           Telemetry.[ gs.g_registrations; gs.g_resurrections; gs.g_drops; gs.g_polls; gs.g_hits;
+                       gs.g_latency_sum; gs.g_latency_max; Guardian.pending_count h g ]));
   p1 "eq-hash" (fun _ w -> Word.of_fixnum (Obj.eq_hash w land 0xFFFFFFFF));
   p1 "collect-request-handler" (fun m proc ->
       if Word.is_false proc then begin
@@ -552,4 +560,36 @@ let install (m : Machine.t) =
   p "gc-counters" ~min:0 (fun m _ _ ->
       let s = Heap.stats h in
       alist m (Stats.to_list s.total @ Stats.session_to_list s));
+
+  (* --- list searches ------------------------------------------------ *)
+  (* [mem*] return the tail whose car matches, [ass*] the first element
+     whose car matches; both #f when none does. *)
+  let mem name test = p2 name (fun _ x l -> walk name h (fun p -> test x (Obj.car h p)) l) in
+  let ass name test =
+    p2 name (fun _ x l ->
+        let p = walk name h (fun p -> test x (Obj.car h (want_pair name h (Obj.car h p)))) l in
+        if Word.is_false p then p else Obj.car h p)
+  in
+  mem "memq" Word.equal;
+  mem "memv" (eqv h);
+  mem "member" (equal h);
+  ass "assq" Word.equal;
+  ass "assv" (eqv h);
+  ass "assoc" (equal h);
+  p2 "remq" (fun _ x l ->
+      (* A fresh list of the other elements, in order, grown at its last
+         pair.  Fresh pairs are young and a primitive never collects, so
+         that cdr store is an initialisation and needs no barrier. *)
+      let first = ref Word.nil and last = ref Word.nil in
+      let keep p =
+        let e = Obj.car h p in
+        if not (Word.equal x e) then begin
+          let c = Obj.cons h e Word.nil in
+          if Word.is_nil !last then first := c else Heap.store h (Word.addr !last + 1) c;
+          last := c
+        end;
+        false
+      in
+      ignore (walk "remq" h keep l);
+      !first);
   ()

@@ -237,6 +237,24 @@ let test_segment_reuse () =
   (* Freed segments are recycled rather than accumulating. *)
   check "bounded segment count" true (Heap.live_segments h < 100)
 
+(* A large object copied by full collections alternates between two
+   OCaml arrays, and keeps its contents, rather than getting a new array
+   per copy. *)
+let test_large_segment_reuse () =
+  let h = Heap.create ~config:cfg () in
+  let c = Heap.new_cell h (Obj.make_vector h ~len:1000 ~init:(fx 7)) in
+  let array_of () = h.Heap.segs.(Heap.seg_of_addr (Word.addr (Heap.read_cell h c))) in
+  let full () = ignore (Collector.collect h ~gen:3) in
+  full ();
+  let first = array_of () in
+  full ();
+  check "next copy in another array" false (array_of () == first);
+  full ();
+  check "third copy back in the first array" true (array_of () == first);
+  let v = Heap.read_cell h c in
+  check_int "length kept" 1000 (Obj.vector_length h v);
+  check_int "contents kept" 7 (Word.to_fixnum (Obj.vector_ref h v 999))
+
 (* The numbers [Stats.pp_counters] prints, one per counter field. *)
 let counter_values c =
   Format.asprintf "%a" Stats.pp_counters c
@@ -488,6 +506,7 @@ let () =
           Alcotest.test_case "safepoint trigger" `Quick test_safepoint_triggers;
           Alcotest.test_case "collect-request handler" `Quick test_collect_request_handler;
           Alcotest.test_case "segment reuse" `Quick test_segment_reuse;
+          Alcotest.test_case "large segment reuse" `Quick test_large_segment_reuse;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

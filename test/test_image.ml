@@ -712,6 +712,25 @@ let test_continuation_survives_image () =
   check_str "deep resumed" "305" (Scheme.eval r "(kd 5)");
   Machine.dispose r
 
+(* A restored machine re-installs its primitives by index and binds only
+   globals the image left unbound: a program's own [assq] (and, in an
+   image saved before the list searches were primitives, the prelude's
+   Scheme one) keeps its binding.  A fresh system round-trips exactly. *)
+let test_primitive_globals_survive_image () =
+  let m = Scheme.create () in
+  let fresh = Scheme.Scheme_image.save_string m in
+  let r = Scheme.Scheme_image.load_string ~install:Scheme.Primitives.install fresh in
+  check "fresh system: save->load->save byte-identical" true
+    (String.equal fresh (Scheme.Scheme_image.save_string r));
+  Machine.dispose r;
+  ignore (Scheme.eval m "(define (assq x l) 'mine)");
+  let s = Scheme.Scheme_image.save_string m in
+  Machine.dispose m;
+  let r = Scheme.Scheme_image.load_string ~install:Scheme.Primitives.install s in
+  check_str "redefined assq kept" "mine" (Scheme.eval r "(assq 'a '((a . 1)))");
+  check_str "memq still the primitive" "(b c)" (Scheme.eval r "(memq 'b '(a b c))");
+  Machine.dispose r
+
 let expect_section_rejected name ~section s =
   match load_scheme s with
   | () -> Alcotest.fail (name ^ ": crafted image accepted")
@@ -832,6 +851,8 @@ let () =
         [
           Alcotest.test_case "continuation survives an image" `Quick
             test_continuation_survives_image;
+          Alcotest.test_case "primitive globals survive an image" `Quick
+            test_primitive_globals_survive_image;
         ] );
       ( "rejection",
         [

@@ -973,6 +973,130 @@ let dispatch =
           cases);
   ]
 
+(* The seven list searches are primitives.  Their former Scheme
+   definitions are the reference: same answers (the same tail or pair, by
+   eq?), on random lists of symbols, fixnums, pairs, flonums and strings. *)
+let reference_searches =
+  "(define (ref-memq x l) (cond [(null? l) #f] [(eq? x (car l)) l] [else (ref-memq x (cdr l))]))\n\
+   (define (ref-memv x l) (cond [(null? l) #f] [(eqv? x (car l)) l] [else (ref-memv x (cdr l))]))\n\
+   (define (ref-member x l) (cond [(null? l) #f] [(equal? x (car l)) l] [else (ref-member x (cdr l))]))\n\
+   (define (ref-assq x l) (cond [(null? l) #f] [(eq? x (caar l)) (car l)] [else (ref-assq x (cdr l))]))\n\
+   (define (ref-assv x l) (cond [(null? l) #f] [(eqv? x (caar l)) (car l)] [else (ref-assv x (cdr l))]))\n\
+   (define (ref-assoc x l) (cond [(null? l) #f] [(equal? x (caar l)) (car l)] [else (ref-assoc x (cdr l))]))\n\
+   (define (ref-remq x l)\n\
+  \  (cond [(null? l) '()] [(eq? x (car l)) (ref-remq x (cdr l))] [else (cons (car l) (ref-remq x (cdr l)))]))\n\
+   (define (same-searches x l)\n\
+  \  (let ([al (map (lambda (e) (cons e 'v)) l)])\n\
+  \    (list (eq? (memq x l) (ref-memq x l)) (eq? (memv x l) (ref-memv x l))\n\
+  \          (eq? (member x l) (ref-member x l)) (eq? (assq x al) (ref-assq x al))\n\
+  \          (eq? (assv x al) (ref-assv x al)) (eq? (assoc x al) (ref-assoc x al))\n\
+  \          (equal? (remq x l) (ref-remq x l))\n\
+  \          (if (memq x l) 'q (if (memv x l) 'v (if (member x l) 'm '-))))))"
+
+(* Each call makes a fresh object where it can, so only eqv? or equal?
+   can match it. *)
+let search_atoms =
+  [| "'a"; "'b"; "0"; "1"; "(cons 1 2)"; "(list 'a 1)"; "1.5"; "(+ 0.5 1.0)";
+     "(string #\\x)"; "(string #\\y)"; "'()"; "#f" |]
+
+let differential_searches () =
+  let mach = Scheme.create () in
+  ignore (Scheme.eval mach reference_searches);
+  let rng = Random.State.make [| 23 |] in
+  let hits = Hashtbl.create 4 in
+  for case = 1 to 400 do
+    let n = Random.State.int rng 9 in
+    let atom () = search_atoms.(Random.State.int rng (Array.length search_atoms)) in
+    let elems = List.init n (fun i -> Printf.sprintf "[e%d %s]" i (atom ())) in
+    let key =
+      if n > 0 && Random.State.bool rng then Printf.sprintf "e%d" (Random.State.int rng n)
+      else atom ()
+    in
+    let src =
+      Printf.sprintf "(let* (%s [l (list %s)] [x %s]) (same-searches x l))" (String.concat " " elems)
+        (String.concat " " (List.init n (Printf.sprintf "e%d")))
+        key
+    in
+    match Scheme.eval mach src with
+    | got ->
+        let kind = String.sub got (String.length got - 2) 1 in
+        Hashtbl.replace hits kind ();
+        check_str (Printf.sprintf "case %d: %s" case src) "(#t #t #t #t #t #t #t " (String.sub got 0 22)
+  done;
+  (* Every kind of match occurred: eq?, eqv?-only, equal?-only, none. *)
+  List.iter (fun k -> check ("some case matched by " ^ k) true (Hashtbl.mem hits k)) [ "q"; "v"; "m"; "-" ]
+
+let list_searches =
+  [
+    Alcotest.test_case "same answers as the Scheme definitions" `Quick differential_searches;
+    t "weak-cons buckets"
+      "(define wk1 (cons 1 2)) (define wk2 (cons 3 4))\n\
+       (define wb (list (weak-cons wk1 'one) (weak-cons wk2 'two) (weak-cons 'sym 'three)))\n\
+       (list (eq? (assq wk2 wb) (cadr wb)) (cdr (assq 'sym wb)) (assq (cons 1 2) wb)\n\
+      \      (length (remq (car wb) wb)) (eq? (cadr (remq (car wb) wb)) (caddr wb)))"
+      "(#t three #f 2 #t)";
+    t "weak-cons bucket after its key dies"
+      "(define wd1 (cons 1 2)) (define wd (list (weak-cons wd1 'one) (weak-cons 'sym 'two)))\n\
+       (set! wd1 #f) (collect 4) (list (car (car wd)) (cdr (assq 'sym wd)) (assq #f wd))"
+      "(#f two #<weak (#f . one)>)";
+    fails_with "improper tail" "(memq 'x '(a b . c))" "memq: improper list";
+    fails_with "not a list" "(member 1 5)" "member: improper list";
+    fails_with "improper alist" "(assoc 'x '((a . 1) . 5))" "assoc: improper list";
+    fails_with "non-pair alist element" "(assq 'x '((a . 1) 2))" "assq: expected a pair, got 2";
+    fails_with "improper remq" "(remq 'x '(a . b))" "remq: improper list";
+    Alcotest.test_case "circular lists" `Quick (fun () ->
+        let mach = Scheme.create () in
+        ignore
+          (Scheme.eval mach
+             "(define (cycle l) (set-cdr! (last-pair l) l) l)\n\
+              (define c1 (cycle (list 1))) (define c3 (cycle (list 1 2 3)))\n\
+              (define a1 (cycle (list '(1 . a)))) (define a3 (cycle (list '(1 . a) '(2 . b) '(3 . c))))");
+        List.iter
+          (fun name ->
+            let lists = if String.starts_with ~prefix:"ass" name then [ "a1"; "a3" ] else [ "c1"; "c3" ] in
+            List.iter
+              (fun l ->
+                match Scheme.eval mach (Printf.sprintf "(%s 9 %s)" name l) with
+                | exception Machine.Error msg -> check_str name (name ^ ": circular list") msg
+                | v -> Alcotest.failf "(%s 9 %s): expected an error, got %s" name l v)
+              lists)
+          [ "memq"; "memv"; "member"; "assq"; "assv"; "assoc"; "remq" ];
+        (* A match inside the cycle is found before the cycle is seen. *)
+        check_str "found in a cycle" "(3 c 1)"
+          (Scheme.eval mach "(list (car (memv 3 c3)) (cdr (assq 3 a3)) (car (member 1 c1)))"));
+    Alcotest.test_case "million-element lists" `Quick (fun () ->
+        let mach = Scheme.create () in
+        check_str "remq and member" "(999999 999999 500001 1000000)"
+          (Scheme.eval mach
+             "(define big (iota 1000000))\n\
+              (list (length (remq 7 big)) (car (member 999999 big)) (cadr (memv 500000 big))\n\
+             \      (length (remq 'none big)))");
+        Machine.dispose mach);
+    Alcotest.test_case "guarded-table access loop makes few VM calls" `Quick (fun () ->
+        (* The perfbench scheme-guarded-table op (half churn, half probe of
+           a 5000-key window over 1021 buckets), driven from Scheme. *)
+        let mach = Scheme.create () in
+        let per_iter =
+          Scheme.eval mach
+            "(define tbl (make-guarded-hash-table (lambda (k size) (modulo (car k) size)) 1021))\n\
+             (define window (make-vector 5000 #f))\n\
+             (define (churn! slot id) (let ([key (cons id 0)]) (vector-set! window slot key) (tbl key id)))\n\
+             (define (probe slot) (tbl (vector-ref window slot) #f))\n\
+             (let loop ([i 0]) (when (< i 5000) (churn! i i) (loop (+ i 1))))\n\
+             (define (vm-calls) (cdr (assq 'vm_calls (gc-counters))))\n\
+             (define (drive n)\n\
+            \  (let loop ([i 0])\n\
+            \    (when (< i n)\n\
+            \      (if (= 0 (remainder i 2))\n\
+            \          (churn! (modulo (* i 7919) 5000) (+ 5000 i))\n\
+            \          (probe (modulo (* i 104729) 5000)))\n\
+            \      (loop (+ i 1)))))\n\
+             (let ([before (vm-calls)]) (drive 20000) (quotient (- (vm-calls) before) 20000))"
+        in
+        check (per_iter ^ " VM calls per iteration <= 40") true (int_of_string per_iter <= 40);
+        Machine.dispose mach);
+  ]
+
 let () =
   Alcotest.run "scheme_eval"
     [
@@ -995,4 +1119,5 @@ let () =
       ("overflow", fixnum_overflow);
       ("call path", call_path);
       ("dispatch", dispatch);
+      ("list search", list_searches);
     ]

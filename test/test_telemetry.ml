@@ -380,6 +380,88 @@ let test_chrome_json_round_trips () =
   check_int "both collection ends carry args" 2 (List.length resurrections);
   check_int "first collection resurrected the pair" 1 (List.hd resurrections)
 
+(* --- resurrection epochs ----------------------------------------------- *)
+
+let test_int_ring_fifo () =
+  (* Pushes and pops against a [Queue] model.  Blocks alternate between
+     mostly pushing (the ring grows) and mostly popping (the head wraps). *)
+  let r = Vec.Int_ring.create () and q = Queue.create () in
+  let rng = Random.State.make [| 7 |] in
+  for i = 1 to 40_000 do
+    let push_bias = if i / 1000 mod 2 = 0 then 8 else 3 in
+    if Queue.is_empty q || Random.State.int rng 10 < push_bias then begin
+      Vec.Int_ring.push r i;
+      Queue.push i q
+    end
+    else check_int "pop order" (Queue.pop q) (Vec.Int_ring.pop r);
+    check_int "length" (Queue.length q) (Vec.Int_ring.length r)
+  done;
+  check "contents, oldest first" true (Vec.Int_ring.to_list r = List.of_seq (Queue.to_seq q))
+
+let test_latency_matches_model () =
+  (* Resurrections and polls at rising epochs; a list of pending epochs is
+     the model of the poll latency. *)
+  let tel = Telemetry.create () in
+  let gid = Telemetry.new_guardian tel in
+  let rng = Random.State.make [| 11 |] in
+  let pending = ref [] and sum = ref 0 and mx = ref 0 in
+  for epoch = 0 to 5_000 do
+    for _ = 1 to Random.State.int rng 4 do
+      Telemetry.record_resurrection tel ~gid ~epoch;
+      pending := !pending @ [ epoch ]
+    done;
+    for _ = 1 to Random.State.int rng 4 do
+      let hit = Random.State.bool rng in
+      Telemetry.record_poll tel ~gid ~hit ~epoch;
+      match !pending with
+      | oldest :: rest when hit ->
+          pending := rest;
+          sum := !sum + (epoch - oldest);
+          mx := max !mx (epoch - oldest)
+      | _ -> ()
+    done
+  done;
+  let g = Telemetry.guardian_stats tel gid in
+  check "some entries waited" true (!mx > 0);
+  check_int "latency sum" !sum g.Telemetry.g_latency_sum;
+  check_int "latency max" !mx g.Telemetry.g_latency_max;
+  check "pending epochs" true (Vec.Int_ring.to_list g.Telemetry.g_pending_epochs = !pending)
+
+let test_resurrections_promote_nothing () =
+  (* A steady register -> collect -> retrieve loop whose entries wait
+     three collections for their poll, with an OCaml minor collection
+     after each round: whatever per-entry record is still pending then is
+     promoted to the major heap.  A queue cell per entry cost 4 words.
+     The default segments are too large for the minor heap, so making
+     them is not promotion. *)
+  let h = Heap.create () in
+  let g = Handle.create h (Guardian.make h) in
+  let per_round = 200 and lag = 3 in
+  let round () =
+    for i = 1 to per_round do
+      Guardian.register h (Handle.get g) (Obj.cons h (fx i) Word.nil)
+    done;
+    ignore (Collector.collect h ~gen:0);
+    Gc.minor ();
+    if Guardian.pending_count h (Handle.get g) > lag * per_round then
+      for _ = 1 to per_round do
+        ignore (Guardian.retrieve h (Handle.get g))
+      done
+  in
+  for _ = 1 to 20 do
+    round ()
+  done;
+  let resurrected () = (Guardian.stats h (Handle.get g)).Telemetry.g_resurrections in
+  let r0 = resurrected () in
+  let _, p0, _ = Gc.counters () in
+  for _ = 1 to 200 do
+    round ()
+  done;
+  let _, p1, _ = Gc.counters () in
+  let per_entry = (p1 -. p0) /. float_of_int (resurrected () - r0) in
+  check_int "every registration resurrected" (200 * per_round) (resurrected () - r0);
+  check (Printf.sprintf "%.3f promoted words per resurrection < 1" per_entry) true (per_entry < 1.)
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -401,4 +483,11 @@ let () =
         ] );
       ( "chrome",
         [ Alcotest.test_case "JSON round-trips" `Quick test_chrome_json_round_trips ] );
+      ( "epochs",
+        [
+          Alcotest.test_case "int ring is FIFO" `Quick test_int_ring_fifo;
+          Alcotest.test_case "latency matches a model" `Quick test_latency_matches_model;
+          Alcotest.test_case "no promotion per entry" `Quick
+            test_resurrections_promote_nothing;
+        ] );
     ]
