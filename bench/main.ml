@@ -879,6 +879,19 @@ let e_image () =
     \     padding plus tables); the load column includes the post-load Verify\n\
     \     sweep, which the last column shows can be traded away\n\
     \     (Config.image_verify_on_load).";
+  (* The trailer CRC alone, over a checkpoint-sized payload. *)
+  let crc_buf = String.init (6 lsl 20) (fun i -> Char.unsafe_chr ((i * 131) lxor (i lsr 9))) in
+  let crc_mb_s crc32 =
+    let len = String.length crc_buf in
+    let _, us = best_of 3 (fun () -> crc32 crc_buf ~pos:0 ~len) in
+    float_of_int len /. us
+  in
+  let kernel_mb_s = crc_mb_s Gbc_image.Image.crc32 in
+  let portable_mb_s = crc_mb_s Gbc_image.Image.crc32_portable in
+  Gc_report.add_extra ~timing:true "image_crc32_mb_s" kernel_mb_s;
+  Gc_report.add_extra ~timing:true "image_crc32_portable_mb_s" portable_mb_s;
+  Printf.printf "  CRC-32 of 6 MiB: %.0f MB/s (kernel), %.0f MB/s (portable table loop)\n"
+    kernel_mb_s portable_mb_s;
   (* Cold start: restoring a checkpointed Scheme system vs replaying its
      startup (prelude compile+eval plus the workload program). *)
   subsection "cold start: restore a Scheme system image vs replay its startup";

@@ -58,53 +58,19 @@ let format_version = 1
 (* ------------------------------------------------------------------ *)
 (* CRC-32                                                              *)
 
-(* Slice-by-16: table [k] advances the CRC over a byte followed by [k]
-   zero bytes, so sixteen table lookups consume sixteen input bytes. *)
-let crc_tables =
-  lazy
-    (let t = Array.make (16 * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for i = 256 to (16 * 256) - 1 do
-       let c = t.(i - 256) in
-       t.(i) <- (c lsr 8) lxor t.(c land 0xff)
-     done;
-     t)
+(* Both paths live in crc32_stubs.c and never allocate; the bounds check
+   stays here and raises what the stdlib's string accessors raise. *)
+external crc32_init : unit -> unit = "gbc_crc32_init" [@@noalloc]
+external crc32_kernel : string -> int -> int -> int = "gbc_crc32" [@@noalloc]
+external crc32_table : string -> int -> int -> int = "gbc_crc32_portable" [@@noalloc]
+let () = crc32_init ()
 
-(* Entry [x land 0xff] of table [k]: the index is masked to a byte, so
-   the read cannot leave the 16 tables. *)
-let[@inline] tb (t : int array) k x = Array.unsafe_get t ((k lsl 8) lor (x land 0xff))
+let[@inline] checked f s ~pos ~len =
+  if len > 0 && (pos < 0 || pos > String.length s - len) then invalid_arg "index out of bounds";
+  f s pos len
 
-let crc32 s ~pos ~len =
-  let t = Lazy.force crc_tables in
-  let c = ref 0xFFFFFFFF in
-  let i = ref pos in
-  let stop = pos + len in
-  while !i + 16 <= stop do
-    (* Split each 64-bit read with a logical shift: an OCaml int would
-       drop bit 63. *)
-    let a = String.get_int64_le s !i and b = String.get_int64_le s (!i + 8) in
-    let a0 = !c lxor (Int64.to_int a land 0xFFFFFFFF) in
-    let a1 = Int64.to_int (Int64.shift_right_logical a 32) in
-    let b0 = Int64.to_int b land 0xFFFFFFFF in
-    let b1 = Int64.to_int (Int64.shift_right_logical b 32) in
-    c :=
-      tb t 15 a0 lxor tb t 14 (a0 lsr 8) lxor tb t 13 (a0 lsr 16) lxor tb t 12 (a0 lsr 24)
-      lxor tb t 11 a1 lxor tb t 10 (a1 lsr 8) lxor tb t 9 (a1 lsr 16) lxor tb t 8 (a1 lsr 24)
-      lxor tb t 7 b0 lxor tb t 6 (b0 lsr 8) lxor tb t 5 (b0 lsr 16) lxor tb t 4 (b0 lsr 24)
-      lxor tb t 3 b1 lxor tb t 2 (b1 lsr 8) lxor tb t 1 (b1 lsr 16) lxor tb t 0 (b1 lsr 24);
-    i := !i + 16
-  done;
-  while !i < stop do
-    c := tb t 0 (!c lxor Char.code s.[!i]) lxor (!c lsr 8);
-    incr i
-  done;
-  !c lxor 0xFFFFFFFF
+let crc32 s ~pos ~len = checked crc32_kernel s ~pos ~len
+let crc32_portable s ~pos ~len = checked crc32_table s ~pos ~len
 
 (* ------------------------------------------------------------------ *)
 (* Little-endian primitives                                            *)

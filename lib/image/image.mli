@@ -134,5 +134,13 @@ val magic : string  (** ["GBCIMG01"], 8 bytes *)
 val format_version : int  (** 1 *)
 
 val crc32 : string -> pos:int -> len:int -> int
-(** The IEEE 802.3 CRC-32 (polynomial 0xEDB88320) the trailer carries.
-    @raise Invalid_argument if [pos + len] is past the end of the string. *)
+(** The IEEE 802.3 CRC-32 (polynomial 0xEDB88320) the trailer carries, by
+    a C kernel: ranges of 64 bytes or more fold with carry-less multiplies
+    on x86-64 CPUs with PCLMULQDQ (CPUID is read once, at start-up); all
+    else runs a slice-by-16 table loop.  A [len] of zero or less gives 0.
+    @raise Invalid_argument if [len > 0] and [pos, pos + len) is not
+    within the string. *)
+
+val crc32_portable : string -> pos:int -> len:int -> int
+(** {!crc32} by the table loop alone, the only path on hosts without
+    PCLMULQDQ; exposed so that tests check it on every host. *)

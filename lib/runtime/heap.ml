@@ -90,8 +90,8 @@ type t = {
   mutable segs : int array array;
   mutable infos : seg_info array;
   mutable nsegs : int;
-  mutable free_std : int list;  (** free segments whose array is retained *)
-  mutable free_ids : int list;  (** free segment ids whose array was dropped *)
+  free_std : Vec.Int.t;  (** stack of free segments whose array is retained *)
+  free_ids : Vec.Int.t;  (** stack of free segment ids whose array was dropped *)
   mutable spare_large : int array;  (** the array of the last large segment freed *)
   mutator_cursors : cursor array;  (** per space: generation-0 allocation *)
   gc_cursors : cursor array;  (** per space: target-generation allocation *)
@@ -174,8 +174,8 @@ let create ?(config = Config.default) () =
     segs = Array.make 16 [||];
     infos = Array.init 16 (fun _ -> fresh_info ());
     nsegs = 0;
-    free_std = [];
-    free_ids = [];
+    free_std = Vec.Int.create ();
+    free_ids = Vec.Int.create ();
     spare_large = [||];
     mutator_cursors = Array.init Space.count (fun _ -> { seg = -1 });
     gc_cursors = Array.init Space.count (fun _ -> { seg = -1 });
@@ -260,15 +260,12 @@ let grow_tables t needed =
   end
 
 let fresh_seg_id t =
-  match t.free_ids with
-  | id :: rest ->
-      t.free_ids <- rest;
-      id
-  | [] ->
-      grow_tables t (t.nsegs + 1);
-      let id = t.nsegs in
-      t.nsegs <- t.nsegs + 1;
-      id
+  if not (Vec.Int.is_empty t.free_ids) then Vec.Int.pop t.free_ids
+  else begin
+    grow_tables t (t.nsegs + 1);
+    t.nsegs <- t.nsegs + 1;
+    t.nsegs - 1
+  end
 
 (** Acquire a segment for [space] in [generation], of at least [min_words]
     (a standard segment unless the object is oversized). *)
@@ -294,14 +291,12 @@ let acquire_segment t ~space ~generation ~min_words =
   end;
   let seg =
     if min_words <= std then
-      match t.free_std with
-      | id :: rest ->
-          t.free_std <- rest;
-          id
-      | [] ->
-          let id = fresh_seg_id t in
-          t.segs.(id) <- Array.make std 0;
-          id
+      if not (Vec.Int.is_empty t.free_std) then Vec.Int.pop t.free_std
+      else begin
+        let id = fresh_seg_id t in
+        t.segs.(id) <- Array.make std 0;
+        id
+      end
     else begin
       (* A surviving large object is copied to a new large segment each
          time its generation is collected: reuse the array its last copy
@@ -353,9 +348,9 @@ let release_segment t seg =
     si.size <- 0;
     si.cards <- Bytes.empty;
     si.crossing <- [||];
-    t.free_ids <- seg :: t.free_ids
+    Vec.Int.push t.free_ids seg
   end
-  else t.free_std <- seg :: t.free_std
+  else Vec.Int.push t.free_std seg
 
 (** Live segments of [generation]: the heap's own list, exact because a
     segment is only freed after the collector has condemned its whole

@@ -84,8 +84,8 @@ type t = {
   mutable segs : int array array;
   mutable infos : seg_info array;
   mutable nsegs : int;
-  mutable free_std : int list;
-  mutable free_ids : int list;
+  free_std : Vec.Int.t;
+  free_ids : Vec.Int.t;
   mutable spare_large : int array;
   mutator_cursors : cursor array;
   gc_cursors : cursor array;

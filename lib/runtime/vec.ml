@@ -30,6 +30,11 @@ module Int = struct
     t.data.(t.len) <- x;
     t.len <- t.len + 1
 
+  let pop t =
+    assert (t.len > 0);
+    t.len <- t.len - 1;
+    t.data.(t.len)
+
   let get t i =
     assert (i >= 0 && i < t.len);
     t.data.(i)

@@ -8,6 +8,7 @@ module Int : sig
   val is_empty : t -> bool
   val clear : t -> unit
   val push : t -> int -> unit
+  val pop : t -> int
   val get : t -> int -> int
   val set : t -> int -> int -> unit
   val truncate : t -> int -> unit

@@ -601,31 +601,54 @@ let reference_crc32 s ~pos ~len =
   done;
   !c lxor 0xFFFFFFFF
 
+(* Both paths of the C kernel: [Image.crc32] folds ranges of 64 bytes or
+   more with PCLMULQDQ where the CPU has it, [Image.crc32_portable] is
+   the table loop every other host runs. *)
+let crc32_paths = [ ("kernel", Image.crc32); ("portable", Image.crc32_portable) ]
+
 let test_crc32_reference () =
-  check_int "check value" 0xCBF43926 (Image.crc32 "123456789" ~pos:0 ~len:9);
-  (* High bytes everywhere: a 64-bit read would lose bit 63.  Every tail
-     length after zero, one and several 16-byte blocks, at every
-     alignment. *)
-  let buf = String.init 96 (fun i -> Char.chr (0x80 lor ((i * 37) land 0x7f))) in
-  for pos = 0 to 15 do
-    for len = 0 to 80 do
-      check_int
-        (Printf.sprintf "pos %d len %d" pos len)
-        (reference_crc32 buf ~pos ~len)
-        (Image.crc32 buf ~pos ~len)
-    done
-  done;
+  (* High bytes everywhere: a 64-bit read would lose bit 63.  Lengths
+     0..320 at 64 alignments cover the table-only inputs under 64 bytes,
+     the 64-byte fold entry, the four-lane loop, the 16-byte loop and
+     every 0-15 byte tail. *)
+  let buf = String.init 400 (fun i -> Char.chr (0x80 lor ((i * 37) land 0x7f))) in
   List.iter
-    (fun (pos, len) ->
-      match Image.crc32 buf ~pos ~len with
-      | _ -> Alcotest.failf "pos %d len %d past the end accepted" pos len
-      | exception Invalid_argument _ -> ())
-    [ (0, 97); (81, 16); (90, 7); (96, 1) ];
+    (fun (path, crc32) ->
+      check_int (path ^ ": check value") 0xCBF43926 (crc32 "123456789" ~pos:0 ~len:9);
+      for pos = 0 to 63 do
+        for len = 0 to 320 do
+          let want = reference_crc32 buf ~pos ~len and got = crc32 buf ~pos ~len in
+          if got <> want then
+            Alcotest.failf "%s: pos %d len %d: %08x, want %08x" path pos len got want
+        done
+      done;
+      List.iter
+        (fun (pos, len) ->
+          match crc32 buf ~pos ~len with
+          | _ -> Alcotest.failf "%s: pos %d len %d past the end accepted" path pos len
+          | exception Invalid_argument _ -> ())
+        [ (0, 401); (385, 16); (394, 7); (400, 1); (-1, 64) ])
+    crc32_paths;
   let s = small_image () in
   let plen = String.length s - 24 in
   check_int "image trailer"
     (reference_crc32 s ~pos:20 ~len:plen)
     (Int32.to_int (String.get_int32_le s (20 + plen)) land 0xFFFFFFFF)
+
+(* A checkpoint-sized input: 4 MiB of pseudo-random bytes, at offsets
+   that put the fold on and off a 16-byte boundary. *)
+let test_crc32_large () =
+  let st = Random.State.make [| 25 |] in
+  let buf = String.init (4 lsl 20) (fun _ -> Char.chr (Random.State.int st 256)) in
+  List.iter
+    (fun pos ->
+      let len = String.length buf - pos - 3 in
+      let want = reference_crc32 buf ~pos ~len in
+      List.iter
+        (fun (path, crc32) ->
+          check_int (Printf.sprintf "%s: pos %d" path pos) want (crc32 buf ~pos ~len))
+        crc32_paths)
+    [ 0; 1; 7 ]
 
 let le64 w =
   let b = Bytes.create 8 in
@@ -883,5 +906,6 @@ let () =
       ( "crc",
         [
           Alcotest.test_case "matches a reference" `Quick test_crc32_reference;
+          Alcotest.test_case "4 MiB buffer" `Quick test_crc32_large;
         ] );
     ]
