@@ -824,7 +824,7 @@ let e_image () =
         let loaded, load_us =
           best_of 3 (fun () -> Gbc_image.Image.load_string bytes)
         in
-        (* The same load with the post-load Verify sweep disabled — the
+        (* The same load without the Verify checks its walk runs — the
            image_verify_on_load knob for trusted images (doc/TUNING.md). *)
         let noverify =
           Config.v ~max_generation:3 ~image_verify_on_load:false ()
@@ -842,6 +842,9 @@ let e_image () =
         Gc_report.add_extra ~timing:true
           (Printf.sprintf "image_load_noverify_mb_s_n%d" n)
           (float_of_int size /. load_nv_us);
+        Gc_report.add_extra ~timing:true
+          (Printf.sprintf "image_load_verify_ratio_n%d" n)
+          (load_us /. load_nv_us);
         Gc_report.add_extra
           (Printf.sprintf "image_bytes_per_live_byte_n%d" n)
           (float_of_int size /. float_of_int (max 1 live_bytes));
@@ -876,9 +879,9 @@ let e_image () =
     rows;
   print_endline
     "  -> the image stays within a small constant of live data (segment\n\
-    \     padding plus tables); the load column includes the post-load Verify\n\
-    \     sweep, which the last column shows can be traded away\n\
-    \     (Config.image_verify_on_load).";
+    \     padding plus tables); the load column includes the Verify checks\n\
+    \     the load runs in its own walk, which the last column shows can be\n\
+    \     traded away (Config.image_verify_on_load).";
   (* The trailer CRC alone, over a checkpoint-sized payload. *)
   let crc_buf = String.init (6 lsl 20) (fun i -> Char.unsafe_chr ((i * 131) lxor (i lsr 9))) in
   let crc_mb_s crc32 =

@@ -35,7 +35,8 @@
     {!Heap.note_ref} and replays {!Heap.note_object} per object.  The
     rebuilt cards are the precise minimum, which {!Verify}'s
     remembered-set invariant accepts (stale-dirty cards in the saved heap
-    were a scanning overapproximation, never roots). *)
+    were a scanning overapproximation, never roots), so a verified load
+    checks every slot but not the cards it derived itself. *)
 
 open Gbc_runtime
 
@@ -386,8 +387,35 @@ let load_string ?config s =
       raise (Error "gbc-image: relocation target out of range");
     infos.(seg)
   in
-  let reloc w =
-    if Word.is_pointer w then ignore (target w);
+  (* Segment [seg]'s words start at byte [at.(seg)] of [s]; [at.(nsegs)] ends them. *)
+  let at = Array.make (nsegs + 1) r.pos in
+  for seg = 0 to nsegs - 1 do
+    at.(seg + 1) <- at.(seg) + (8 * infos.(seg).Heap.used)
+  done;
+  need r (at.(nsegs) - r.pos);
+  r.pos <- at.(nsegs);
+  (* A verified load runs {!Verify}'s checks of a fresh heap in this walk:
+     the object starts come from a header pre-pass over the image, and
+     each slot and root word gets {!Verify}'s slot check as it is read.  The
+     remembered set is derived here, so it needs no check. *)
+  let failed { Verify.what; where } =
+    Error (Printf.sprintf "gbc-image: restored heap failed verification: %s at %s" what where)
+  in
+  let starts =
+    if not config.Config.image_verify_on_load then None
+    else
+      let word seg off = Int64.to_int (String.get_int64_le s (at.(seg) + (8 * off))) in
+      Some (Verify.object_starts h ~word ~err:(fun e -> raise (failed e)))
+  in
+  let fail f kind a b k w = raise (failed (Verify.fault_error h f kind a b k w)) in
+  let reloc ~min_gen kind a b k w =
+    let fault =
+      match starts with
+      | Some st when Word.is_pointer w -> Verify.pointer_fault st ~min_gen w (target w)
+      | Some _ -> Verify.value_fault w
+      | None -> if Word.is_pointer w then ignore (target w); None
+    in
+    (match fault with Some f -> fail f kind a b k w | None -> ());
     w
   in
   (* One walk per segment copies its words, checks the pointer slots,
@@ -395,31 +423,49 @@ let load_string ?config s =
      allocator's crossing-map maintenance object by object.  Data-space
      bodies hold no pointers and are copied verbatim: string bytes and
      flonum bit patterns must not be mistaken for pointers. *)
-  let total_words = ref 0 in
   for seg = 0 to nsegs - 1 do
     let si = infos.(seg) in
     let gen = si.Heap.generation in
     let arr = h.Heap.segs.(seg) in
     let used = si.Heap.used in
-    need r (8 * used);
-    let base = r.pos in
-    r.pos <- base + (8 * used);
+    let base = at.(seg) in
     let[@inline] word off = Int64.to_int (String.get_int64_le s (base + (8 * off))) in
-    let slots ~off ~stop =
-      for off = off to stop - 1 do
-        let w = word off in
-        arr.(off) <- w;
-        if Word.is_pointer w then begin
-          let tgen = (target w).Heap.generation in
-          if tgen < gen then Heap.note_ref h ~addr:(Heap.addr_of ~seg ~off) ~gen:tgen
-        end
-      done
+    (* Checks [w]'s target and notes an old-to-young slot; [ti] is the target's. *)
+    let[@inline] note off w =
+      let ti = target w in
+      if ti.Heap.generation < gen then
+        Heap.note_ref h ~addr:(Heap.addr_of ~seg ~off) ~gen:ti.Heap.generation;
+      ti
+    in
+    (* [obj]: the header offset of a typed object, -1 in pair space. *)
+    let slots ~obj ~off ~stop =
+      match starts with
+      | None ->
+          for off = off to stop - 1 do
+            let w = word off in
+            arr.(off) <- w;
+            if Word.is_pointer w then ignore (note off w)
+          done
+      | Some st ->
+          for off = off to stop - 1 do
+            let w = word off in
+            arr.(off) <- w;
+            let fault =
+              if Word.is_pointer w then Verify.pointer_fault st ~min_gen:0 w (note off w)
+              else Verify.value_fault w
+            in
+            match fault with
+            | None -> ()
+            | Some f ->
+                if obj < 0 then fail f Verify.Field seg (off land -2) (off land 1) w
+                else fail f Verify.Field seg obj (off - obj - 1) w
+          done
     in
     (match si.Heap.space with
     | Space.Pair | Space.Weak | Space.Ephemeron ->
         if used land 1 <> 0 then
           raise (Error "gbc-image: odd word count in a pair segment");
-        slots ~off:0 ~stop:used;
+        slots ~obj:(-1) ~off:0 ~stop:used;
         let off = ref 0 in
         while !off < used do
           Heap.note_object h si ~off:!off ~nwords:2;
@@ -436,16 +482,16 @@ let load_string ?config s =
             raise (Error "gbc-image: object overruns its segment");
           arr.(!off) <- hdr;
           if si.Heap.space = Space.Typed then
-            slots ~off:(!off + 1) ~stop:(!off + size)
+            slots ~obj:!off ~off:(!off + 1) ~stop:(!off + size)
           else
             for o = !off + 1 to !off + size - 1 do
               arr.(o) <- word o
             done;
           Heap.note_object h si ~off:!off ~nwords:size;
           off := !off + size
-        done);
-    total_words := !total_words + used
+        done)
   done;
+  let total_words = (at.(nsegs) - at.(0)) / 8 in
   for k = 0 to Space.count - 1 do
     let idx = ri64 r in
     if idx >= nsegs then raise (Error "gbc-image: bad allocation cursor");
@@ -459,7 +505,7 @@ let load_string ?config s =
   h.Heap.global_cells <- !cells;
   h.Heap.global_cells_len <- nglobals;
   for i = 0 to nglobals - 1 do
-    h.Heap.global_cells.(i) <- reloc (ri64 r)
+    h.Heap.global_cells.(i) <- reloc ~min_gen:0 Verify.Global i 0 0 (ri64 r)
   done;
   let nfree = ru32 r in
   let free = ref [] in
@@ -471,10 +517,10 @@ let load_string ?config s =
   h.Heap.global_free <- List.rev !free;
   for g = 0 to max_generation do
     let n = ru32 r in
-    for _ = 1 to n do
-      let obj = reloc (ri64 r) in
-      let rep = reloc (ri64 r) in
-      let tconc = reloc (ri64 r) in
+    for j = 0 to n - 1 do
+      let obj = reloc ~min_gen:g Verify.Entry g j 0 (ri64 r) in
+      let rep = reloc ~min_gen:g Verify.Entry g j 1 (ri64 r) in
+      let tconc = reloc ~min_gen:g Verify.Entry g j 2 (ri64 r) in
       let gid = ru32 r in
       if gid >= nguardians then
         raise (Error "gbc-image: bad guardian id in a protected list");
@@ -488,9 +534,9 @@ let load_string ?config s =
   Telemetry.restore_guardian_count tel nguardians;
   let symbols = ref [] in
   let nsyms = ru32 r in
-  for _ = 1 to nsyms do
+  for j = 0 to nsyms - 1 do
     let name = rstr r in
-    let w = reloc (ri64 r) in
+    let w = reloc ~min_gen:0 (Verify.Root "symbols") 0 j 0 (ri64 r) in
     symbols := (name, w) :: !symbols
   done;
   let symbols = List.rev !symbols in
@@ -499,9 +545,9 @@ let load_string ?config s =
   for _ = 1 to nextras do
     let name = rstr r in
     let nw = ru32 r in
-    let xwords = Array.make (max 1 nw) Word.nil in
+    let xwords = Array.make (max 1 nw) Word.nil and root = Verify.Root name in
     for j = 0 to nw - 1 do
-      xwords.(j) <- reloc (ri64 r)
+      xwords.(j) <- reloc ~min_gen:0 root 0 j 0 (ri64 r)
     done;
     let xwords = Array.sub xwords 0 nw in
     let xbytes = rstr r in
@@ -510,39 +556,18 @@ let load_string ?config s =
   let extras = List.rev !extras in
   if r.pos <> r.limit then
     raise (Error "gbc-image: trailing bytes in the image payload");
-  if config.Config.image_verify_on_load then begin
-    (* The symbol and extra sections are roots too: each word must point
-       at an object start, like a global cell. *)
-    let roots =
-      ("symbols", Array.of_list (List.map snd symbols))
-      :: List.map (fun (name, x) -> (name, x.xwords)) extras
-    in
-    match Verify.verify ~roots h with
-    | [] -> ()
-    | errs ->
-        let worst =
-          List.filteri (fun i _ -> i < 3) errs
-          |> List.map (fun e -> e.Verify.what ^ " at " ^ e.Verify.where)
-          |> String.concat "; "
-        in
-        raise
-          (Error
-             (Printf.sprintf
-                "gbc-image: restored heap failed verification (%d errors): %s"
-                (List.length errs) worst))
-  end;
-  Telemetry.phase_end tel Telemetry.Image_load ~work:!total_words;
+  Telemetry.phase_end tel Telemetry.Image_load ~work:total_words;
   Telemetry.set_enabled tel was_on;
   let st = Heap.stats h in
   st.Stats.image_loads <- st.Stats.image_loads + 1;
   st.Stats.image_bytes_read <- st.Stats.image_bytes_read + total;
-  st.Stats.image_words_read <- st.Stats.image_words_read + !total_words;
+  st.Stats.image_words_read <- st.Stats.image_words_read + total_words;
   {
     heap = h;
     symbols;
     extras;
     image_bytes = total;
-    restored_words = !total_words;
+    restored_words = total_words;
     restored_segments = nsegs;
   }
 

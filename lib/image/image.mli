@@ -7,9 +7,10 @@
     guardian protected lists, plus caller-supplied named sections — the
     symbol table of a Scheme system, compiled code, whatever rides along.
     Loading rebuilds a {e fresh} heap in one walk per segment (copy,
-    pointer check, crossing map, exact remembered set) and re-runs the
-    {!Verify} invariant checker before handing the heap back (see
-    [Config.image_verify_on_load]).
+    pointer check, crossing map, exact remembered set).  A verified load
+    (see [Config.image_verify_on_load]) runs {!Verify}'s checks of a fresh
+    heap in that same walk, after a header pre-pass that finds the object
+    starts; it costs about 1.2× a trusted load (E24).
 
     {2 What round-trips}
 
@@ -39,7 +40,7 @@ open Gbc_runtime
 exception Error of string
 (** Every failure of {!save_string}/{!load_string} and the file variants:
     bad magic, unsupported version, truncation, CRC mismatch,
-    inconsistent tables, config mismatch, post-load verification.  The
+    inconsistent tables, config mismatch, failed verification.  The
     message is a complete one-line diagnostic prefixed ["gbc-image:"].
     File I/O itself raises [Sys_error] as usual. *)
 
@@ -85,7 +86,9 @@ val load_string : ?config:Config.t -> string -> loaded
     Times itself under {!Telemetry.Image_load} (on the new heap's hub)
     and bumps the image counters.
     @raise Error on any malformed, truncated, corrupt or incompatible
-    image, and on a post-load {!Verify} failure. *)
+    image, and, when verifying, on the first slot or header {!Verify}
+    would report (["gbc-image: restored heap failed verification: "]
+    what ["at"] where). *)
 
 val save_image :
   ?symbols:(string * Word.t) list ->

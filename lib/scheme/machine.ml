@@ -225,6 +225,17 @@ let add_const m d =
   Vec.Int.length m.consts - 1
 
 let add_code m (code : Instr.code) =
+  (* A clause's locals are exactly its parameters. *)
+  List.iter
+    (fun { Instr.required; rest; instrs } ->
+      let n = required + Bool.to_int rest in
+      Array.iter
+        (function
+          | Instr.Local_ref k | Instr.Local_set_box k | Instr.Box_local k when k < 0 || k >= n ->
+              error "%s: local slot %d not in [0, %d)" code.Instr.name k n
+          | _ -> ())
+        instrs)
+    code.Instr.clauses;
   Vec.Poly.push m.codes code;
   Vec.Poly.push m.clauses (Array.of_list code.Instr.clauses);
   Vec.Poly.length m.codes - 1

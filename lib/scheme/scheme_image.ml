@@ -206,7 +206,8 @@ let restore ~install (l : Image.loaded) =
   in
   let ctx = Gbc.Ctx.of_heap l.Image.heap in
   let m = Machine.create ~ctx () in
-  Machine.restore_image_state m ~codes ~consts ~symbols:l.Image.symbols;
+  (try Machine.restore_image_state m ~codes ~consts ~symbols:l.Image.symbols
+   with Machine.Error msg -> corrupt "scheme/codes: %s" msg);
   (* Primitives are OCaml closures: reinstall.  The prelude is NOT
      re-evaluated — its definitions are global bindings living in the
      restored heap. *)

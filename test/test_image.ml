@@ -665,16 +665,20 @@ let find_once name s pattern =
   check_int (name ^ " found once") 1 (List.length !at);
   List.hd !at
 
-(* [s] with the pointer word at [pos] moved [by] words into its object,
-   and the CRC trailer recomputed. *)
-let interior_at ~by s pos =
-  let w = Int64.to_int (String.get_int64_le s pos) in
+(* [s] with [bytes] written at [pos] and the CRC trailer recomputed. *)
+let patched s pos bytes =
   let b = Bytes.of_string s in
-  Bytes.blit_string (le64 (Word.with_addr w (Word.addr w + by))) 0 b pos 8;
+  Bytes.blit_string bytes 0 b pos (String.length bytes);
   let plen = Bytes.length b - 24 in
   let crc = Image.crc32 (Bytes.to_string b) ~pos:20 ~len:plen in
   Bytes.set_int32_le b (20 + plen) (Int32.of_int crc);
   Bytes.to_string b
+
+(* [s] with the pointer word at [pos] moved [by] words into its object,
+   and the CRC trailer recomputed. *)
+let interior_at ~by s pos =
+  let w = Int64.to_int (String.get_int64_le s pos) in
+  patched s pos (le64 (Word.with_addr w (Word.addr w + by)))
 
 (* A crafted image whose global cell points into the middle of a vector
    (with a valid CRC) must be rejected by the verified load. *)
@@ -685,6 +689,90 @@ let test_interior_root_rejected () =
   let s = interior_at ~by:2 s (find_once "cell word" s (le64 (Handle.get v))) in
   expect_error "interior root" (fun () -> Image.load_string ~config:cfg s)
 
+(* Differential rejection: each crafted heap breaks one invariant that
+   only Verify checks, and saves to a CRC-valid image that a trusted load
+   accepts.  The verified load must refuse it with one of the errors
+   Verify.verify reports for the trusted load, word for word. *)
+let verified_load_case what craft () =
+  let h = heap () in
+  let v1 = Obj.make_vector h ~len:4 ~init:(fx 1) and v2 = Obj.make_vector h ~len:4 ~init:(fx 2) in
+  let p1 = Obj.cons h (fx 3) Word.nil and p2 = Obj.cons h (fx 4) Word.nil in
+  craft h (Word.addr v1) (Word.addr v2) (Word.addr p1) (Word.addr p2);
+  let s = Image.save_string h in
+  let trusted = Config.v ~segment_words:128 ~max_generation:3 ~image_verify_on_load:false () in
+  let errs = Verify.verify (Image.load_string ~config:trusted s).Image.heap in
+  let message e =
+    Printf.sprintf "gbc-image: restored heap failed verification: %s at %s" e.Verify.what
+      e.Verify.where
+  in
+  match Image.load_string ~config:cfg s with
+  | _ -> Alcotest.failf "%s: verified load accepted" what
+  | exception Image.Error msg -> (
+      match List.find_opt (fun e -> message e = msg) errs with
+      | Some e -> check_str "what" what e.Verify.what
+      | None ->
+          Alcotest.failf "%s: %s is none of Verify's: %s" what msg
+            (String.concat "; " (List.map message errs)))
+
+let verified_load_cases =
+  let young_entry h _ _ p1 _ =
+    (* Generation 2's list naming a generation-0 pair, with a real
+       guardian's tconc and id. *)
+    let g = Guardian.make h in
+    Guardian.register h g (Word.pair_ptr p1);
+    let p = h.Heap.protected.(0) in
+    let tconc = Vec.Int.get p.Heap.p_tconcs 0 and gid = Vec.Int.get p.Heap.p_gids 0 in
+    Heap.protected_add_gen h ~generation:2 ~gid ~obj:(Word.pair_ptr p1) ~rep:Word.nil ~tconc
+  in
+  [
+    ( "interior pointer in a typed field",
+      "pointer to object interior",
+      fun h v1 v2 _ _ -> Heap.store h (v1 + 1) (Word.typed_ptr (v2 + 2)) );
+    ( "interior pointer in a pair car",
+      "pointer to object interior",
+      fun h _ v2 p1 _ -> Heap.store h p1 (Word.typed_ptr (v2 + 2)) );
+    ( "pair tag into typed space",
+      "pair pointer into non-pair space",
+      fun h v1 v2 _ _ -> Heap.store h (v1 + 1) (Word.pair_ptr v2) );
+    ( "typed tag into pair space",
+      "typed pointer into pair space",
+      fun h _ _ p1 p2 -> Heap.store h p1 (Word.typed_ptr p2) );
+    ( "forwarding marker in a pair car",
+      "forwarding marker stored as a value",
+      fun h _ _ p1 _ -> Heap.store h p1 Word.forward_marker );
+    ( "type code above code_pad",
+      "unknown type code",
+      fun h v1 _ _ _ -> Heap.store h v1 (Obj.header ~len:4 ~code:(Obj.code_pad + 1)) );
+    ("protected entry younger than its list", "protected entry younger than its list", young_entry);
+  ]
+  |> List.map (fun (name, what, craft) ->
+         Alcotest.test_case ("verified load: " ^ name) `Quick (verified_load_case what craft))
+
+(* The clean direction, at the size of a checkpoint: about 700k words in
+   several generations, old-to-young slots, guardian entries registered
+   and queued.  The verified load accepts it and Verify agrees. *)
+let test_checkpoint_sized_verified_load () =
+  let config = Config.v ~max_generation:4 () in
+  let h = Heap.create ~config () in
+  let g = Handle.create h (Guardian.make h) in
+  let keep = Handle.create h (Obj.make_vector h ~len:4000 ~init:Word.nil) in
+  for k = 0 to 3999 do
+    let blob = Obj.make_vector h ~len:(16 + (k * 37 mod 112)) ~init:(fx k) in
+    let chain = ref Word.nil in
+    for j = 1 to 8 + (k * 53 mod 80) do
+      chain := Obj.cons h (fx j) !chain
+    done;
+    Obj.vector_set h (Handle.get keep) k (Obj.cons h blob !chain);
+    if k mod 7 = 0 then Guardian.register h (Handle.get g) blob;
+    if k mod 11 = 0 then Guardian.register h (Handle.get g) (Obj.cons h (fx k) Word.nil);
+    if k mod 1000 = 999 then full_collect h
+  done;
+  let s, l, g' = roundtrip h ~words:[ Handle.get g ] in
+  check "checkpoint-sized" true (l.Image.restored_words > 600_000);
+  check "verify clean" true (Verify.verify l.Image.heap = []);
+  check_canonical "checkpoint-sized" s l;
+  check "a queued entry comes back" true (Guardian.retrieve l.Image.heap (List.hd g') <> None)
+
 (* Scheme system images whose code section carries one crafted block:
    the codec writes any operand, and the restore must reject each one
    that indexes past its table with Image.Error, before any code runs. *)
@@ -692,10 +780,10 @@ module Scheme = Gbc_scheme.Scheme
 module Machine = Gbc_scheme.Machine
 module Instr = Gbc_scheme.Instr
 
-let scheme_image_with make_instrs =
+let scheme_image_with ?(required = 0) make_instrs =
   let m = Scheme.create () in
   let instrs = make_instrs m in
-  let code = { Instr.name = "crafted"; clauses = [ { Instr.required = 0; rest = false; instrs } ] } in
+  let code = { Instr.name = "crafted"; clauses = [ { Instr.required; rest = false; instrs } ] } in
   ignore ((Machine.linker m).Gbc_scheme.Compile.add_code code);
   let s = Scheme.Scheme_image.save_string m in
   Machine.dispose m;
@@ -798,6 +886,20 @@ let test_interior_constant_rejected () =
   expect_section_rejected "interior constant" ~section:"scheme/consts"
     (interior_at ~by:1 s pos)
 
+(* The crafted clause takes one argument and reads it; its required
+   count, rewritten to 0 in the image, leaves the read past the frame. *)
+let test_code_local_slot_rejected () =
+  let s = scheme_image_with ~required:1 (fun _ -> [| Instr.Local_ref 0; Instr.Return |]) in
+  load_scheme s;
+  let name = le_str "crafted" in
+  (* The code's name, its clause count, then the clause's required count. *)
+  let pos = find_once "crafted code" s name + String.length name + 4 in
+  check_int "required count" 1 (Int32.to_int (String.get_int32_le s pos));
+  match load_scheme (patched s pos "\000\000\000\000") with
+  | () -> Alcotest.fail "local slot past the frame accepted"
+  | exception Image.Error msg ->
+      check_str "message" "gbc-image: scheme/codes: crafted: local slot 0 not in [0, 0)" msg
+
 let test_code_global_cell_rejected () =
   load_scheme (scheme_image_with (fun m -> [| Instr.Global_ref (ncells m - 1); Instr.Halt |]));
   expect_code_rejected "global-ref far out" (fun _ -> [| Instr.Global_ref 1_000_000; Instr.Halt |]);
@@ -896,6 +998,12 @@ let () =
           Alcotest.test_case "interior root" `Quick test_interior_root_rejected;
           Alcotest.test_case "interior symbol" `Quick test_interior_symbol_rejected;
           Alcotest.test_case "interior constant" `Quick test_interior_constant_rejected;
+        ]
+        @ verified_load_cases
+        @ [
+            Alcotest.test_case "checkpoint-sized verified load" `Quick
+              test_checkpoint_sized_verified_load;
+          Alcotest.test_case "code: local slot" `Quick test_code_local_slot_rejected;
           Alcotest.test_case "code: global cell" `Quick test_code_global_cell_rejected;
           Alcotest.test_case "code: constant index" `Quick test_code_constant_rejected;
           Alcotest.test_case "code: closure" `Quick test_code_closure_rejected;

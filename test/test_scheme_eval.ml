@@ -971,6 +971,35 @@ let dispatch =
             Machine.reset mach;
             check_str (name ^ ": machine still works") "3" (Scheme.eval mach "(+ 1 2)"))
           cases);
+    Alcotest.test_case "local-slot operands are bounded" `Quick (fun () ->
+        (* A clause's locals are its parameters (and rest list): any other
+           local slot is refused when the code is added, before it runs. *)
+        let clause ?(required = 0) ?(rest = false) instrs = { Instr.required; rest; instrs } in
+        let mach = Scheme.create () in
+        let run name clauses =
+          match Machine.run_code mach { Instr.name; clauses } with
+          | v -> Alcotest.failf "%s: ran, giving %s" name (Printer.to_string (Machine.heap mach) v)
+          | exception Machine.Error msg ->
+              check msg true (String.starts_with ~prefix:(name ^ ": local slot ") msg)
+        in
+        run "run_code far out" [ clause [| Instr.Local_ref 100000; Instr.Halt |] ];
+        run "negative" [ clause [| Instr.Local_ref (-1); Instr.Halt |] ];
+        let add name clauses =
+          match (Machine.linker mach).Compile.add_code { Instr.name; clauses } with
+          | _ -> Alcotest.failf "%s: added" name
+          | exception Machine.Error msg ->
+              check msg true (String.starts_with ~prefix:(name ^ ": local slot ") msg)
+        in
+        add "past the parameters" [ clause ~required:2 [| Instr.Local_set_box 2; Instr.Return |] ];
+        add "past the rest list" [ clause ~required:1 ~rest:true [| Instr.Box_local 2; Instr.Return |] ];
+        add "second clause"
+          [ clause [| Instr.Return |]; clause ~required:1 [| Instr.Local_ref 1; Instr.Return |] ];
+        let ncodes () = Array.length (Machine.image_codes mach) in
+        let n = ncodes () in
+        let rest_slot = clause ~required:1 ~rest:true [| Instr.Local_ref 1; Instr.Return |] in
+        ignore ((Machine.linker mach).Compile.add_code { Instr.name = "rest slot"; clauses = [ rest_slot ] });
+        Alcotest.(check int) "only the valid code added" (n + 1) (ncodes ());
+        check_str "machine still works" "3" (Scheme.eval mach "(+ 1 2)"));
   ]
 
 (* The seven list searches are primitives.  Their former Scheme
