@@ -437,7 +437,7 @@ let e6 () =
     ~header:[ "collection schedule"; "acquires"; "built"; "recycled"; "reuse %" ]
     [
       row "minor only" minor;
-      row "radix schedule" sched;
+      row "volume schedule" sched;
       row "full each time" full;
     ];
   print_endline
@@ -662,7 +662,7 @@ let e13 () =
     ~header:
       [ "collector"; "collections"; "total words copied"; "total GC+churn ms" ]
     [
-      [ "generational (5 gens, radix 4)"; string_of_int gcol; string_of_int gcop;
+      [ "generational (5 gens, volume schedule)"; string_of_int gcol; string_of_int gcop;
         Printf.sprintf "%.1f" gms ];
       [ "two-space (1 gen)"; string_of_int tcol; string_of_int tcop;
         Printf.sprintf "%.1f" tms ];
@@ -798,6 +798,19 @@ let e_image () =
     done;
     (!r, !best)
   in
+  (* A load cell: the median of nine runs in process CPU time, where the
+     best wall-clock time of three swung by a third between runs of one
+     build. *)
+  let cpu_median_of_9 f =
+    let runs =
+      Array.init 9 (fun _ ->
+          let t0 = Sys.time () in
+          let r = f () in
+          (r, (Sys.time () -. t0) *. 1e6))
+    in
+    Array.sort (fun (_, a) (_, b) -> compare a b) runs;
+    runs.(4)
+  in
   let rows =
     List.map
       (fun n ->
@@ -822,7 +835,7 @@ let e_image () =
         in
         let size = String.length bytes in
         let loaded, load_us =
-          best_of 3 (fun () -> Gbc_image.Image.load_string bytes)
+          cpu_median_of_9 (fun () -> Gbc_image.Image.load_string bytes)
         in
         (* The same load without the Verify checks its walk runs — the
            image_verify_on_load knob for trusted images (doc/TUNING.md). *)
@@ -830,7 +843,7 @@ let e_image () =
           Config.v ~max_generation:3 ~image_verify_on_load:false ()
         in
         let _, load_nv_us =
-          best_of 3 (fun () -> Gbc_image.Image.load_string ~config:noverify bytes)
+          cpu_median_of_9 (fun () -> Gbc_image.Image.load_string ~config:noverify bytes)
         in
         let save_mb_s = float_of_int size /. save_us in
         let load_mb_s = float_of_int size /. load_us in
@@ -881,7 +894,8 @@ let e_image () =
     "  -> the image stays within a small constant of live data (segment\n\
     \     padding plus tables); the load column includes the Verify checks\n\
     \     the load runs in its own walk, which the last column shows can be\n\
-    \     traded away (Config.image_verify_on_load).";
+    \     traded away (Config.image_verify_on_load).  Both load columns are\n\
+    \     the median CPU time of nine loads; save is the best of three.";
   (* The trailer CRC alone, over a checkpoint-sized payload. *)
   let crc_buf = String.init (6 lsl 20) (fun i -> Char.unsafe_chr ((i * 131) lxor (i lsr 9))) in
   let crc_mb_s crc32 =

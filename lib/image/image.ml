@@ -14,9 +14,9 @@
     Payload sections, in order:
 
     + geometry and schedule scalars: [stride_bits], [segment_words],
-      [max_generation], [card_words], then [gc_epoch], [collect_count],
-      [last_gc_generation], [words_allocated_since_gc] (i64) and the
-      guardian-id count (u32);
+      [max_generation], [card_words], then [gc_epoch], the promoted
+      words of generations [1..max_generation], [last_gc_generation],
+      [words_allocated_since_gc] (i64) and the guardian-id count (u32);
     + the segment table: per live segment, space (u8), generation (u32),
       used (u32), size (u32), large flag (u8) — segments renumbered
       [0..n-1] in ascending id order (the {e image numbering});
@@ -169,7 +169,8 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
   let symbols = List.sort (fun (a, _) (b, _) -> String.compare a b) symbols in
   let sum f l = List.fold_left (fun n x -> n + f x) 0 l in
   let size =
-    (20 + 52 + 4) (* frame header; geometry and schedule; segment count *)
+    (20 + 44 + (8 * cfg.Config.max_generation) + 4)
+    (* frame header; geometry and schedule; segment count *)
     + (14 * !nlive) + (8 * !total_words) + (8 * Space.count)
     + (4 + (8 * h.Heap.global_cells_len)) + (4 + (4 * List.length h.Heap.global_free))
     + Array.fold_left
@@ -200,7 +201,9 @@ let save_string ?(symbols = []) ?(extras = []) (h : Heap.t) =
   w32 cfg.Config.max_generation;
   w32 cfg.Config.card_words;
   w64 h.Heap.gc_epoch;
-  w64 h.Heap.collect_count;
+  for g = 1 to cfg.Config.max_generation do
+    w64 h.Heap.promoted_words.(g)
+  done;
   w64 h.Heap.last_gc_generation;
   w64 (Heap.stats h).Stats.words_allocated_since_gc;
   w32 (Telemetry.guardian_count tel);
@@ -313,7 +316,9 @@ let load_string ?config s =
   let max_generation = ru32 r in
   let card_words = ru32 r in
   let gc_epoch = ri64 r in
-  let collect_count = ri64 r in
+  (* A list, read word by word: an absurd [max_generation] runs into the
+     payload's end before Config rejects it. *)
+  let promoted = List.init max_generation (fun _ -> ri64 r) in
   let last_gc_generation = ri64 r in
   let words_since_gc = ri64 r in
   let nguardians = ru32 r in
@@ -528,7 +533,7 @@ let load_string ?config s =
     done
   done;
   h.Heap.gc_epoch <- gc_epoch;
-  h.Heap.collect_count <- collect_count;
+  List.iteri (fun i w -> h.Heap.promoted_words.(i + 1) <- w) promoted;
   h.Heap.last_gc_generation <- last_gc_generation;
   (Heap.stats h).Stats.words_allocated_since_gc <- words_since_gc;
   Telemetry.restore_guardian_count tel nguardians;

@@ -19,7 +19,7 @@
     like any other slot), guardian objects with their tconc queues
     mid-drain (queue order is plain pair structure), the protected
     lists, generation assignment, and the collection schedule state
-    ([collect_count], [gc_epoch], allocation-trigger progress).  Host
+    ([promoted_words], [gc_epoch], allocation-trigger progress).  Host
     state — OCaml closures such as root scanners, weak scanners, wills'
     finalization procedures, the collect-request handler, open port file
     descriptors — is the embedder's to re-establish after a load (see

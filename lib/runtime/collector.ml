@@ -557,6 +557,12 @@ let collect ?weak_pass_first t ~gen:g =
      t.poisoned <- Some (Printexc.to_string e);
      Printexc.raise_with_backtrace e bt);
   t.stats.words_allocated_since_gc <- 0;
+  (* Volume schedule input: the collected generations start empty, and the
+     target counts what this collection promoted into it.  Survivors of
+     the oldest generation, copied into itself, are not promotion. *)
+  Array.fill t.promoted_words 0 (g + 1) 0;
+  if target > g then
+    t.promoted_words.(target) <- t.promoted_words.(target) + t.stats.last.words_copied;
   t.gc_epoch <- t.gc_epoch + 1;
   t.last_gc_generation <- g;
   Stats.end_collection (Heap.stats t);

@@ -8,7 +8,12 @@
     kleene-sweep), the {b weak pass} (after the guardian pass, so weak
     pointers to saved objects survive), weak scanners, reclamation.  One
     sweep serves both the Cheney scan and the dirty-card scan; they
-    differ only in the offset the object walk starts from. *)
+    differ only in the offset the object walk starts from.
+
+    Every collection keeps {!Heap.t.promoted_words}, the input of the
+    volume schedule ({!Runtime.collect_auto}): it zeroes the entries of
+    generations [0..gen] and adds the words it copied to the target's
+    when the target is older than [gen]. *)
 
 type outcome = {
   generation : int;  (** oldest generation collected *)

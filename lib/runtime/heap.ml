@@ -122,7 +122,9 @@ type t = {
   mutable alloc_forbidden : bool;
   mutable segment_words_live : int;  (** capacity of all live segments *)
   mutable gc_epoch : int;  (** bumped at the end of every collection *)
-  mutable collect_count : int;  (** collect requests served (schedule input) *)
+  promoted_words : int array;
+      (** per generation [g >= 1], words promoted into it since it was last
+          collected (schedule input); entry 0 stays 0 *)
   mutable last_gc_generation : int;  (** oldest generation of the last GC *)
   mutable collect_request_handler : (t -> unit) option;
   mutable post_gc_hooks : (int * (t -> unit)) list;
@@ -200,7 +202,7 @@ let create ?(config = Config.default) () =
     alloc_forbidden = false;
     segment_words_live = 0;
     gc_epoch = 0;
-    collect_count = 0;
+    promoted_words = Array.make (config.max_generation + 1) 0;
     last_gc_generation = -1;
     collect_request_handler = None;
     post_gc_hooks = [];

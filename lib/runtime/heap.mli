@@ -116,7 +116,9 @@ type t = {
   mutable alloc_forbidden : bool;
   mutable segment_words_live : int;  (** capacity of all live segments *)
   mutable gc_epoch : int;
-  mutable collect_count : int;
+  promoted_words : int array;
+      (** per generation [g >= 1], words promoted into it since it was last
+          collected: the input of {!Runtime.collect_auto}; entry 0 stays 0 *)
   mutable last_gc_generation : int;  (** oldest generation of the last GC *)
   mutable collect_request_handler : (t -> unit) option;
   mutable post_gc_hooks : (int * (t -> unit)) list;

@@ -1,39 +1,34 @@
-(** Collection scheduling: safepoints, the generation schedule, and the
+(** Collection scheduling: safepoints, the volume schedule, and the
     collect-request handler (paper Section 3).
 
     Mutator allocation itself never collects; instead, code that holds no
     unrooted words calls {!safepoint}, and once enough generation-0
     allocation has accumulated a {e collect request} fires.  By default the
-    request collects according to the radix-4 schedule (generation [g] every
-    4{^ g} requests); a program may install its own collect-request
-    handler — e.g. to run [close-dropped-ports] after each collection, as in
-    the paper — in which case the handler is responsible for calling
-    {!collect_auto} (or not). *)
+    request collects by promoted volume (see {!collect_auto}); a program
+    may install its own collect-request handler — e.g. to run
+    [close-dropped-ports] after each collection, as in the paper — in
+    which case the handler is responsible for calling {!collect_auto} (or
+    not). *)
 
 (** Collect generations [0..gen] immediately. *)
 let collect ?gen h =
   let g = match gen with Some g -> g | None -> 0 in
   Collector.collect h ~gen:g
 
-(** Oldest generation due for collection at request number [count]. *)
-let scheduled_generation ~radix ~max_generation count =
-  let rec loop g step =
-    if g >= max_generation then max_generation
-    else if count mod (step * radix) = 0 then loop (g + 1) (step * radix)
-    else g
-  in
-  loop 0 1
+(* Generation 1's budget is [gen0_trigger_words / budget_divisor]
+   promoted words; each older generation's is [ratio] times the one
+   below.  Both were chosen by the sweep in EXPERIMENTS.md E25. *)
+let budget_divisor = 8
+let ratio = 2
 
-(** Collect according to the generation schedule, advancing the request
-    counter: generation 0 every time, generation [g] every 4{^ g}
-    requests. *)
+(** Collect generation 0, and [g + 1] while the words promoted into
+    [g + 1] since it was last collected exceed its budget. *)
 let collect_auto h =
-  h.Heap.collect_count <- h.Heap.collect_count + 1;
-  let gen =
-    scheduled_generation ~radix:4 ~max_generation:(Heap.max_generation h)
-      h.Heap.collect_count
+  let promoted = h.Heap.promoted_words and max = Heap.max_generation h in
+  let rec pick g budget =
+    if g < max && promoted.(g + 1) > budget then pick (g + 1) (budget * ratio) else g
   in
-  Collector.collect h ~gen
+  Collector.collect h ~gen:(pick 0 ((Heap.config h).Config.gen0_trigger_words / budget_divisor))
 
 let set_collect_request_handler h handler =
   h.Heap.collect_request_handler <- handler

@@ -1,4 +1,4 @@
-(** Collection scheduling: safepoints, the generation schedule, and the
+(** Collection scheduling: safepoints, the volume schedule, and the
     collect-request handler (paper Section 3).
 
     Mutator allocation never collects; code that holds no unrooted words
@@ -11,12 +11,14 @@
 val collect : ?gen:int -> Heap.t -> Collector.outcome
 (** Collect generations [0..gen] (default 0) immediately. *)
 
-val scheduled_generation : radix:int -> max_generation:int -> int -> int
-(** Oldest generation due at the given request count: generation 0 every
-    time, generation [g] every [radix]{^ g} requests. *)
-
 val collect_auto : Heap.t -> Collector.outcome
-(** Collect according to the schedule, advancing the request counter. *)
+(** Collect by promoted volume: generation 0, and generation [g + 1]
+    while the words promoted into it since it was last collected
+    ({!Heap.t.promoted_words}) exceed its budget.  Generation 1's budget
+    is an eighth of [gen0_trigger_words]; each older generation's is
+    twice the one below.  Survivors of the oldest generation are never
+    promotion, so a live set already there does not make requests
+    collect it again. *)
 
 val set_collect_request_handler : Heap.t -> (Heap.t -> unit) option -> unit
 

@@ -478,47 +478,122 @@ and fold_primitive op args =
     | _ -> None
 
 (* ------------------------------------------------------------------ *)
+(* Let forms and loops                                                 *)
+
+(* A direct application of a one-clause, fixed-arity lambda to as many
+   operands: what let, letrec, or, cond, case and internal defines expand
+   to.  It compiles to frame slots of the enclosing clause, with no
+   closure and no call. *)
+let let_form = function
+  | App (Lambda { clauses = [ { params; rest = None; body } ]; _ }, args)
+    when List.length params = List.length args ->
+      Some (params, args, body)
+  | _ -> None
+
+let mentions name e = SSet.mem name (free_vars SSet.empty e SSet.empty)
+
+(* Every occurrence of [name] in [expr] applies it to [arity] operands in
+   tail position, where let forms' bodies inherit their position: the
+   loop is never captured, passed or assigned. *)
+let rec only_tail_calls name arity ~tail expr =
+  let non_tail = only_tail_calls name arity ~tail:false in
+  match expr with
+  | Quote _ -> true
+  | Var s -> s <> name
+  | Set (s, e) -> s <> name && non_tail e
+  | If (c, t, f) ->
+      non_tail c && only_tail_calls name arity ~tail t && only_tail_calls name arity ~tail f
+  | Begin es -> (
+      match List.rev es with
+      | [] -> true
+      | last :: init -> List.for_all non_tail init && only_tail_calls name arity ~tail last)
+  | App (Var s, args) when s = name -> tail && List.length args = arity && List.for_all non_tail args
+  | App (f, args) -> (
+      List.for_all non_tail args
+      &&
+      match let_form expr with
+      | Some (params, _, body) -> List.mem name params || only_tail_calls name arity ~tail body
+      | None -> non_tail f)
+  | Lambda _ -> not (mentions name expr)
+
+(* The shape parse_letrec gives a named let and a do loop,
+   [((lambda (name) (set! name (lambda vars body)) (name inits...)) 'c)],
+   when [name] is only ever applied in tail position of [body] with the
+   loop's arity: it compiles to a loop head and backward jumps. *)
+let loop_form expr =
+  match let_form expr with
+  | Some
+      ( [ name ],
+        [ Quote _ ],
+        Begin
+          [
+            Set (n1, Lambda { clauses = [ { params = vars; rest = None; body } ]; _ });
+            App (Var n2, inits);
+          ] )
+    when n1 = name && n2 = name
+         && List.length inits = List.length vars
+         && (not (List.exists (mentions name) inits))
+         && (List.mem name vars || only_tail_calls name (List.length vars) ~tail:true body) ->
+      Some (name, vars, body, inits)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
 
-type binding = { bname : string; boxed : bool }
+type binding = {
+  bname : string;
+  boxed : bool;
+  slot : int;
+      (** a local's frame slot, a free variable's index; for a loop, its
+          first variable's slot *)
+  head : int;  (** a jump-compiled loop's head, or -1 for a variable *)
+}
+
 type cenv = { locals : binding list; free : binding list }
 
-let empty_cenv = { locals = []; free = [] }
-
-type emitter = { mutable instrs : Instr.instr list; mutable len : int }
-
-let emitter () = { instrs = []; len = 0 }
-
-let emit e i =
-  e.instrs <- i :: e.instrs;
-  e.len <- e.len + 1
-
-(* Reserve a branch slot, to be patched with the final target. *)
-let emit_patch e make =
-  let at = e.len in
-  emit e (Instr.Jump (-1));
-  fun () ->
-    (* targets are known only after full emission; rewrite on finish *)
-    (at, make)
-
-let finish e patches =
-  let arr = Array.of_list (List.rev e.instrs) in
-  List.iter (fun (at, make) -> arr.(at) <- make ()) patches;
-  arr
-
-let index_of name bindings =
-  let rec loop i = function
-    | [] -> None
-    | b :: rest -> if b.bname = name then Some (i, b) else loop (i + 1) rest
-  in
-  loop 0 bindings
+(* One clause's emission state: its instructions (newest first), the
+   branches to patch with their final targets, the variables assigned
+   anywhere in it (boxed where bound) and the high-water mark of its frame
+   slots. *)
+type clause_state = {
+  mutable instrs : Instr.instr list;
+  mutable len : int;
+  mutable patches : (int * (unit -> Instr.instr)) list;
+  assigned : SSet.t;
+  mutable hw : int;
+}
 
 type ctx = {
   linker : linker;
-  mutable patches : (int * (unit -> Instr.instr)) list;
-  e : emitter;
+  st : clause_state;
   env : cenv;
+  next : int;  (** the first frame slot free for a let in scope *)
 }
+
+let clause_state ~assigned ~params =
+  { instrs = []; len = 0; patches = []; assigned; hw = params }
+
+let emit ctx i =
+  let st = ctx.st in
+  st.instrs <- i :: st.instrs;
+  st.len <- st.len + 1
+
+let finish st =
+  let arr = Array.of_list (List.rev st.instrs) in
+  List.iter (fun (at, make) -> arr.(at) <- make ()) st.patches;
+  arr
+
+let lookup name bindings = List.find_opt (fun b -> b.bname = name) bindings
+
+(* Bind [names] to the slots from [first], boxing the assigned ones. *)
+let bind_slots ctx names first =
+  let bs =
+    List.mapi
+      (fun i p -> { bname = p; boxed = SSet.mem p ctx.st.assigned; slot = first + i; head = -1 })
+      names
+  in
+  List.iter (fun b -> if b.boxed then emit ctx (Instr.Box_local b.slot)) bs;
+  bs
 
 let rec compile_expr ctx ~tail expr =
   match expr with
@@ -529,27 +604,28 @@ let rec compile_expr ctx ~tail expr =
       compile_set ctx name
   | If (c, t, f) ->
       compile_expr ctx ~tail:false c;
+      let st = ctx.st in
       let else_pos = ref (-1) and end_pos = ref (-1) in
-      let at_brf = ctx.e.len in
-      emit ctx.e (Instr.Jump (-1));
-      ctx.patches <- (at_brf, fun () -> Instr.Branch_false !else_pos) :: ctx.patches;
+      let at_brf = st.len in
+      emit ctx (Instr.Jump (-1));
+      st.patches <- (at_brf, fun () -> Instr.Branch_false !else_pos) :: st.patches;
       compile_expr ctx ~tail t;
       if tail then begin
         (* No join: the then-arm returns explicitly (dead code when it ended
            in a tail call), the else-arm flows to the clause's Return. *)
-        emit ctx.e Instr.Return;
-        else_pos := ctx.e.len;
+        emit ctx Instr.Return;
+        else_pos := st.len;
         compile_expr ctx ~tail f
       end
       else begin
-        let at_jmp = ctx.e.len in
-        emit ctx.e (Instr.Jump (-1));
-        ctx.patches <- (at_jmp, fun () -> Instr.Jump !end_pos) :: ctx.patches;
-        else_pos := ctx.e.len;
+        let at_jmp = st.len in
+        emit ctx (Instr.Jump (-1));
+        st.patches <- (at_jmp, fun () -> Instr.Jump !end_pos) :: st.patches;
+        else_pos := st.len;
         compile_expr ctx ~tail f;
-        end_pos := ctx.e.len
+        end_pos := st.len
       end
-  | Begin [] -> emit ctx.e (Instr.Imm Gbc_runtime.Word.void)
+  | Begin [] -> emit ctx (Instr.Imm Gbc_runtime.Word.void)
   | Begin es ->
       let rec loop = function
         | [] -> ()
@@ -561,25 +637,94 @@ let rec compile_expr ctx ~tail expr =
       loop es
   | Lambda lam -> compile_lambda ctx lam
   | App (f, args) -> (
-      match open_op ctx f args with
-      | Some op ->
-          (* The last operand stays in acc; the cell is linked after the
-             operands, where the generic path would read the operator. *)
-          List.iteri
-            (fun i a ->
-              compile_expr ctx ~tail:false a;
-              if i < op.Instr.arity - 1 then emit ctx.e Instr.Push)
-            args;
-          emit ctx.e (Instr.Op { op; cell = ctx.linker.global_cell op.Instr.name; tail })
-      | None ->
-          List.iter
-            (fun a ->
-              compile_expr ctx ~tail:false a;
-              emit ctx.e Instr.Push)
-            args;
-          compile_expr ctx ~tail:false f;
-          emit ctx.e
-            (if tail then Instr.Tail_call (List.length args) else Instr.Call (List.length args)))
+      match (loop_binding ctx f, loop_form expr, let_form expr) with
+      | Some loop, _, _ -> compile_jump ctx loop args
+      | None, Some (name, vars, body, inits), _ -> compile_loop ctx ~tail name vars body inits
+      | None, None, Some (params, inits, body) -> compile_let ctx ~tail params inits body
+      | None, None, None -> compile_app ctx ~tail f args)
+
+and compile_app ctx ~tail f args =
+  match open_op ctx f args with
+  | Some op ->
+      (* The last operand stays in acc; the cell is linked after the
+         operands, where the generic path would read the operator. *)
+      List.iteri
+        (fun i a ->
+          compile_expr ctx ~tail:false a;
+          if i < op.Instr.arity - 1 then emit ctx Instr.Push)
+        args;
+      emit ctx (Instr.Op { op; cell = ctx.linker.global_cell op.Instr.name; tail })
+  | None ->
+      List.iter
+        (fun a ->
+          compile_expr ctx ~tail:false a;
+          emit ctx Instr.Push)
+        args;
+      compile_expr ctx ~tail:false f;
+      emit ctx (if tail then Instr.Tail_call (List.length args) else Instr.Call (List.length args))
+
+(* Evaluate [inits] into the slots from [first], each written as soon as
+   it is computed: the inits do not see the slots, and lets inside them
+   use slots past the new ones. *)
+and compile_inits ctx inits first =
+  let inner = { ctx with next = first + List.length inits } in
+  List.iteri
+    (fun i a ->
+      compile_expr inner ~tail:false a;
+      emit ctx (Instr.Local_set (first + i)))
+    inits
+
+(* Compile [body] with [locals] in scope and slots [first, next) bound.
+   A non-tail scope clears every slot it used on exit, so a finished
+   let's values are garbage as soon as the let is. *)
+and compile_scope ctx ~tail ~first ~next locals body =
+  let st = ctx.st in
+  let outer = st.hw in
+  st.hw <- next;
+  compile_expr { ctx with env = { ctx.env with locals }; next } ~tail body;
+  let used = st.hw in
+  st.hw <- max outer used;
+  if (not tail) && used > first then
+    emit ctx (Instr.Local_clear { slot = first; count = used - first })
+
+and compile_let ctx ~tail params inits body =
+  let first = ctx.next and n = List.length params in
+  compile_inits ctx inits first;
+  let bs = bind_slots ctx params first in
+  compile_scope ctx ~tail ~first ~next:(first + n) (bs @ ctx.env.locals) body
+
+(* The loop head sits above the boxing of assigned loop variables, so
+   each iteration binds fresh boxes. *)
+and compile_loop ctx ~tail name vars body inits =
+  let first = ctx.next and n = List.length vars in
+  compile_inits ctx inits first;
+  let head = ctx.st.len in
+  let bs = bind_slots ctx vars first in
+  let loop = { bname = name; boxed = false; slot = first; head } in
+  compile_scope ctx ~tail ~first ~next:(first + n) (bs @ (loop :: ctx.env.locals)) body
+
+(* A loop's tail self-application: every new value is computed before
+   any loop variable is written, then a backward jump. *)
+and compile_jump ctx loop args =
+  (match args with
+  | [ a ] ->
+      compile_expr ctx ~tail:false a;
+      emit ctx (Instr.Local_set loop.slot)
+  | [] -> ()
+  | _ ->
+      List.iter
+        (fun a ->
+          compile_expr ctx ~tail:false a;
+          emit ctx Instr.Push)
+        args;
+      emit ctx (Instr.Local_pop { slot = loop.slot; count = List.length args }));
+  emit ctx (Instr.Loop loop.head)
+
+and loop_binding ctx f =
+  match f with
+  | Var name -> (
+      match lookup name ctx.env.locals with Some b when b.head >= 0 -> Some b | _ -> None)
+  | _ -> None
 
 (* The op an application compiles to: a global (not lexically bound) in
    the open-coded table, applied to exactly the op's arity. *)
@@ -589,8 +734,8 @@ and open_op ctx f args =
       match Instr.find_op name with
       | Some op
         when op.Instr.arity = List.length args
-             && index_of name ctx.env.locals = None
-             && index_of name ctx.env.free = None ->
+             && lookup name ctx.env.locals = None
+             && lookup name ctx.env.free = None ->
           Some op
       | _ -> None)
   | _ -> None
@@ -598,130 +743,111 @@ and open_op ctx f args =
 and compile_quote ctx d =
   let open Gbc_runtime in
   match d with
-  | Sexpr.Int n -> emit ctx.e (Instr.Imm (Word.of_fixnum n))
-  | Sexpr.Bool b -> emit ctx.e (Instr.Imm (Word.of_bool b))
-  | Sexpr.Char c -> emit ctx.e (Instr.Imm (Word.of_char c))
-  | Sexpr.Null -> emit ctx.e (Instr.Imm Word.nil)
-  | _ -> emit ctx.e (Instr.Const (ctx.linker.add_const d))
+  | Sexpr.Int n -> emit ctx (Instr.Imm (Word.of_fixnum n))
+  | Sexpr.Bool b -> emit ctx (Instr.Imm (Word.of_bool b))
+  | Sexpr.Char c -> emit ctx (Instr.Imm (Word.of_char c))
+  | Sexpr.Null -> emit ctx (Instr.Imm Word.nil)
+  | _ -> emit ctx (Instr.Const (ctx.linker.add_const d))
 
 and compile_var ctx name =
-  match index_of name ctx.env.locals with
-  | Some (i, b) ->
-      emit ctx.e (Instr.Local_ref i);
-      if b.boxed then emit ctx.e Instr.Unbox
+  match lookup name ctx.env.locals with
+  | Some b ->
+      assert (b.head < 0);
+      emit ctx (Instr.Local_ref b.slot);
+      if b.boxed then emit ctx Instr.Unbox
   | None -> (
-      match index_of name ctx.env.free with
-      | Some (i, b) ->
-          emit ctx.e (Instr.Free_ref i);
-          if b.boxed then emit ctx.e Instr.Unbox
-      | None -> emit ctx.e (Instr.Global_ref (ctx.linker.global_cell name)))
+      match lookup name ctx.env.free with
+      | Some b ->
+          emit ctx (Instr.Free_ref b.slot);
+          if b.boxed then emit ctx Instr.Unbox
+      | None -> emit ctx (Instr.Global_ref (ctx.linker.global_cell name)))
 
 and compile_set ctx name =
-  match index_of name ctx.env.locals with
-  | Some (i, b) ->
+  match lookup name ctx.env.locals with
+  | Some b ->
       assert b.boxed;
-      emit ctx.e (Instr.Local_set_box i)
+      emit ctx (Instr.Local_set_box b.slot)
   | None -> (
-      match index_of name ctx.env.free with
-      | Some (i, b) ->
+      match lookup name ctx.env.free with
+      | Some b ->
           assert b.boxed;
-          emit ctx.e (Instr.Free_set_box i)
-      | None -> emit ctx.e (Instr.Global_set (ctx.linker.global_cell name)))
+          emit ctx (Instr.Free_set_box b.slot)
+      | None -> emit ctx (Instr.Global_set (ctx.linker.global_cell name)))
 
 and compile_lambda ctx { lam_name; clauses } =
   (* Free variables: those used by any clause and bound in the enclosing
-     environment (anything else is a global reference). *)
+     environment (anything else is a global reference).  Their boxedness
+     comes from the enclosing binding. *)
   let enclosing name =
-    index_of name ctx.env.locals <> None || index_of name ctx.env.free <> None
+    match lookup name ctx.env.locals with
+    | Some b -> Some (b, Instr.Local_ref b.slot)
+    | None -> Option.map (fun b -> (b, Instr.Free_ref b.slot)) (lookup name ctx.env.free)
   in
   let free_set =
     List.fold_left (fun acc c -> free_vars (clause_bound c) c.body acc) SSet.empty clauses
   in
-  let free_names = List.filter enclosing (SSet.elements free_set) in
-  (* Their boxedness comes from the enclosing binding. *)
+  let captured = List.filter_map enclosing (SSet.elements free_set) in
   let free_bindings =
-    List.map
-      (fun name ->
-        match index_of name ctx.env.locals with
-        | Some (_, b) -> { bname = name; boxed = b.boxed }
-        | None -> (
-            match index_of name ctx.env.free with
-            | Some (_, b) -> { bname = name; boxed = b.boxed }
-            | None -> assert false))
-      free_names
+    List.mapi (fun i (b, _) -> { bname = b.bname; boxed = b.boxed; slot = i; head = -1 }) captured
   in
   let compiled_clauses = List.map (compile_clause ctx.linker ~free_bindings) clauses in
   let code_id = ctx.linker.add_code { Instr.name = lam_name; clauses = compiled_clauses } in
   (* Capture: push the raw slot (value, or box for assigned variables). *)
   List.iter
-    (fun name ->
-      (match index_of name ctx.env.locals with
-      | Some (i, _) -> emit ctx.e (Instr.Local_ref i)
-      | None -> (
-          match index_of name ctx.env.free with
-          | Some (i, _) -> emit ctx.e (Instr.Free_ref i)
-          | None -> assert false));
-      emit ctx.e Instr.Push)
-    free_names;
-  emit ctx.e (Instr.Make_closure { code_id; nfree = List.length free_names })
+    (fun (_, load) ->
+      emit ctx load;
+      emit ctx Instr.Push)
+    captured;
+  emit ctx (Instr.Make_closure { code_id; nfree = List.length captured })
 
 and compile_clause linker ~free_bindings c =
   let c = { c with body = simplify_in (clause_bound c) c.body } in
-  let assigned = assigned_vars c.body SSet.empty in
-  let param_binding p = { bname = p; boxed = SSet.mem p assigned } in
-  let locals = List.map param_binding (c.params @ Option.to_list c.rest) in
-  let env = { locals; free = free_bindings } in
-  let e = emitter () in
-  List.iteri (fun i b -> if b.boxed then emit e (Instr.Box_local i)) locals;
-  let ctx = { linker; patches = []; e; env } in
-  compile_expr ctx ~tail:true c.body;
-  emit e Instr.Return;
+  let params = c.params @ Option.to_list c.rest in
+  let st = clause_state ~assigned:(assigned_vars c.body SSet.empty) ~params:(List.length params) in
+  let ctx = { linker; st; env = { locals = []; free = free_bindings }; next = List.length params } in
+  let locals = bind_slots ctx params 0 in
+  compile_expr { ctx with env = { locals; free = free_bindings } } ~tail:true c.body;
+  emit ctx Instr.Return;
   {
     Instr.required = List.length c.params;
     rest = c.rest <> None;
-    instrs = finish e ctx.patches;
+    frame = st.hw;
+    instrs = finish st;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
 
-(* A top-level form compiles to a zero-argument code block ending in Halt,
-   with acc holding the form's value. *)
+(* A top-level form compiles to a zero-argument code block: [expr], then
+   [tail_instrs], which end in Halt with acc holding the form's value. *)
+let toplevel_code linker name expr tail_instrs =
+  let st = clause_state ~assigned:(assigned_vars expr SSet.empty) ~params:0 in
+  let ctx = { linker; st; env = { locals = []; free = [] }; next = 0 } in
+  compile_expr ctx ~tail:false expr;
+  List.iter (emit ctx) tail_instrs;
+  { Instr.name; clauses = [ { required = 0; rest = false; frame = st.hw; instrs = finish st } ] }
+
 let compile_toplevel_expr linker expr =
-  let e = emitter () in
-  let ctx = { linker; patches = []; e; env = empty_cenv } in
-  compile_expr ctx ~tail:false (simplify_in SSet.empty expr);
-  emit e Instr.Halt;
-  { Instr.name = "toplevel"; clauses = [ { required = 0; rest = false; instrs = finish e ctx.patches } ] }
+  toplevel_code linker "toplevel" (simplify_in SSet.empty expr) [ Instr.Halt ]
+
+let compile_define linker name expr =
+  toplevel_code linker ("define " ^ name) (simplify_in SSet.empty expr)
+    [ Instr.Global_define (linker.global_cell name); Instr.Imm Gbc_runtime.Word.void; Instr.Halt ]
 
 let rec compile_toplevel linker (d : Sexpr.t) : Instr.code list =
   match d with
   | Sexpr.Pair (Sexpr.Sym "define", rest) -> (
       match rest with
       | Sexpr.Pair (Sexpr.Sym name, Sexpr.Pair (init, Sexpr.Null)) ->
-          let e = emitter () in
-          let ctx = { linker; patches = []; e; env = empty_cenv } in
-          compile_expr ctx ~tail:false (parse init);
-          emit e (Instr.Global_define (linker.global_cell name));
-          emit e (Instr.Imm Gbc_runtime.Word.void);
-          emit e Instr.Halt;
-          [ { Instr.name = "define " ^ name;
-              clauses = [ { required = 0; rest = false; instrs = finish e ctx.patches } ] } ]
+          [ compile_define linker name (parse init) ]
       | Sexpr.Pair (Sexpr.Sym name, Sexpr.Null) ->
           (* (define name): bind to #void *)
           compile_toplevel linker
             (Sexpr.list_of [ Sexpr.Sym "define"; Sexpr.Sym name; Sexpr.Bool false ])
       | Sexpr.Pair (Sexpr.Pair (Sexpr.Sym name, formals), body) ->
           let params, rst = parse_formals formals in
-          let lam = Lambda { lam_name = name; clauses = [ make_clause params rst (as_list body) ] } in
-          let e = emitter () in
-          let ctx = { linker; patches = []; e; env = empty_cenv } in
-          compile_expr ctx ~tail:false lam;
-          emit e (Instr.Global_define (linker.global_cell name));
-          emit e (Instr.Imm Gbc_runtime.Word.void);
-          emit e Instr.Halt;
-          [ { Instr.name = "define " ^ name;
-              clauses = [ { required = 0; rest = false; instrs = finish e ctx.patches } ] } ]
+          [ compile_define linker name
+              (Lambda { lam_name = name; clauses = [ make_clause params rst (as_list body) ] }) ]
       | _ -> error "bad define: %s" (Sexpr.to_string d))
   | Sexpr.Pair (Sexpr.Sym "begin", forms) ->
       List.concat_map (compile_toplevel linker) (as_list forms)

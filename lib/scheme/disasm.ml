@@ -2,9 +2,10 @@
     used by the [disassemble] primitive and the compiler tests. *)
 
 let pp_clause ppf (c : Instr.clause) =
-  Format.fprintf ppf "  clause: %d arg%s%s@." c.Instr.required
+  Format.fprintf ppf "  clause: %d arg%s%s, frame %d@." c.Instr.required
     (if c.Instr.required = 1 then "" else "s")
-    (if c.Instr.rest then " + rest" else "");
+    (if c.Instr.rest then " + rest" else "")
+    c.Instr.frame;
   Array.iteri
     (fun i instr -> Format.fprintf ppf "    %3d  %a@." i Instr.pp_instr instr)
     c.Instr.instrs

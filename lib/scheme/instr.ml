@@ -2,8 +2,10 @@
 
     Flat-closure model: a closure captures the values (or boxes, for
     assigned variables) of its free variables; locals live in the value
-    stack frame.  [case-lambda] closures carry several clauses sharing one
-    free-variable list; calls dispatch on argument count. *)
+    stack frame.  A clause's frame holds its parameters and then the
+    slots of the [let]s and jump-compiled loops inside it, which cost no
+    closure and no call.  [case-lambda] closures carry several clauses
+    sharing one free-variable list; calls dispatch on argument count. *)
 
 (** The primitives the compiler open-codes.  A global application
     [(name a b)] or [(name x)] of an op in {!ops}, with the op's arity and
@@ -63,6 +65,13 @@ type instr =
   | Const of int  (** constants table index -> acc *)
   | Imm of int  (** raw immediate/fixnum word -> acc *)
   | Local_ref of int  (** acc := stack[fp + i] (raw slot: value or box) *)
+  | Local_set of int  (** stack[fp + i] := acc (raw): binds a let slot *)
+  | Local_clear of { slot : int; count : int }
+      (** stack[fp + slot .. fp + slot + count - 1] := void: a finished
+          let's slots stop holding its values *)
+  | Local_pop of { slot : int; count : int }
+      (** pop the top [count] stack words into slots [slot ..], the
+          first pushed into [slot]: a loop's new values *)
   | Free_ref of int  (** acc := closure free var i (raw) *)
   | Unbox  (** acc := box-ref acc *)
   | Local_set_box of int  (** box-set! stack[fp+i] acc *)
@@ -76,6 +85,7 @@ type instr =
       (** capture top [nfree] stack words (popped) as free vars *)
   | Branch_false of int  (** jump to index if acc is #f *)
   | Jump of int
+  | Loop of int  (** backward jump to a loop head, after a safepoint *)
   | Call of int  (** operator in acc, n args on stack *)
   | Tail_call of int
   | Op of { op : op; cell : int; tail : bool }
@@ -87,6 +97,9 @@ type instr =
 type clause = {
   required : int;  (** required parameter count *)
   rest : bool;  (** accepts extra args collected into a list *)
+  frame : int;
+      (** local slots: the parameters (and rest list), then let slots;
+          a call fills the let slots with void *)
   instrs : instr array;
 }
 
@@ -99,6 +112,9 @@ let pp_instr ppf = function
   | Const i -> Format.fprintf ppf "const %d" i
   | Imm w -> Format.fprintf ppf "imm %d" w
   | Local_ref i -> Format.fprintf ppf "local %d" i
+  | Local_set i -> Format.fprintf ppf "local-set %d" i
+  | Local_clear { slot; count } -> Format.fprintf ppf "local-clear %d/%d" slot count
+  | Local_pop { slot; count } -> Format.fprintf ppf "local-pop %d/%d" slot count
   | Free_ref i -> Format.fprintf ppf "free %d" i
   | Unbox -> Format.pp_print_string ppf "unbox"
   | Local_set_box i -> Format.fprintf ppf "local-set-box %d" i
@@ -111,6 +127,7 @@ let pp_instr ppf = function
   | Make_closure { code_id; nfree } -> Format.fprintf ppf "closure %d/%d" code_id nfree
   | Branch_false i -> Format.fprintf ppf "brf %d" i
   | Jump i -> Format.fprintf ppf "jmp %d" i
+  | Loop i -> Format.fprintf ppf "loop %d" i
   | Call n -> Format.fprintf ppf "call %d" n
   | Tail_call n -> Format.fprintf ppf "tailcall %d" n
   | Op { op; cell; tail } ->

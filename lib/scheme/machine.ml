@@ -225,14 +225,21 @@ let add_const m d =
   Vec.Int.length m.consts - 1
 
 let add_code m (code : Instr.code) =
-  (* A clause's locals are exactly its parameters. *)
+  (* A clause's locals are its frame: parameters first, then let slots. *)
   List.iter
-    (fun { Instr.required; rest; instrs } ->
-      let n = required + Bool.to_int rest in
+    (fun { Instr.required; rest; frame; instrs } ->
+      let params = required + Bool.to_int rest in
+      if frame < params then
+        error "%s: frame %d smaller than its %d parameters" code.Instr.name frame params;
+      let bad k = error "%s: local slot %d not in [0, %d)" code.Instr.name k frame in
       Array.iter
         (function
-          | Instr.Local_ref k | Instr.Local_set_box k | Instr.Box_local k when k < 0 || k >= n ->
-              error "%s: local slot %d not in [0, %d)" code.Instr.name k n
+          | Instr.Local_ref k | Instr.Local_set k | Instr.Local_set_box k | Instr.Box_local k
+            when k < 0 || k >= frame ->
+              bad k
+          | Instr.Local_clear { slot; count } | Instr.Local_pop { slot; count }
+            when slot < 0 || count < 0 || count > frame - slot ->
+              bad (if slot < 0 then slot else slot + count - 1)
           | _ -> ())
         instrs)
     code.Instr.clauses;
@@ -431,6 +438,19 @@ let[@inline] op_value (kind : Instr.kind) a x =
   | Instr.Not -> Word.of_bool (Word.is_false x)
   | Instr.Is_zero -> Word.of_bool (Word.equal x (Word.of_fixnum 0))
 
+(* Extend the frame from its parameters ([sp] = [fp] + parameters) to
+   [clause.frame] slots, filled with void so the root scanner never sees a
+   stale word. *)
+let[@inline] reserve_frame m (clause : Instr.clause) =
+  let top = m.fp + clause.Instr.frame in
+  if top > m.sp then begin
+    ensure_stack m top;
+    for i = m.sp to top - 1 do
+      m.stack.(i) <- Word.void
+    done;
+    m.sp <- top
+  end
+
 let call_code m pc ~tail callee code_id n =
   let clauses = Vec.Poly.get m.clauses code_id in
   let clause_idx = select_clause clauses n 0 in
@@ -453,6 +473,7 @@ let call_code m pc ~tail callee code_id n =
     if n < clause.Instr.required then error "%s: too few arguments" (code m code_id).Instr.name;
     build_rest m ~required:clause.Instr.required ~n
   end;
+  reserve_frame m clause;
   m.clos <- callee;
   m.next_pc <- 0;
   clause.Instr.instrs
@@ -646,6 +667,18 @@ let rec run m ~base (instrs : Instr.instr array) pc =
   | Instr.Const k -> m.acc <- Vec.Int.get m.consts k; run m ~base instrs next
   | Instr.Imm w -> m.acc <- w; run m ~base instrs next
   | Instr.Local_ref k -> m.acc <- m.stack.(m.fp + k); run m ~base instrs next
+  | Instr.Local_set k -> m.stack.(m.fp + k) <- m.acc; run m ~base instrs next
+  | Instr.Local_clear { slot; count } ->
+      Array.fill m.stack (m.fp + slot) count Word.void;
+      run m ~base instrs next
+  | Instr.Local_pop { slot; count } ->
+      (* Compiled code pops what it pushed; code from an image may not,
+         and must not pop the frame's own slots. *)
+      let frame = (Vec.Poly.get m.clauses m.cur_code_id).(m.cur_clause).Instr.frame in
+      if m.sp - count < m.fp + frame then error "local-pop: %d values past the stack top" count;
+      m.sp <- m.sp - count;
+      Array.blit m.stack m.sp m.stack (m.fp + slot) count;
+      run m ~base instrs next
   | Instr.Free_ref k -> m.acc <- Obj.field m.heap m.clos (1 + k); run m ~base instrs next
   | Instr.Unbox -> m.acc <- Obj.box_ref m.heap m.acc; run m ~base instrs next
   | Instr.Local_set_box k ->
@@ -682,6 +715,11 @@ let rec run m ~base (instrs : Instr.instr array) pc =
       run m ~base instrs next
   | Instr.Branch_false target -> run m ~base instrs (if Word.is_false m.acc then target else next)
   | Instr.Jump target -> run m ~base instrs target
+  | Instr.Loop target ->
+      (* Everything live is in the frame and acc: a loop that allocates
+         only closures and boxes still serves collect requests. *)
+      Runtime.safepoint m.heap;
+      run m ~base instrs target
   | Instr.Call n ->
       let instrs = do_call m instrs next ~tail:false n in
       run m ~base instrs m.next_pc
@@ -802,6 +840,7 @@ let run_code m (code : Instr.code) =
       in
       let saved_fp = m.fp in
       m.fp <- m.sp;
+      reserve_frame m clause;
       m.cur_code_id <- id;
       m.cur_clause <- 0;
       let result = enter m clause.Instr.instrs in

@@ -34,12 +34,15 @@ let corrupt fmt =
 
 (* --- bytecode codec -------------------------------------------------- *)
 
-(* Per instruction: u8 opcode, then one i64 per operand (two for
-   Make_closure and Op).  Imm carries a raw word, which for immediates
-   needs the full width.  Op's operands are its global cell and
-   [op.index * 2 + tail], the index into Instr.ops.  The numbering below
-   is part of the scheme/codes section format; never reorder it, only
-   append. *)
+(* Per clause: u32 required count, u8 rest flag, u32 let slots (the
+   frame past the parameters), u32 instruction count.  Per instruction:
+   u8 opcode, then one i64 per operand (two for Make_closure, Op,
+   Local_clear and Local_pop).  Local-slot operands are bounded by the
+   frame in [Machine.add_code], which restore goes through.  Imm carries
+   a raw word, which for immediates needs the full width.  Op's operands
+   are its global cell and [op.index * 2 + tail], the index into
+   Instr.ops.  The numbering below is part of the scheme/codes section
+   format; never reorder it, only append. *)
 
 let opcode : Instr.instr -> int = function
   | Instr.Const _ -> 0
@@ -62,6 +65,10 @@ let opcode : Instr.instr -> int = function
   | Instr.Return -> 17
   | Instr.Halt -> 18
   | Instr.Op _ -> 19
+  | Instr.Local_set _ -> 20
+  | Instr.Local_clear _ -> 21
+  | Instr.Local_pop _ -> 22
+  | Instr.Loop _ -> 23
 
 let encode_instr b i =
   Image.u8 b (opcode i);
@@ -70,11 +77,14 @@ let encode_instr b i =
   | Instr.Local_set_box n | Instr.Free_set_box n | Instr.Global_ref n
   | Instr.Global_set n | Instr.Global_define n | Instr.Box_local n
   | Instr.Branch_false n | Instr.Jump n | Instr.Call n | Instr.Tail_call n
-    ->
+  | Instr.Local_set n | Instr.Loop n ->
       Image.i64 b n
   | Instr.Make_closure { code_id; nfree } ->
       Image.i64 b code_id;
       Image.i64 b nfree
+  | Instr.Local_clear { slot; count } | Instr.Local_pop { slot; count } ->
+      Image.i64 b slot;
+      Image.i64 b count
   | Instr.Op { op; cell; tail } ->
       Image.i64 b cell;
       Image.i64 b ((op.Instr.index * 2) + Bool.to_int tail)
@@ -91,6 +101,7 @@ let encode_codes (codes : Instr.code array) : string =
         (fun (cl : Instr.clause) ->
           Image.u32 b cl.Instr.required;
           Image.u8 b (if cl.Instr.rest then 1 else 0);
+          Image.u32 b (cl.Instr.frame - cl.Instr.required - Bool.to_int cl.Instr.rest);
           Image.u32 b (Array.length cl.Instr.instrs);
           Array.iter (encode_instr b) cl.Instr.instrs)
         c.Instr.clauses)
@@ -134,6 +145,14 @@ let decode_instr r (b : bounds) : Instr.instr =
       let cell = operand r "global cell" b.ncells in
       let o = operand r "open-coded op" (2 * Array.length Instr.ops) in
       Instr.Op { op = Instr.ops.(o / 2); cell; tail = o land 1 = 1 }
+  | 20 -> Instr.Local_set (Image.ri64 r)
+  | 21 ->
+      let slot = Image.ri64 r in
+      Instr.Local_clear { slot; count = Image.ri64 r }
+  | 22 ->
+      let slot = Image.ri64 r in
+      Instr.Local_pop { slot; count = Image.ri64 r }
+  | 23 -> Instr.Loop (operand r "jump target" b.ninstrs)
   | op -> corrupt "scheme/codes: unknown opcode %d" op
 
 let decode_codes ~ncells ~nconsts (s : string) : Instr.code array =
@@ -155,13 +174,18 @@ let decode_codes ~ncells ~nconsts (s : string) : Instr.code array =
     for _ = 1 to nclauses do
       let required = Image.ru32 r in
       let rest = Image.ru8 r <> 0 in
+      let slots = Image.ru32 r in
       let ninstrs = Image.ru32 r in
+      (* The compiler spends at least one instruction per let slot, so a
+         crafted count cannot make a call reserve a vast frame. *)
+      if slots > ninstrs then corrupt "scheme/codes: %d let slots for %d instructions" slots ninstrs;
+      let frame = required + Bool.to_int rest + slots in
       let bounds = { ncells; nconsts; ncodes; ninstrs } in
       let instrs = Array.make ninstrs Instr.Halt in
       for i = 0 to ninstrs - 1 do
         instrs.(i) <- decode_instr r bounds
       done;
-      clauses := { Instr.required; rest; instrs } :: !clauses
+      clauses := { Instr.required; rest; frame; instrs } :: !clauses
     done;
     codes.(ci) <- { Instr.name; clauses = List.rev !clauses }
   done;

@@ -191,13 +191,69 @@ let test_stats_accumulate () =
   ignore (Collector.collect h ~gen:1);
   check_int "three collections" 3 (Heap.stats h).Stats.total.Stats.collections
 
+(* The volume schedule's bookkeeping: a collection of [g] empties the
+   promoted counts of [0..g] and credits its copied words to the target,
+   unless the target is [g] itself (the oldest generation). *)
+let test_promoted_words () =
+  let h = Heap.create ~config:cfg () in
+  let promoted g = h.Heap.promoted_words.(g) in
+  let c = Heap.new_cell h (Obj.make_vector h ~len:20 ~init:Word.nil) in
+  ignore (Collector.collect h ~gen:0);
+  check_int "gen 0 -> 1 credits 1" (Heap.stats h).Stats.last.Stats.words_copied (promoted 1);
+  check_int "21 words promoted" 21 (promoted 1);
+  ignore (Collector.collect h ~gen:1);
+  check_int "gen 1 emptied" 0 (promoted 1);
+  check_int "gen 1 -> 2 credits 2" 21 (promoted 2);
+  ignore (Collector.collect h ~gen:3);
+  ignore (Collector.collect h ~gen:3);
+  check "survivor in the oldest generation" true
+    (Heap.generation_of_word h (Heap.read_cell h c) = 3);
+  check_int "oldest into itself is not promotion" 0 (promoted 3);
+  Array.iter (check_int "all emptied" 0) h.Heap.promoted_words
+
+(* A request collects generation 1 exactly when generation 1's promoted
+   words are over one threshold, whatever its value. *)
 let test_collect_auto_schedule () =
-  check_int "count 1 -> gen 0" 0 (Runtime.scheduled_generation ~radix:4 ~max_generation:3 1);
-  check_int "count 4 -> gen 1" 1 (Runtime.scheduled_generation ~radix:4 ~max_generation:3 4);
-  check_int "count 8 -> gen 1" 1 (Runtime.scheduled_generation ~radix:4 ~max_generation:3 8);
-  check_int "count 16 -> gen 2" 2 (Runtime.scheduled_generation ~radix:4 ~max_generation:3 16);
-  check_int "count 64 -> gen 3" 3 (Runtime.scheduled_generation ~radix:4 ~max_generation:3 64);
-  check_int "count 17 -> gen 0" 0 (Runtime.scheduled_generation ~radix:4 ~max_generation:3 17)
+  let h = Heap.create ~config:(Config.v ~gen0_trigger_words:256 ~max_generation:3 ()) () in
+  let keep = Heap.new_cell h Word.nil in
+  let young = ref [] and older = ref [] in
+  for i = 0 to 399 do
+    for _ = 0 to 9 do
+      ignore (Obj.cons h (fx i) Word.nil)
+    done;
+    Heap.write_cell h keep (Obj.cons h (fx i) (Heap.read_cell h keep));
+    let before = h.Heap.promoted_words.(1) in
+    let o = Runtime.collect_auto h in
+    if o.Collector.generation = 0 then young := before :: !young else older := before :: !older
+  done;
+  check "some requests collect only generation 0" true (!young <> []);
+  check "some requests collect generation 1" true (!older <> []);
+  check "one threshold separates them" true
+    (List.fold_left max 0 !young < List.fold_left min max_int !older);
+  check_int "the kept list survives" 400
+    (let rec len w n = if Word.is_nil w then n else len (Obj.cdr h w) (n + 1) in
+     len (Heap.read_cell h keep) 0)
+
+(* A live set already in the oldest generation is never promotion: requests
+   that promote nothing leave it alone, however many there are. *)
+let test_old_live_set_not_recollected () =
+  let h = Heap.create ~config:(Config.v ~gen0_trigger_words:256 ~max_generation:3 ()) () in
+  let big = Heap.new_cell h Word.nil in
+  for i = 0 to 9_999 do
+    Heap.write_cell h big (Obj.cons h (fx i) (Heap.read_cell h big))
+  done;
+  ignore (Collector.collect h ~gen:3);
+  let copied_before = (Heap.stats h).Stats.total.Stats.words_copied in
+  let gens = ref [] in
+  for i = 0 to 199 do
+    for _ = 0 to 99 do
+      ignore (Obj.cons h (fx i) Word.nil)
+    done;
+    gens := (Runtime.collect_auto h).Collector.generation :: !gens
+  done;
+  check "every request collects generation 0 only" true (List.for_all (( = ) 0) !gens);
+  check_int "the 20k-word live set is never copied again" copied_before
+    (Heap.stats h).Stats.total.Stats.words_copied
 
 let test_safepoint_triggers () =
   let config = Config.v ~gen0_trigger_words:256 () in
@@ -503,6 +559,9 @@ let () =
           Alcotest.test_case "last unchanged by mutator" `Quick test_last_unchanged_by_mutator;
           Alcotest.test_case "raising scanner poisons" `Quick test_raising_scanner_poisons_heap;
           Alcotest.test_case "schedule" `Quick test_collect_auto_schedule;
+          Alcotest.test_case "promoted words" `Quick test_promoted_words;
+          Alcotest.test_case "old live set not re-collected" `Quick
+            test_old_live_set_not_recollected;
           Alcotest.test_case "safepoint trigger" `Quick test_safepoint_triggers;
           Alcotest.test_case "collect-request handler" `Quick test_collect_request_handler;
           Alcotest.test_case "segment reuse" `Quick test_segment_reuse;

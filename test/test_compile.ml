@@ -125,6 +125,32 @@ let test_case_lambda_clauses () =
       Alcotest.(check (list (pair int bool)))
         "arities" [ (0, false); (1, false); (1, true) ] arities
 
+let is_closure = function Instr.Make_closure _ -> true | _ -> false
+let is_loop = function Instr.Loop _ -> true | _ -> false
+
+(* A let is frame slots; a named let whose name is only tail-applied is a
+   backward jump; one whose name escapes stays a closure. *)
+let test_let_slots_and_loops () =
+  let let_instrs = all_instrs "(define (sq1 x) (let ([y (+ x 1)]) (* y y)))" in
+  check "let makes no closure" true (count is_closure let_instrs = 1);
+  check "let makes no call" true (count is_call let_instrs = 0);
+  let loop = all_instrs "(define (sum-to n) (let lp ([i 0] [a 0]) (if (> i n) a (lp (+ i 1) (+ a i)))))" in
+  check_int "loop: one backward jump" 1 (count is_loop loop);
+  check_int "loop: no closure but sum-to's" 1 (count is_closure loop);
+  let do_loop = all_instrs "(define (fill v) (do ([i 0 (+ i 1)]) ((= i 3) v) (vector-set! v i i)))" in
+  check_int "do: one backward jump" 1 (count is_loop do_loop);
+  List.iter
+    (fun src ->
+      let instrs = all_instrs src in
+      check (src ^ ": a closure") true (count is_closure instrs >= 2);
+      check (src ^ ": no jump") true (count is_loop instrs = 0))
+    [
+      "(define (e1) (let loop ([x 1]) (if (> x 100) x (car (map loop (list (* x 2)))))))";
+      "(define (e2) (let loop ([i 0]) (if (= i 0) (begin (set! loop car) (loop 1)) i)))";
+      "(define (e3 n) (let f ([n n]) (if (= n 0) '() (cons n (f (- n 1))))))";
+      "(define (e4) (let loop ([i 0]) (if (= i 0) (loop 1 2) i)))";
+    ]
+
 let test_constants_vs_immediates () =
   (* Small literals inline as Imm; structured ones go to the constants
      table. *)
@@ -224,7 +250,10 @@ let test_constant_folding () =
 let test_folding_respects_shadowing () =
   (* (let ([+ f]) (+ 1 2)) must NOT fold. *)
   let instrs = all_instrs "(define (sh f) (let ([+ f]) (+ 1 2)))" in
-  check "call survives" true (count is_tail_call instrs + count is_call instrs >= 2);
+  (* The let itself is frame slots: the one call left is the shadowed +,
+     neither folded nor open-coded. *)
+  check_int "call survives" 1 (count is_tail_call instrs + count is_call instrs);
+  check "not open-coded" true (not (List.exists (function Instr.Op _ -> true | _ -> false) instrs));
   (* semantics double-check *)
   let m = Lazy.force machine in
   Alcotest.(check string) "shadowed" "shadowed"
@@ -284,6 +313,7 @@ let () =
           Alcotest.test_case "boxing when assigned" `Quick test_boxing_only_when_assigned;
           Alcotest.test_case "capture shares box" `Quick test_capture_shares_box;
           Alcotest.test_case "case-lambda clauses" `Quick test_case_lambda_clauses;
+          Alcotest.test_case "let slots and loops" `Quick test_let_slots_and_loops;
           Alcotest.test_case "constants vs immediates" `Quick test_constants_vs_immediates;
           Alcotest.test_case "branch targets" `Quick test_branch_targets_valid;
         ] );

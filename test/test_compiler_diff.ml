@@ -2,8 +2,11 @@
    reference interpreter.
 
    A type-directed generator produces random, closed, terminating programs
-   (integers, booleans, strings, integer lists; let/set!/if/begin/lambda
-   application/arithmetic/comparisons/list and string operations).  Each
+   (integers, booleans, strings, integer lists; let/named let/do/set!/if/
+   begin/lambda application/arithmetic/comparisons/list and string
+   operations).  Lets land in operand positions of pending calls, and
+   named lets both as jump-compiled loops (self-call in tail position)
+   and as closures (self-call under [+]).  Each
    program is evaluated both by the bytecode VM on the simulated heap and
    by a direct OCaml interpreter over pure values; the printed results must
    agree. *)
@@ -21,6 +24,7 @@ type rv =
   | RStr of string
   | RList of rv list
   | RClos of string * S.t * env
+  | RProc of (rv list -> rv)  (** a named let's loop *)
 
 and env = (string * rv ref) list
 
@@ -32,7 +36,7 @@ let rec rv_print = function
   | RBool false -> "#f"
   | RStr s -> Printf.sprintf "%S" s
   | RList l -> "(" ^ String.concat " " (List.map rv_print l) ^ ")"
-  | RClos _ -> "#<procedure>"
+  | RClos _ | RProc _ -> "#<procedure>"
 
 let as_int = function RInt n -> n | _ -> raise (Ref_error "int expected")
 let as_list = function RList l -> l | _ -> raise (Ref_error "list expected")
@@ -52,6 +56,37 @@ let rec reval (env : env) (e : S.t) : rv =
   | S.Pair (S.Sym "if", S.Pair (c, S.Pair (t, rest))) -> (
       if truthy (reval env c) then reval env t
       else match rest with S.Pair (f, S.Null) -> reval env f | _ -> RBool false)
+  | S.Pair (S.Sym "let", S.Pair (S.Sym name, S.Pair (bindings, body))) ->
+      let vars, inits = List.split (List.map binding (Option.get (S.to_list bindings))) in
+      let self = ref (RBool false) in
+      let proc argv = reval_body (List.map2 (fun x v -> (x, ref v)) vars argv @ ((name, self) :: env)) body in
+      self := RProc proc;
+      proc (List.map (reval env) inits)
+  | S.Pair (S.Sym "do", S.Pair (specs, S.Pair (test_res, commands))) ->
+      let specs =
+        List.map
+          (fun s ->
+            match S.to_list s with
+            | Some [ S.Sym x; init ] -> (x, init, S.Sym x)
+            | Some [ S.Sym x; init; step ] -> (x, init, step)
+            | _ -> raise (Ref_error "bad do"))
+          (Option.get (S.to_list specs))
+      in
+      let test, results =
+        match S.to_list test_res with
+        | Some (t :: r) -> (t, r)
+        | _ -> raise (Ref_error "bad do test")
+      in
+      let rec loop vals =
+        let env = List.map2 (fun (x, _, _) v -> (x, ref v)) specs vals @ env in
+        if truthy (reval env test) then
+          if results = [] then RBool false else reval_body env (S.list_of results)
+        else begin
+          List.iter (fun c -> ignore (reval env c)) (Option.get (S.to_list commands));
+          loop (List.map (fun (_, _, step) -> reval env step) specs)
+        end
+      in
+      loop (List.map (fun (_, init, _) -> reval env init) specs)
   | S.Pair (S.Sym "let", S.Pair (bindings, body)) ->
       let binds =
         List.map
@@ -92,6 +127,9 @@ let rec reval (env : env) (e : S.t) : rv =
       let argv = List.map (reval env) (Option.get (S.to_list args)) in
       apply env f argv
   | _ -> raise (Ref_error ("cannot eval " ^ S.to_string e))
+
+and binding b =
+  match S.to_list b with Some [ S.Sym x; init ] -> (x, init) | _ -> raise (Ref_error "bad binding")
 
 and reval_body env = function
   | S.Pair (e, S.Null) -> reval env e
@@ -157,6 +195,7 @@ and apply env f argv =
 and apply_value f argv =
   match (f, argv) with
   | RClos (x, body, cenv), [ v ] -> reval ((x, ref v) :: cenv) body
+  | RProc p, argv -> p argv
   | _ -> raise (Ref_error "bad application")
 
 (* ------------------------------------------------------------------ *)
@@ -174,6 +213,11 @@ let gen_program =
      building them eagerly in every [frequency] list at every level would
      cost time exponential in the size budget. *)
   let delay (f : unit -> 'a QCheck.Gen.t) : 'a QCheck.Gen.t = fun st -> f () st in
+  (* Int variables a set! may target: not the loop counters (iK), which
+     bound the loops' trip counts. *)
+  let assignable env =
+    List.filter_map (fun (x, t) -> if t = TInt && x.[0] <> 'i' then Some x else None) env
+  in
   (* Variables in scope, by type. *)
   let rec gen ty env n =
     if n <= 0 then base ty env
@@ -189,6 +233,7 @@ let gen_program =
               (1, delay (fun () -> gen TStr env (n - 1) >|= fun s -> app "string-length" [ s ]));
               (2, delay (fun () -> map2 (fun a b -> app "min" [ a; b ]) (gen TInt env ((n - 1) / 2)) (gen TInt env ((n - 1) / 2))));
               (1, delay (fun () -> gen TInt env (n - 1) >|= fun a -> app "abs" [ a ]));
+              (1, delay (fun () -> named_let ~tail:false ty env n));
             ]
         | TBool ->
             [
@@ -232,6 +277,17 @@ let gen_program =
                     map2 (fun a b -> app "append" [ a; b ]) (gen TIntList env ((n - 1) / 2))
                       (gen TIntList env ((n - 1) / 2))) );
               (1, delay (fun () -> gen TIntList env (n - 2) >|= fun l -> app "cdr" [ app "cons" [ S.Int 0; l ] ]));
+              (* a let between the operands of a pending call *)
+              ( 1,
+                delay (fun () ->
+                    let var = "v" ^ string_of_int (List.length env) in
+                    map4
+                      (fun a init body b ->
+                        app "list"
+                          [ a; S.Pair (sym "let", S.Pair (S.list_of [ S.list_of [ sym var; init ] ], S.Pair (body, S.Null))); b ])
+                      (gen TInt env ((n - 1) / 4)) (gen TInt env ((n - 1) / 4))
+                      (gen TInt ((var, TInt) :: env) ((n - 1) / 4))
+                      (gen TInt env ((n - 1) / 4))) );
             ]
       in
       let generic =
@@ -253,14 +309,38 @@ let gen_program =
                   (gen TInt env ((n - 1) / 2))
                   (gen ty ((var, TInt) :: env) ((n - 1) / 2))) );
           (* (begin (set! x int) body) with x an int var in scope *)
-          ( (if List.exists (fun (_, t) -> t = TInt) env then 2 else 0),
+          ( (if assignable env <> [] then 2 else 0),
             delay (fun () ->
-                let int_vars = List.filter (fun (_, t) -> t = TInt) env in
-                int_vars |> List.map fst |> oneofl >>= fun x ->
+                assignable env |> oneofl >>= fun x ->
                 map2
                   (fun v body -> app "begin" [ app "set!" [ sym x; v ]; body ])
                   (gen TInt env ((n - 1) / 2))
                   (gen ty env ((n - 1) / 2))) );
+          (2, delay (fun () -> named_let ~tail:true ty env n));
+          (* (do ([iK count (- iK 1)] [aK init step]) ((<= iK 0) aK) cmd) *)
+          ( 1,
+            delay (fun () ->
+                let k = string_of_int (List.length env) in
+                let i = "i" ^ k and a = "a" ^ k in
+                let inner = (i, TInt) :: (a, ty) :: env in
+                let command =
+                  if assignable env = [] then return []
+                  else
+                    assignable env |> oneofl >>= fun x ->
+                    gen TInt inner ((n - 1) / 4) >|= fun v -> [ app "set!" [ sym x; v ] ]
+                in
+                map4
+                  (fun count init step cmd ->
+                    S.Pair
+                      ( sym "do",
+                        S.Pair
+                          ( S.list_of
+                              [
+                                S.list_of [ sym i; S.Int count; app "-" [ sym i; S.Int 1 ] ];
+                                S.list_of [ sym a; init; step ];
+                              ],
+                            S.Pair (S.list_of [ app "<=" [ sym i; S.Int 0 ]; sym a ], S.list_of cmd) ) ))
+                  (int_range 0 4) (gen ty env ((n - 1) / 4)) (gen ty inner ((n - 1) / 4)) command) );
           (* ((lambda (x) body) int) *)
           ( 1,
             delay (fun () ->
@@ -276,6 +356,26 @@ let gen_program =
         ]
       in
       frequency (List.filter (fun (w, _) -> w > 0) (compound @ generic))
+  (* (let lpK ([iK count] [aK init]) (if (<= iK 0) aK (lpK (- iK 1) step))),
+     or, not [tail], with [(+ 1 (lpK ...))] for the self-call (TInt only) *)
+  and named_let ~tail ty env n =
+    let k = string_of_int (List.length env) in
+    let i = "i" ^ k and a = "a" ^ k and lp = "lp" ^ k in
+    let inner = (i, TInt) :: (a, ty) :: env in
+    map3
+      (fun count init step ->
+        let again = app lp [ app "-" [ sym i; S.Int 1 ]; step ] in
+        S.Pair
+          ( sym "let",
+            S.Pair
+              ( sym lp,
+                S.Pair
+                  ( S.list_of [ S.list_of [ sym i; S.Int count ]; S.list_of [ sym a; init ] ],
+                    S.Pair
+                      ( app "if"
+                          [ app "<=" [ sym i; S.Int 0 ]; sym a; (if tail then again else app "+" [ S.Int 1; again ]) ],
+                        S.Null ) ) ) ))
+      (int_range 0 4) (gen ty env ((n - 1) / 3)) (gen ty inner ((n - 1) / 3))
   and base ty env =
     let vars = List.filter (fun (_, t) -> t = ty) env in
     let var_gens = List.map (fun (x, _) -> (2, return (sym x))) vars in

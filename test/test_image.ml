@@ -130,6 +130,13 @@ let test_generations_and_schedule () =
   Heap.with_cell h old (fun c ->
       full_collect h;
       full_collect h;
+      (* Young survivors promoted into generations 1 and 2 leave promoted
+         words for the schedule in both. *)
+      List.iter
+        (fun g ->
+          ignore (Heap.new_cell h (Obj.cons h (fx g) Word.nil));
+          ignore (Collector.collect h ~gen:g))
+        [ 1; 0 ];
       let old = Heap.read_cell h c in
       let gen = Heap.generation_of_word h old in
       check "object aged" true (gen >= 2);
@@ -138,8 +145,10 @@ let test_generations_and_schedule () =
       check_int "generation preserved" gen
         (Heap.generation_of_word h' (List.hd words));
       check_int "gc_epoch preserved" (Heap.gc_epoch h) (Heap.gc_epoch h');
-      check_int "collect_count preserved" h.Heap.collect_count
-        h'.Heap.collect_count;
+      check "promoted into 1 and 2" true
+        (h.Heap.promoted_words.(1) > 0 && h.Heap.promoted_words.(2) > 0);
+      Alcotest.(check (array int)) "promoted words preserved" h.Heap.promoted_words
+        h'.Heap.promoted_words;
       check_int "last_gc_generation preserved" h.Heap.last_gc_generation
         h'.Heap.last_gc_generation;
       check_canonical "generations" s l)
@@ -780,10 +789,12 @@ module Scheme = Gbc_scheme.Scheme
 module Machine = Gbc_scheme.Machine
 module Instr = Gbc_scheme.Instr
 
-let scheme_image_with ?(required = 0) make_instrs =
+let scheme_image_with ?(required = 0) ?(frame = required) make_instrs =
   let m = Scheme.create () in
   let instrs = make_instrs m in
-  let code = { Instr.name = "crafted"; clauses = [ { Instr.required; rest = false; instrs } ] } in
+  let code =
+    { Instr.name = "crafted"; clauses = [ { Instr.required; rest = false; frame; instrs } ] }
+  in
   ignore ((Machine.linker m).Gbc_scheme.Compile.add_code code);
   let s = Scheme.Scheme_image.save_string m in
   Machine.dispose m;
@@ -900,6 +911,30 @@ let test_code_local_slot_rejected () =
   | exception Image.Error msg ->
       check_str "message" "gbc-image: scheme/codes: crafted: local slot 0 not in [0, 0)" msg
 
+(* The crafted clause binds let slot 1 and reads it back; its let-slot
+   count, rewritten from 2 to 1 in the image, leaves both operands past
+   the frame.  A count above the clause's instruction count would let one
+   call reserve a vast frame, so it is refused too. *)
+let test_code_frame_rejected () =
+  let s =
+    scheme_image_with ~frame:2 (fun _ ->
+        [| Instr.Imm (Word.of_fixnum 7); Instr.Local_set 1; Instr.Local_ref 1; Instr.Halt |])
+  in
+  load_scheme s;
+  let name = le_str "crafted" in
+  (* The code's name, its clause count, the required count, the rest flag,
+     then the let-slot count. *)
+  let pos = find_once "crafted code" s name + String.length name + 4 + 4 + 1 in
+  check_int "let slots" 2 (Int32.to_int (String.get_int32_le s pos));
+  (match load_scheme (patched s pos "\001\000\000\000") with
+  | () -> Alcotest.fail "local slot past the frame accepted"
+  | exception Image.Error msg ->
+      check_str "message" "gbc-image: scheme/codes: crafted: local slot 1 not in [0, 1)" msg);
+  match load_scheme (patched s pos "\255\255\255\127") with
+  | () -> Alcotest.fail "vast frame accepted"
+  | exception Image.Error msg ->
+      check_str "message" "gbc-image: scheme/codes: 2147483647 let slots for 4 instructions" msg
+
 let test_code_global_cell_rejected () =
   load_scheme (scheme_image_with (fun m -> [| Instr.Global_ref (ncells m - 1); Instr.Halt |]));
   expect_code_rejected "global-ref far out" (fun _ -> [| Instr.Global_ref 1_000_000; Instr.Halt |]);
@@ -1004,6 +1039,7 @@ let () =
             Alcotest.test_case "checkpoint-sized verified load" `Quick
               test_checkpoint_sized_verified_load;
           Alcotest.test_case "code: local slot" `Quick test_code_local_slot_rejected;
+          Alcotest.test_case "code: frame" `Quick test_code_frame_rejected;
           Alcotest.test_case "code: global cell" `Quick test_code_global_cell_rejected;
           Alcotest.test_case "code: constant index" `Quick test_code_constant_rejected;
           Alcotest.test_case "code: closure" `Quick test_code_closure_rejected;
