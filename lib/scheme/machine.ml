@@ -9,7 +9,7 @@
 
 open Gbc_runtime
 
-exception Error of string
+exception Error = Instr.Error
 exception Exit_signal
 
 exception Load_image_signal of string
@@ -47,6 +47,7 @@ and t = {
   clauses : Instr.clause array Vec.Poly.t;
       (** per code id, its clauses: where calls and returns find their
           instructions *)
+  depths : int array array Vec.Poly.t;  (** per clause, {!Instr.check}'s depth at each pc *)
   top_ids : int Code_ids.t;  (** {!run_code}'s registered top-level codes *)
   consts : Vec.Int.t;  (** heap words, rooted *)
   mutable stack : int array;
@@ -100,6 +101,7 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
       symtab = Symtab.create heap;
       codes = Vec.Poly.create ~dummy:dummy_code ();
       clauses = Vec.Poly.create ~dummy:[||] ();
+      depths = Vec.Poly.create ~dummy:[||] ();
       top_ids = Code_ids.create 16;
       consts = Vec.Int.create ();
       stack = Array.make 4096 0;
@@ -224,30 +226,19 @@ let add_const m d =
   Vec.Int.push m.consts w;
   Vec.Int.length m.consts - 1
 
+(* The compiler, run_code and image restore all add code here, where it
+   is checked once against the tables as they stand. *)
 let add_code m (code : Instr.code) =
-  (* A clause's locals are its frame: parameters first, then let slots. *)
-  List.iter
-    (fun { Instr.required; rest; frame; instrs } ->
-      let params = required + Bool.to_int rest in
-      if frame < params then
-        error "%s: frame %d smaller than its %d parameters" code.Instr.name frame params;
-      let bad k = error "%s: local slot %d not in [0, %d)" code.Instr.name k frame in
-      Array.iter
-        (function
-          | Instr.Local_ref k | Instr.Local_set k | Instr.Local_set_box k | Instr.Box_local k
-            when k < 0 || k >= frame ->
-              bad k
-          | Instr.Local_clear { slot; count } | Instr.Local_pop { slot; count }
-            when slot < 0 || count < 0 || count > frame - slot ->
-              bad (if slot < 0 then slot else slot + count - 1)
-          | _ -> ())
-        instrs)
-    code.Instr.clauses;
+  let ncells = m.heap.Heap.global_cells_len and ncodes = Vec.Poly.length m.codes in
+  let depths = Instr.check ~nconsts:(Vec.Int.length m.consts) ~ncells ~ncodes code in
   Vec.Poly.push m.codes code;
   Vec.Poly.push m.clauses (Array.of_list code.Instr.clauses);
+  Vec.Poly.push m.depths depths;
   Vec.Poly.length m.codes - 1
 
-let code m id = Vec.Poly.get m.codes id
+let code m id =
+  if id < 0 || id >= Vec.Poly.length m.codes then error "closure: code id %d out of range" id;
+  Vec.Poly.get m.codes id
 
 let linker m : Compile.linker =
   {
@@ -317,10 +308,12 @@ let image_consts m = Array.init (Vec.Int.length m.consts) (Vec.Int.get m.consts)
 let restore_image_state m ~codes ~consts ~symbols =
   Vec.Poly.clear m.codes;
   Vec.Poly.clear m.clauses;
+  Vec.Poly.clear m.depths;
   Code_ids.reset m.top_ids;
-  Array.iter (fun c -> ignore (add_code m c)) codes;
+  (* Constants first: the code check bounds constant indices by them. *)
   Vec.Int.clear m.consts;
   Array.iter (Vec.Int.push m.consts) consts;
+  Array.iter (fun c -> ignore (add_code m c)) codes;
   Symtab.restore m.symtab symbols;
   (* Global cells keep their indices through an image, so the reverse
      name map (for error messages) rebuilds from the symbol section. *)
@@ -469,10 +462,8 @@ let call_code m pc ~tail callee code_id n =
   end;
   m.cur_code_id <- code_id;
   m.cur_clause <- clause_idx;
-  if clause.Instr.rest then begin
-    if n < clause.Instr.required then error "%s: too few arguments" (code m code_id).Instr.name;
-    build_rest m ~required:clause.Instr.required ~n
-  end;
+  (* [select_clause] gave a rest clause at least its required arguments. *)
+  if clause.Instr.rest then build_rest m ~required:clause.Instr.required ~n;
   reserve_frame m clause;
   m.clos <- callee;
   m.next_pc <- 0;
@@ -528,18 +519,18 @@ let capture_continuation m pc ~tail =
   Obj.set_field h k 6 clos_snap;
   k
 
-(* The instructions at a continuation's resume point or saved frame, its
-   code id, clause and pc checked against the clause table and its fp
-   against the [sp]-word value-stack snapshot. *)
-let resume_instrs m ~sp ~code_id ~clause ~pc ~fp =
+(* A continuation's resume point or saved frame, checked: code id, clause,
+   pc, and frame plus depth at pc within [limit], the next frame's fp or the
+   snapshot's sp (a primitive's nested activation can leave a gap). *)
+let resume_instrs m ~limit ~code_id ~clause ~pc ~fp =
   let bad what n = error "continuation: %s %d out of range" what n in
   if code_id < 0 || code_id >= Vec.Poly.length m.clauses then bad "code id" code_id;
   let clauses = Vec.Poly.get m.clauses code_id in
   if clause < 0 || clause >= Array.length clauses then bad "clause" clause;
-  let instrs = clauses.(clause).Instr.instrs in
-  if pc < 0 || pc >= Array.length instrs then bad "pc" pc;
-  if fp < 0 || fp > sp then bad "fp" fp;
-  instrs
+  let c = clauses.(clause) and depth = (Vec.Poly.get m.depths code_id).(clause) in
+  if pc < 0 || pc >= Array.length depth || depth.(pc) < 0 then bad "pc" pc;
+  if fp < 0 || fp + c.Instr.frame + depth.(pc) > limit then bad "fp" fp;
+  c.Instr.instrs
 
 (* Install continuation [k] with value [v].  A continuation can come from
    a heap image, so everything is checked before the first register is
@@ -556,15 +547,16 @@ let reinstate_continuation m k v =
   if nslots mod frame_size <> 0 then malformed ();
   let slot o = Obj.vector_ref h control o in
   let nframes = nslots / frame_size in
+  let fp = int (Obj.field h k 2) and code_id = int (Obj.field h k 3) in
   for i = 0 to nframes - 1 do
     let o = i * frame_size in
+    let limit = if i = nframes - 1 then fp else int (slot (o + frame_size + 3)) in
     ignore
-      (resume_instrs m ~sp ~code_id:(int (slot o)) ~clause:(int (slot (o + 1)))
+      (resume_instrs m ~limit ~code_id:(int (slot o)) ~clause:(int (slot (o + 1)))
          ~pc:(int (slot (o + 2))) ~fp:(int (slot (o + 3))))
   done;
-  let fp = int (Obj.field h k 2) and code_id = int (Obj.field h k 3) in
   let clause = int (Obj.field h k 4) and pc = int (Obj.field h k 5) in
-  let instrs = resume_instrs m ~sp ~code_id ~clause ~pc ~fp in
+  let instrs = resume_instrs m ~limit:sp ~code_id ~clause ~pc ~fp in
   ensure_stack m sp;
   for i = 0 to sp - 1 do
     m.stack.(i) <- Obj.vector_ref h vstack i
@@ -659,6 +651,12 @@ let op_call m instrs pc (op : Instr.op) cell w ~tail =
   m.acc <- w;
   do_call m instrs pc ~tail op.arity
 
+(* Free slot [k] of the running closure: [Obj.field]'s checks, as a Scheme error. *)
+let[@inline] free_slot m k =
+  let n = if Word.is_typed_ptr m.clos then Obj.typed_len m.heap m.clos - 1 else 0 in
+  if k < 0 || k >= n then error "closure: free slot %d not in [0, %d)" k n;
+  Heap.load m.heap (Word.addr m.clos + 2 + k)
+
 (* One activation's dispatch loop, with the instruction array and pc as
    arguments; it ends at a Halt at its base depth. *)
 let rec run m ~base (instrs : Instr.instr array) pc =
@@ -672,21 +670,17 @@ let rec run m ~base (instrs : Instr.instr array) pc =
       Array.fill m.stack (m.fp + slot) count Word.void;
       run m ~base instrs next
   | Instr.Local_pop { slot; count } ->
-      (* Compiled code pops what it pushed; code from an image may not,
-         and must not pop the frame's own slots. *)
-      let frame = (Vec.Poly.get m.clauses m.cur_code_id).(m.cur_clause).Instr.frame in
-      if m.sp - count < m.fp + frame then error "local-pop: %d values past the stack top" count;
       m.sp <- m.sp - count;
       Array.blit m.stack m.sp m.stack (m.fp + slot) count;
       run m ~base instrs next
-  | Instr.Free_ref k -> m.acc <- Obj.field m.heap m.clos (1 + k); run m ~base instrs next
+  | Instr.Free_ref k -> m.acc <- free_slot m k; run m ~base instrs next
   | Instr.Unbox -> m.acc <- Obj.box_ref m.heap m.acc; run m ~base instrs next
   | Instr.Local_set_box k ->
       Obj.box_set m.heap m.stack.(m.fp + k) m.acc;
       m.acc <- Word.void;
       run m ~base instrs next
   | Instr.Free_set_box k ->
-      Obj.box_set m.heap (Obj.field m.heap m.clos (1 + k)) m.acc;
+      Obj.box_set m.heap (free_slot m k) m.acc;
       m.acc <- Word.void;
       run m ~base instrs next
   | Instr.Global_ref cell ->

@@ -64,7 +64,7 @@ val materialize : t -> Sexpr.t -> Word.t
 val linker : t -> Compile.linker
 
 val code : t -> int -> Instr.code
-(** Code block by id (for the disassembler). *)
+(** Code block by id; {!Error} past the table. *)
 
 (** {1 Procedures} *)
 
@@ -116,7 +116,8 @@ val restore_image_state :
   consts:Word.t array ->
   symbols:(string * Word.t) list ->
   unit
-(** Install restored tables into a fresh machine over the restored heap,
+(** Install restored tables into a fresh machine over the restored heap
+    (each code checked by {!Instr.check}, as the compiler's are: {!Error}),
     adopt the symbol section into the interning table, and rebuild the
     global-cell name map.  Call before {!Primitives.install}. *)
 

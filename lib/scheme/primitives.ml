@@ -516,7 +516,11 @@ let install (m : Machine.t) =
 
   (* --- control ----------------------------------------------------- *)
   p1 "disassemble" (fun m w ->
-      Machine.print_string m (Disasm.closure m w);
+      let h = Machine.heap m in
+      if not (Obj.has_code h w Obj.code_closure) then err "disassemble: expected a closure";
+      let id = Word.to_fixnum (Obj.field h w 0) in
+      if id < 0 then Machine.print_string m (Printf.sprintf "#<primitive %d>\n" (-1 - id))
+      else Machine.print_string m (Format.asprintf "%a" Instr.pp_code (Machine.code m id));
       Word.void);
   (* Dispatched by the VM's call logic (Machine.define_prim): never run. *)
   let special name _ _ _ = err "%s: internal error" name in

@@ -184,7 +184,85 @@ let test_disassembler_output () =
     let rec loop i = i + nn <= nh && (String.sub prim_out i nn = needle || loop (i + 1)) in
     loop 0
   in
-  check "primitives identified" true contains_prim
+  check "primitives identified" true contains_prim;
+  (match Machine.code m max_int with
+  | _ -> Alcotest.fail "a code past the table"
+  | exception Machine.Error msg -> Alcotest.(check bool) msg true (String.starts_with ~prefix:"closure: " msg));
+  (* A continuation is a procedure without code to show. *)
+  match Scheme.eval m "(disassemble (%call/cc-prim (lambda (k) k)))" with
+  | exception Machine.Error msg ->
+      Machine.reset m;
+      Alcotest.(check string) "continuation" "disassemble: expected a closure" msg
+  | v -> Alcotest.failf "disassembled a continuation: %s" v
+
+(* One instruction of every opcode, with the bytes the scheme/codes
+   section holds for it and the text [disassemble] prints.  The first byte
+   of each is the opcode's number in the image format, which never
+   changes: new opcodes are appended. *)
+let every_opcode =
+  [
+    (Instr.Const 3, "const 3", "000300000000000000");
+    (Instr.Imm (-2), "imm -2", "01feffffffffffffff");
+    (Instr.Local_ref 1, "local 1", "020100000000000000");
+    (Instr.Free_ref 2, "free 2", "030200000000000000");
+    (Instr.Unbox, "unbox", "04");
+    (Instr.Local_set_box 1, "local-set-box 1", "050100000000000000");
+    (Instr.Free_set_box 0, "free-set-box 0", "060000000000000000");
+    (Instr.Global_ref 7, "global 7", "070700000000000000");
+    (Instr.Global_set 8, "global-set 8", "080800000000000000");
+    (Instr.Global_define 9, "global-define 9", "090900000000000000");
+    (Instr.Push, "push", "0a");
+    (Instr.Box_local 1, "box-local 1", "0b0100000000000000");
+    ( Instr.Make_closure { code_id = 4; nfree = 2 },
+      "closure 4/2",
+      "0c04000000000000000200000000000000" );
+    (Instr.Branch_false 10, "brf 10", "0d0a00000000000000");
+    (Instr.Jump 11, "jmp 11", "0e0b00000000000000");
+    (Instr.Call 2, "call 2", "0f0200000000000000");
+    (Instr.Tail_call 3, "tailcall 3", "100300000000000000");
+    (Instr.Return, "ret", "11");
+    (Instr.Halt, "halt", "12");
+    ( Instr.Op { op = Instr.ops.(3); cell = 12; tail = true },
+      "tailop < 12",
+      "130c000000000000000700000000000000" );
+    ( Instr.Op { op = Instr.ops.(8); cell = 13; tail = false },
+      "op car 13",
+      "130d000000000000001000000000000000" );
+    (Instr.Local_set 2, "local-set 2", "140200000000000000");
+    ( Instr.Local_clear { slot = 1; count = 2 },
+      "local-clear 1/2",
+      "1501000000000000000200000000000000" );
+    ( Instr.Local_pop { slot = 0; count = 3 },
+      "local-pop 0/3",
+      "1600000000000000000300000000000000" );
+    (Instr.Loop 6, "loop 6", "170600000000000000");
+  ]
+
+let hex s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let test_codec_and_printer_pinned () =
+  let opcodes = List.sort_uniq compare (List.map (fun (_, _, h) -> String.sub h 0 2) every_opcode) in
+  check_int "every opcode" 24 (List.length opcodes);
+  let all = Buffer.create 256 in
+  List.iter
+    (fun (i, text, bytes) ->
+      let b = Buffer.create 17 in
+      Scheme_image.encode_instr b i;
+      Buffer.add_buffer all b;
+      Alcotest.(check string) (text ^ ": bytes") bytes (hex (Buffer.contents b));
+      Alcotest.(check string) (text ^ ": text") text (Format.asprintf "%a" Instr.pp_instr i))
+    every_opcode;
+  (* A code's section ends with its instructions' bytes, and the decoder
+     reads them back. *)
+  let instrs = Array.of_list (List.map (fun (i, _, _) -> i) every_opcode) in
+  let code =
+    { Instr.name = "every"; clauses = [ { Instr.required = 0; rest = false; frame = 0; instrs } ] }
+  in
+  let section = Scheme_image.encode_codes [| code |] in
+  check "section ends with the stream" true
+    (String.ends_with ~suffix:(Buffer.contents all) section);
+  check "decode inverts encode" true (Scheme_image.decode_codes section = [| code |])
 
 let test_branch_targets_valid () =
   (* Every jump target must be a valid instruction index; every clause ends
@@ -317,7 +395,11 @@ let () =
           Alcotest.test_case "constants vs immediates" `Quick test_constants_vs_immediates;
           Alcotest.test_case "branch targets" `Quick test_branch_targets_valid;
         ] );
-      ("disassembler", [ Alcotest.test_case "output" `Quick test_disassembler_output ]);
+      ( "disassembler",
+        [
+          Alcotest.test_case "output" `Quick test_disassembler_output;
+          Alcotest.test_case "codec and printer pinned" `Quick test_codec_and_printer_pinned;
+        ] );
       ( "optimizer",
         [
           Alcotest.test_case "constant folding" `Quick test_constant_folding;

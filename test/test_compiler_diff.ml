@@ -429,7 +429,9 @@ let prop_vm_matches_reference =
         QCheck.Test.fail_reportf "program: %s@.reference: %s@.vm: %s" (S.to_string prog)
           reference vm)
 
-(* The same differential check under constant collection pressure. *)
+(* The same differential check under constant collection pressure.  The
+   program's codes then go through an image: restored, each one passes
+   the code check and re-encodes to the same bytes. *)
 let prop_vm_matches_reference_with_gc =
   QCheck.Test.make ~name:"VM agrees under collection pressure" ~count:200
     (QCheck.make ~print:S.to_string gen_program)
@@ -447,8 +449,13 @@ let prop_vm_matches_reference_with_gc =
         | w -> Gbc_scheme.Printer.to_string (Machine.heap m) w
         | exception Machine.Error msg -> "vm-error: " ^ msg
       in
+      let module I = Gbc_scheme.Scheme_image in
+      let r = I.load_string ~install:Gbc_scheme.Primitives.install (I.save_string m) in
+      let codes m = I.encode_codes (Machine.image_codes m) in
+      let same_codes = String.equal (codes m) (codes r) in
+      Machine.dispose r;
       Machine.dispose m;
-      String.equal reference vm)
+      String.equal reference vm && same_codes)
 
 let () =
   Alcotest.run "compiler_diff"

@@ -784,7 +784,9 @@ let test_checkpoint_sized_verified_load () =
 
 (* Scheme system images whose code section carries one crafted block:
    the codec writes any operand, and the restore must reject each one
-   that indexes past its table with Image.Error, before any code runs. *)
+   that indexes past its table with Image.Error, before any code runs.
+   [Machine.add_code] refuses such a block, so it goes straight into the
+   scheme/codes section. *)
 module Scheme = Gbc_scheme.Scheme
 module Machine = Gbc_scheme.Machine
 module Instr = Gbc_scheme.Instr
@@ -795,8 +797,16 @@ let scheme_image_with ?(required = 0) ?(frame = required) make_instrs =
   let code =
     { Instr.name = "crafted"; clauses = [ { Instr.required; rest = false; frame; instrs } ] }
   in
-  ignore ((Machine.linker m).Gbc_scheme.Compile.add_code code);
-  let s = Scheme.Scheme_image.save_string m in
+  let symbols, extras = Scheme.Scheme_image.sections m in
+  let codes = Array.append (Machine.image_codes m) [| code |] in
+  let extras =
+    List.map
+      (fun (name, x) ->
+        if name <> Scheme.Scheme_image.codes_section then (name, x)
+        else (name, { x with Image.xbytes = Scheme.Scheme_image.encode_codes codes }))
+      extras
+  in
+  let s = Image.save_string ~symbols ~extras (Machine.heap m) in
   Machine.dispose m;
   s
 
@@ -972,6 +982,13 @@ let test_code_open_coded_op_rejected () =
   expect_code_rejected "op cell" (fun m ->
       [| Instr.Op { op = Instr.ops.(0); cell = ncells m; tail = true }; Instr.Halt |])
 
+(* A clause whose tail op pops an operand nothing pushed: it once passed
+   every restore check and failed on its first call. *)
+let test_code_stack_rejected () =
+  expect_code_rejected "stack underflow" (fun m ->
+      [| Instr.Imm (Word.of_fixnum 1);
+         Instr.Op { op = Instr.ops.(0); cell = Machine.global_cell m "+"; tail = true } |])
+
 let () =
   Alcotest.run "image"
     [
@@ -1046,6 +1063,7 @@ let () =
           Alcotest.test_case "code: jump target" `Quick test_code_jump_target_rejected;
           Alcotest.test_case "code: argument count" `Quick test_code_argument_count_rejected;
           Alcotest.test_case "code: open-coded op" `Quick test_code_open_coded_op_rejected;
+          Alcotest.test_case "code: stack depth" `Quick test_code_stack_rejected;
         ] );
       ( "crc",
         [

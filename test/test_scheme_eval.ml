@@ -953,8 +953,20 @@ let dispatch =
           done;
           Obj.set_field h f 1 copy
         in
+        (* Resumes above one pushed word: [cons]'s first argument. *)
+        let pending = "(cdr (cons 1 (%call/cc-prim (lambda (c) c))))" in
+        let short_stack h f =
+          let vs = Obj.field h f 0 in
+          let n = Obj.vector_length h vs - 1 in
+          let copy = Obj.make_vector h ~len:n ~init:Word.nil in
+          for i = 0 to n - 1 do
+            Obj.vector_set h copy i (Obj.vector_ref h vs i)
+          done;
+          Obj.set_field h f 0 copy
+        in
         let cases =
           [
+            ("value stack short of the resume depth", pending, short_stack);
             ("code id", captured, set 3 (Word.of_fixnum 9999));
             ("clause", captured, set 4 (Word.of_fixnum 5));
             ("pc", captured, set 5 (Word.of_fixnum 100_000));
@@ -972,6 +984,78 @@ let dispatch =
             | exception Machine.Error msg ->
                 check (name ^ ": " ^ msg) true (String.starts_with ~prefix:"continuation: " msg)
             | v -> Alcotest.failf "%s: expected a Scheme error, got %s" name v);
+            Machine.reset mach;
+            check_str (name ^ ": machine still works") "3" (Scheme.eval mach "(+ 1 2)"))
+          cases);
+    Alcotest.test_case "free-slot operands are bounded" `Quick (fun () ->
+        (* A free slot's bound is the running closure's length, known only
+           when the slot is read: each read checks it. *)
+        let top instrs =
+          { Instr.name = "top"; clauses = [ { Instr.required = 0; rest = false; frame = 0; instrs } ] }
+        in
+        List.iter
+          (fun (name, run) ->
+            let mach = Scheme.create () in
+            (match run mach with
+            | exception Machine.Error msg ->
+                check (name ^ ": " ^ msg) true (String.starts_with ~prefix:"closure: free slot " msg)
+            | v -> Alcotest.failf "%s: ran, giving %s" name (Printer.to_string (Machine.heap mach) v));
+            Machine.reset mach;
+            check_str (name ^ ": machine still works") "3" (Scheme.eval mach "(+ 1 2)"))
+          [
+            ( "run_code far out",
+              fun mach -> Machine.run_code mach (top [| Instr.Free_ref 100000; Instr.Halt |]) );
+            ( "set through a free slot",
+              fun mach -> Machine.run_code mach (top [| Instr.Imm 1; Instr.Free_set_box (-1); Instr.Halt |]) );
+            ( "forged closure with no free variables",
+              fun mach ->
+                let h = Machine.heap mach in
+                let reads = { (top [| Instr.Free_ref 1; Instr.Return |]) with Instr.name = "reads free 1" } in
+                let id = (Machine.linker mach).Compile.add_code reads in
+                let c = Obj.make_typed h ~code:Obj.code_closure ~len:1 ~init:(Word.of_fixnum id) () in
+                Heap.write_cell h (Machine.global_cell mach "badc") c;
+                Machine.eval_string mach "(badc)" );
+          ]);
+    Alcotest.test_case "hostile code is a Scheme error" `Quick (fun () ->
+        (* Hand-built one-clause codes: each is refused by add_code before
+           anything runs, but the free slot, whose bound is the running
+           closure's.  Before the code check, the first seven escaped the
+           VM as OCaml exceptions and the code id, the forged op and the
+           join ran. *)
+        let mach = Scheme.create () in
+        let cell = Machine.global_cell mach "+" and add = Instr.ops.(0) in
+        let one ?(frame = 0) instrs =
+          { Instr.name = "hostile"; clauses = [ { Instr.required = 0; rest = false; frame; instrs } ] }
+        in
+        let cases =
+          [
+            ("free slot", true, one [| Instr.Free_ref 100000; Instr.Halt |]);
+            ("constant", false, one [| Instr.Const 999999; Instr.Halt |]);
+            ("jump", false, one [| Instr.Jump 5; Instr.Halt |]);
+            ("global cell", false, one [| Instr.Global_ref 99999999; Instr.Halt |]);
+            ("closure pops", false, one [| Instr.Make_closure { code_id = 0; nfree = 3 }; Instr.Halt |]);
+            ("op pops", false, one [| Instr.Imm 1; Instr.Op { op = add; cell; tail = false }; Instr.Halt |]);
+            ("no terminator", false, one [| Instr.Imm 1 |]);
+            ("vast frame", false, one ~frame:(1 lsl 40) [| Instr.Halt |]);
+            ("code id", false, one [| Instr.Make_closure { code_id = 99999; nfree = 0 }; Instr.Halt |]);
+            ("local slot", false, one [| Instr.Local_ref 100000; Instr.Halt |]);
+            ("local-pop", false, one ~frame:2 [| Instr.Local_pop { slot = 0; count = 2 }; Instr.Halt |]);
+            ( "forged op",
+              false,
+              one [| Instr.Op { op = { add with Instr.arity = 1 }; cell; tail = false }; Instr.Halt |] );
+            ( "mismatched join",
+              false,
+              one [| Instr.Imm Word.false_; Instr.Branch_false 3; Instr.Push; Instr.Halt |] );
+          ]
+        in
+        List.iter
+          (fun (name, runs, code) ->
+            let ncodes () = Array.length (Machine.image_codes mach) in
+            let n = ncodes () in
+            (match Machine.run_code mach code with
+            | v -> Alcotest.failf "%s: ran, giving %s" name (Printer.to_string (Machine.heap mach) v)
+            | exception Machine.Error msg ->
+                Alcotest.(check bool) (name ^ " ran first: " ^ msg) runs (ncodes () > n));
             Machine.reset mach;
             check_str (name ^ ": machine still works") "3" (Scheme.eval mach "(+ 1 2)"))
           cases);
@@ -1017,14 +1101,16 @@ let dispatch =
         | _ -> Alcotest.fail "frame below its parameters added"
         | exception Machine.Error msg ->
             check_str "frame message" "small frame: frame 1 smaller than its 2 parameters" msg);
-        (* A pop past what was pushed would hand out the frame's slots. *)
+        (* A pop past what was pushed would hand out the frame's slots:
+           refused with the stack depths, before anything runs. *)
         (match
            Machine.run_code mach
              { Instr.name = "underflow";
                clauses = [ framed ~required:0 2 [| Instr.Local_pop { slot = 0; count = 2 }; Instr.Halt |] ] }
          with
         | _ -> Alcotest.fail "pop past the stack top ran"
-        | exception Machine.Error msg -> check_str "underflow" "local-pop: 2 values past the stack top" msg);
+        | exception Machine.Error msg ->
+            check_str "underflow" "underflow: stack underflow at 0: local-pop 0/2 pops 2 of 0" msg);
         Machine.reset mach;
         (* A top-level clause's let slots are reserved and usable. *)
         check_str "let slot at top level" "7"
