@@ -961,7 +961,31 @@ let e_image () =
       ];
     ];
   Printf.printf "  -> a trusted-image cold start is %.1fx the replay speed.\n"
-    (replay_us /. restore_nv_us)
+    (replay_us /. restore_nv_us);
+  (* The VM layer on its own: calls made by a doubly recursive fib, and a
+     named let compiled to a backward loop jump. *)
+  subsection "Scheme VM: ns per call of (fib 20), ns per named-let iteration";
+  let m = Scheme.create () in
+  ignore
+    (Scheme.Machine.eval_string m
+       "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))\n\
+        (define (spin n) (let loop ((i 0)) (if (< i n) (loop (+ i 1)) i)))");
+  let compiled src =
+    let linker = Scheme.Machine.linker m in
+    List.hd (Gbc_scheme.Compile.compile_toplevel linker (Gbc_scheme.Reader.read_one src))
+  in
+  let fib = compiled "(fib 20)" and spin = compiled "(spin 1000000)" in
+  let stats = Heap.stats (Scheme.Machine.heap m) in
+  let calls0 = stats.Stats.vm_calls in
+  let _, fib_us = best_of 3 (fun () -> Scheme.Machine.run_code m fib) in
+  let calls = (stats.Stats.vm_calls - calls0) / 3 in
+  let _, spin_us = best_of 3 (fun () -> Scheme.Machine.run_code m spin) in
+  Scheme.Machine.dispose m;
+  let ns_per_call = fib_us *. 1e3 /. float_of_int calls and ns_per_iter = spin_us *. 1e3 /. 1e6 in
+  Gc_report.add_extra ~timing:true "vm_fib20_ns_per_call" ns_per_call;
+  Gc_report.add_extra ~timing:true "vm_loop_ns_per_iter" ns_per_iter;
+  Printf.printf "  (fib 20): %d vm_calls, %.1f ns per call; named let: %.1f ns per iteration\n"
+    calls ns_per_call ns_per_iter
 
 let usage =
   "usage: main.exe [--json-out PATH] [--filter SUBSTR]\n\

@@ -554,7 +554,7 @@ let collect ?weak_pass_first t ~gen:g =
   (try collect_generations ?weak_pass_first t ~g ~target
    with e ->
      let bt = Printexc.get_raw_backtrace () in
-     t.poisoned <- Some (Printexc.to_string e);
+     Heap.poison t (Printexc.to_string e);
      Printexc.raise_with_backtrace e bt);
   t.stats.words_allocated_since_gc <- 0;
   (* Volume schedule input: the collected generations start empty, and the

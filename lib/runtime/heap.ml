@@ -118,7 +118,12 @@ type t = {
   mutable weak_scanners : (int * ((Word.t -> Word.t option) -> unit)) list;
   mutable next_scanner_id : int;
   mutable in_collection : bool;
-  mutable poisoned : string option;  (** the exception that aborted a GC *)
+  mutable poisoned : string option;
+      (** the exception that aborted a GC; set by {!poison} only *)
+  mutable safepoint_limit : int;
+      (** [words_allocated_since_gc] from which {!Runtime.safepoint} leaves
+          its one-compare fast path: [gen0_trigger_words], or [min_int]
+          once poisoned *)
   mutable alloc_forbidden : bool;
   mutable segment_words_live : int;  (** capacity of all live segments *)
   mutable gc_epoch : int;  (** bumped at the end of every collection *)
@@ -199,6 +204,7 @@ let create ?(config = Config.default) () =
     next_scanner_id = 0;
     in_collection = false;
     poisoned = None;
+    safepoint_limit = config.gen0_trigger_words;
     alloc_forbidden = false;
     segment_words_live = 0;
     gc_epoch = 0;
@@ -216,6 +222,11 @@ let create ?(config = Config.default) () =
   }
 
 let[@inline] check_poisoned t = match t.poisoned with Some e -> raise (Poisoned e) | None -> ()
+
+let poison t e =
+  t.poisoned <- Some e;
+  t.safepoint_limit <- min_int
+
 let[@inline] config t = t.config
 let faults t = t.faults
 let[@inline] stats t = t.stats

@@ -112,7 +112,12 @@ type t = {
   mutable weak_scanners : (int * ((Word.t -> Word.t option) -> unit)) list;
   mutable next_scanner_id : int;
   mutable in_collection : bool;
-  mutable poisoned : string option;  (** the exception that aborted a GC *)
+  mutable poisoned : string option;
+      (** the exception that aborted a GC; set by {!poison} only *)
+  mutable safepoint_limit : int;
+      (** [words_allocated_since_gc] from which {!Runtime.safepoint} leaves
+          its one-compare fast path: [gen0_trigger_words], or [min_int]
+          once poisoned *)
   mutable alloc_forbidden : bool;
   mutable segment_words_live : int;  (** capacity of all live segments *)
   mutable gc_epoch : int;
@@ -131,6 +136,10 @@ val stats : t -> Stats.t
 
 val check_poisoned : t -> unit
 (** @raise Poisoned if a collection of this heap was aborted. *)
+
+val poison : t -> string -> unit
+(** Mark the heap poisoned by the exception named [e]: from now on every
+    collection, safepoint and image save raises {!Poisoned}. *)
 
 val faults : t -> faults
 (** The heap's fault-injection state (all zeroes unless armed). *)

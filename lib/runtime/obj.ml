@@ -48,8 +48,8 @@ let type_name = function
   | _ -> "unknown"
 
 let header ~len ~code = Word.of_fixnum ((len lsl 8) lor code)
-let header_len h = Word.to_fixnum h lsr 8
-let header_code h = Word.to_fixnum h land 0xff
+let[@inline] header_len h = Word.to_fixnum h lsr 8
+let[@inline] header_code h = Word.to_fixnum h land 0xff
 
 (* ------------------------------------------------------------------ *)
 (* Pairs                                                               *)

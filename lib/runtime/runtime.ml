@@ -40,13 +40,17 @@ let request_collect h =
   | Some handler -> handler h
   | None -> ignore (collect_auto h)
 
-(** Declare a safepoint: no unrooted heap words are live in the caller.  If
-    enough allocation has accumulated, serve a collect request. *)
-let[@inline] safepoint h =
+(* The safepoint's slow path: a poisoned heap raises, and enough
+   allocation outside a collection serves a collect request. *)
+let[@inline never] safepoint_slow h =
   Heap.check_poisoned h;
-  let stats = Heap.stats h in
   if
-    stats.Stats.words_allocated_since_gc
-    >= (Heap.config h).Config.gen0_trigger_words
+    (Heap.stats h).Stats.words_allocated_since_gc >= (Heap.config h).Config.gen0_trigger_words
     && not h.Heap.in_collection
   then request_collect h
+
+(** Declare a safepoint: no unrooted heap words are live in the caller.  If
+    enough allocation has accumulated, serve a collect request.  One
+    compare, against a limit {!Heap.poison} forces low. *)
+let[@inline] safepoint h =
+  if (Heap.stats h).Stats.words_allocated_since_gc >= h.Heap.safepoint_limit then safepoint_slow h

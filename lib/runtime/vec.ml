@@ -35,7 +35,7 @@ module Int = struct
     t.len <- t.len - 1;
     t.data.(t.len)
 
-  let get t i =
+  let[@inline] get t i =
     assert (i >= 0 && i < t.len);
     t.data.(i)
 
@@ -95,7 +95,7 @@ module Poly = struct
     t.data.(t.len) <- x;
     t.len <- t.len + 1
 
-  let get t i =
+  let[@inline] get t i =
     assert (i >= 0 && i < t.len);
     t.data.(i)
 end

@@ -45,8 +45,8 @@ and t = {
   symtab : Symtab.t;
   codes : Instr.code Vec.Poly.t;
   clauses : Instr.clause array Vec.Poly.t;
-      (** per code id, its clauses: where calls and returns find their
-          instructions *)
+      (** per code id, its clauses with their execution arrays ({!fuse}):
+          where calls and returns find their instructions *)
   depths : int array array Vec.Poly.t;  (** per clause, {!Instr.check}'s depth at each pc *)
   top_ids : int Code_ids.t;  (** {!run_code}'s registered top-level codes *)
   consts : Vec.Int.t;  (** heap words, rooted *)
@@ -226,13 +226,44 @@ let add_const m d =
   Vec.Int.push m.consts w;
   Vec.Int.length m.consts - 1
 
+(* A checked clause's execution array: its instructions, but at each pc
+   where one of the runs below starts, the fused form that does the whole
+   run's work and continues past it (or at its branch).  The rest of a run
+   stays in place, so a jump into it, a resume pc and [depths] keep their
+   meaning. *)
+let fuse (instrs : Instr.instr array) =
+  let at i = if i < Array.length instrs then instrs.(i) else Instr.Halt in
+  let brf tail i = match at i with Instr.Branch_false t when not tail -> t | _ -> -1 in
+  Array.mapi
+    (fun i (instr : Instr.instr) ->
+      match (instr, at (i + 1), at (i + 2), at (i + 3)) with
+      | Local_ref slot, Push, Imm w, Op { op; cell; tail } ->
+          Instr.Imm_op { slot; w; op; cell; tail; brf = brf tail (i + 4) }
+      | Push, Imm w, Op { op; cell; tail }, _ ->
+          Imm_op { slot = -1; w; op; cell; tail; brf = brf tail (i + 3) }
+      | Local_ref slot, Op { op; cell; tail }, _, _ ->
+          Local_op { slot; op; cell; tail; brf = brf tail (i + 2) }
+      | Op { op; cell; tail = false }, Branch_false target, _, _ -> Op_brf { op; cell; target }
+      | Local_ref slot, Call n, _, _ -> Local_call { slot; n; tail = false }
+      | Local_ref slot, Tail_call n, _, _ -> Local_call { slot; n; tail = true }
+      | Local_ref k, Push, _, _ -> Local_push k
+      | Free_ref k, Push, _, _ -> Free_push k
+      | Free_ref k, Unbox, _, _ -> Free_unbox k
+      | Global_ref cell, Call n, _, _ -> Global_call { cell; n; tail = false }
+      | Global_ref cell, Tail_call n, _, _ -> Global_call { cell; n; tail = true }
+      | Push, Global_ref cell, Call n, _ -> Push_global_call { cell; n; tail = false }
+      | Push, Global_ref cell, Tail_call n, _ -> Push_global_call { cell; n; tail = true }
+      | _ -> instr)
+    instrs
+
 (* The compiler, run_code and image restore all add code here, where it
    is checked once against the tables as they stand. *)
 let add_code m (code : Instr.code) =
   let ncells = m.heap.Heap.global_cells_len and ncodes = Vec.Poly.length m.codes in
   let depths = Instr.check ~nconsts:(Vec.Int.length m.consts) ~ncells ~ncodes code in
   Vec.Poly.push m.codes code;
-  Vec.Poly.push m.clauses (Array.of_list code.Instr.clauses);
+  let execution (c : Instr.clause) = { c with instrs = fuse c.instrs } in
+  Vec.Poly.push m.clauses (Array.of_list (List.map execution code.clauses));
   Vec.Poly.push m.depths depths;
   Vec.Poly.length m.codes - 1
 
@@ -643,19 +674,61 @@ and call_prim m instrs pc ~tail prim n =
         instrs
       end
 
-(* An open-coded primitive's generic call: the last operand pushed, the
-   operator [w] (its cell, read once) checked as Global_ref does. *)
-let op_call m instrs pc (op : Instr.op) cell w ~tail =
-  push m m.acc;
+(* Global [cell]'s value, as Global_ref reads it. *)
+let[@inline] global_value m cell =
+  let w = Heap.read_cell m.heap cell in
   if Word.equal w Word.unbound then error "variable %s is not bound" (global_name m cell);
-  m.acc <- w;
+  w
+
+(* An open-coded primitive's generic call: the last operand pushed, the
+   operator read from its cell as Global_ref does. *)
+let op_call m instrs pc (op : Instr.op) cell ~tail =
+  push m m.acc;
+  m.acc <- global_value m cell;
   do_call m instrs pc ~tail op.arity
+
+(* An open-coded op's fast path on its operands in place (stack top and
+   acc, or acc alone): [call_prim] of the op's primitive inlined, with the
+   same safepoint, counters and pop, and car/cdr read their pair after the
+   safepoint.  False, having done nothing, where the cell no longer holds
+   the primitive or the operands need the generic path. *)
+let[@inline] op_fast m (op : Instr.op) cell =
+  let x = m.acc in
+  let v =
+    if Heap.read_cell m.heap cell <> m.op_prims.(op.index) then no_word
+    else op_value op.kind (if op.arity = 2 then m.stack.(m.sp - 1) else x) x
+  in
+  v <> no_word
+  && begin
+       Runtime.safepoint m.heap;
+       m.stats.Stats.vm_calls <- m.stats.Stats.vm_calls + 1;
+       m.stats.Stats.vm_prim_calls <- m.stats.Stats.vm_prim_calls + 1;
+       m.sp <- m.sp - (op.arity - 1);
+       m.acc <-
+         (match op.kind with
+         | Instr.Car -> Obj.car m.heap m.acc
+         | Instr.Cdr -> Obj.cdr m.heap m.acc
+         | _ -> v);
+       true
+     end
 
 (* Free slot [k] of the running closure: [Obj.field]'s checks, as a Scheme error. *)
 let[@inline] free_slot m k =
   let n = if Word.is_typed_ptr m.clos then Obj.typed_len m.heap m.clos - 1 else 0 in
   if k < 0 || k >= n then error "closure: free slot %d not in [0, %d)" k n;
   Heap.load m.heap (Word.addr m.clos + 2 + k)
+
+(* The address of box [w]'s contents, after the header test [Obj.box_ref]
+   asserts, as a Scheme error. *)
+let[@inline] box_addr m w =
+  if not (Word.is_typed_ptr w && Obj.typed_code m.heap w = Obj.code_box) then
+    error "not a box: %s" (Printer.to_string m.heap w);
+  Word.addr w + 1
+
+let[@inline] box_set m w v =
+  let addr = box_addr m w in
+  Heap.store m.heap addr v;
+  Heap.note_mutation m.heap ~addr ~value:v
 
 (* One activation's dispatch loop, with the instruction array and pc as
    arguments; it ends at a Halt at its base depth. *)
@@ -670,24 +743,24 @@ let rec run m ~base (instrs : Instr.instr array) pc =
       Array.fill m.stack (m.fp + slot) count Word.void;
       run m ~base instrs next
   | Instr.Local_pop { slot; count } ->
-      m.sp <- m.sp - count;
-      Array.blit m.stack m.sp m.stack (m.fp + slot) count;
+      (* The popped words sit above the frame: no overlap. *)
+      let sp = m.sp - count and dst = m.fp + slot in
+      for j = 0 to count - 1 do
+        m.stack.(dst + j) <- m.stack.(sp + j)
+      done;
+      m.sp <- sp;
       run m ~base instrs next
   | Instr.Free_ref k -> m.acc <- free_slot m k; run m ~base instrs next
-  | Instr.Unbox -> m.acc <- Obj.box_ref m.heap m.acc; run m ~base instrs next
+  | Instr.Unbox -> m.acc <- Heap.load m.heap (box_addr m m.acc); run m ~base instrs next
   | Instr.Local_set_box k ->
-      Obj.box_set m.heap m.stack.(m.fp + k) m.acc;
+      box_set m m.stack.(m.fp + k) m.acc;
       m.acc <- Word.void;
       run m ~base instrs next
   | Instr.Free_set_box k ->
-      Obj.box_set m.heap (free_slot m k) m.acc;
+      box_set m (free_slot m k) m.acc;
       m.acc <- Word.void;
       run m ~base instrs next
-  | Instr.Global_ref cell ->
-      let w = Heap.read_cell m.heap cell in
-      if Word.equal w Word.unbound then error "variable %s is not bound" (global_name m cell);
-      m.acc <- w;
-      run m ~base instrs next
+  | Instr.Global_ref cell -> m.acc <- global_value m cell; run m ~base instrs next
   | Instr.Global_set cell ->
       if Word.equal (Heap.read_cell m.heap cell) Word.unbound then
         error "cannot set! unbound variable %s" (global_name m cell);
@@ -720,41 +793,62 @@ let rec run m ~base (instrs : Instr.instr array) pc =
   | Instr.Tail_call n ->
       let instrs = do_call m instrs next ~tail:true n in
       run m ~base instrs m.next_pc
-  | Instr.Op { op; cell; tail } ->
-      (* The cell is read once, where the generic code's Global_ref would
-         read it.  The fast path is [call_prim] of the op's primitive
-         inlined: same safepoint, counters and tail return, and car/cdr
-         read their pair after the safepoint. *)
-      let w = Heap.read_cell m.heap cell in
-      let x = m.acc in
-      let v =
-        if w <> m.op_prims.(op.index) then no_word
-        else op_value op.kind (if op.arity = 2 then m.stack.(m.sp - 1) else x) x
-      in
-      if v = no_word then
-        let instrs = op_call m instrs next op cell w ~tail in
-        run m ~base instrs m.next_pc
-      else begin
-        Runtime.safepoint m.heap;
-        m.stats.Stats.vm_calls <- m.stats.Stats.vm_calls + 1;
-        m.stats.Stats.vm_prim_calls <- m.stats.Stats.vm_prim_calls + 1;
-        m.sp <- m.sp - (op.arity - 1);
-        m.acc <-
-          (match op.kind with
-          | Instr.Car -> Obj.car m.heap m.acc
-          | Instr.Cdr -> Obj.cdr m.heap m.acc
-          | _ -> v);
-        if not tail then run m ~base instrs next
-        else
-          let instrs = do_return m ~base:0 in
-          run m ~base instrs m.next_pc
-      end
+  | Instr.Op { op; cell; tail } -> open_op m ~base instrs op cell ~tail ~next ~brf:(-1)
   | Instr.Return ->
       let instrs = do_return m ~base in
       run m ~base instrs m.next_pc
   | Instr.Halt ->
       if m.depth <> base then error "halt with pending frames";
       m.acc
+  (* The fused runs ({!fuse}): each instruction's work in order, one dispatch. *)
+  | Instr.Local_push k ->
+      m.acc <- m.stack.(m.fp + k);
+      push m m.acc;
+      run m ~base instrs (pc + 2)
+  | Instr.Free_push k ->
+      m.acc <- free_slot m k;
+      push m m.acc;
+      run m ~base instrs (pc + 2)
+  | Instr.Free_unbox k ->
+      m.acc <- free_slot m k;
+      m.acc <- Heap.load m.heap (box_addr m m.acc);
+      run m ~base instrs (pc + 2)
+  | Instr.Global_call { cell; n; tail } ->
+      m.acc <- global_value m cell;
+      let instrs = do_call m instrs (pc + 2) ~tail n in
+      run m ~base instrs m.next_pc
+  | Instr.Local_call { slot; n; tail } ->
+      m.acc <- m.stack.(m.fp + slot);
+      let instrs = do_call m instrs (pc + 2) ~tail n in
+      run m ~base instrs m.next_pc
+  | Instr.Push_global_call { cell; n; tail } ->
+      push m m.acc;
+      m.acc <- global_value m cell;
+      let instrs = do_call m instrs (pc + 3) ~tail n in
+      run m ~base instrs m.next_pc
+  | Instr.Imm_op { slot; w; op; cell; tail; brf } ->
+      if slot >= 0 then m.acc <- m.stack.(m.fp + slot);
+      push m m.acc;
+      m.acc <- w;
+      open_op m ~base instrs op cell ~tail ~next:(pc + 3 + Bool.to_int (slot >= 0)) ~brf
+  | Instr.Local_op { slot; op; cell; tail; brf } ->
+      m.acc <- m.stack.(m.fp + slot);
+      open_op m ~base instrs op cell ~tail ~next:(pc + 2) ~brf
+  | Instr.Op_brf { op; cell; target } ->
+      open_op m ~base instrs op cell ~tail:false ~next ~brf:target
+
+(* An open-coded op whose next pc is [next]; [brf] >= 0 is the target of
+   the Branch_false at [next], which the fast path takes at once. *)
+and open_op m ~base instrs op cell ~tail ~next ~brf =
+  if op_fast m op cell then
+    if tail then
+      let instrs = do_return m ~base:0 in
+      run m ~base instrs m.next_pc
+    else if brf < 0 then run m ~base instrs next
+    else run m ~base instrs (if Word.is_false m.acc then brf else next + 1)
+  else
+    let instrs = op_call m instrs next op cell ~tail in
+    run m ~base instrs m.next_pc
 
 let enter m instrs = run m ~base:m.depth instrs 0
 
@@ -821,7 +915,7 @@ let call_with_error_handler m ~thunk ~handler =
 
 let run_code m (code : Instr.code) =
   match code.Instr.clauses with
-  | [ clause ] ->
+  | [ _ ] ->
       (* Register the top-level block, once, so continuations captured
          inside it can name their resume point. *)
       let id =
@@ -832,7 +926,7 @@ let run_code m (code : Instr.code) =
             Code_ids.add m.top_ids code id;
             id
       in
-      let saved_fp = m.fp in
+      let clause = (Vec.Poly.get m.clauses id).(0) and saved_fp = m.fp in
       m.fp <- m.sp;
       reserve_frame m clause;
       m.cur_code_id <- id;

@@ -795,6 +795,77 @@ let call_path =
              \  (let ([r (g 5)])\n\
              \    (set! n (- n -1))\n\
              \    (if (< n 3) (saved (* n 10)) (list r n))))"));
+    Alcotest.test_case "fused op runs with their op rebound" `Quick (fun () ->
+        (* Each definition compiles to the run named beside it, which the
+           machine runs fused.  Rebound to logging wrappers of the
+           primitives, every op takes its generic call, from the stack and
+           acc of the unfused run, and gives the same answers. *)
+        let mach = Scheme.create () in
+        let nums = [ "3"; "30" ] and lists = [ "'(3 4)"; "'(30)" ] in
+        let defs =
+          [
+            ("imm-local", "x", "(list (+ x 1) x)", [ "local"; "push"; "imm"; "op" ], nums);
+            ("imm-local-brf", "x", "(if (< x 10) 'small 'big)", [ "local"; "push"; "imm"; "op"; "brf" ], nums);
+            ("imm-local-tail", "x", "(- x 1)", [ "local"; "push"; "imm"; "tailop" ], nums);
+            ("imm-acc", "l", "(list (+ (car l) 1))", [ "push"; "imm"; "op" ], lists);
+            ("imm-acc-brf", "l", "(if (< (car l) 10) 'small 'big)", [ "push"; "imm"; "op"; "brf" ], lists);
+            ("local-op", "x", "(list (car x))", [ "local"; "op" ], lists);
+            ("local-op-tail", "x", "(cdr x)", [ "local"; "tailop" ], lists);
+            ("local-op-brf", "x", "(if (null? x) 'empty 'full)", [ "local"; "op"; "brf" ], [ "'()"; "'(1)" ]);
+            ("local-op2", "a b", "(list (eq? a b) a)", [ "local"; "op" ], [ "'a 'a"; "'a 'b" ]);
+            ("op-brf", "l", "(if (null? (cdr l)) 'one 'more)", [ "op"; "brf" ], lists);
+          ]
+        in
+        let h = Machine.heap mach in
+        let rec has run = function
+          | [] -> false
+          | l -> List.filteri (fun i _ -> i < List.length run) l = run || has run (List.tl l)
+        in
+        let calls =
+          List.concat_map
+            (fun (name, params, body, run, args) ->
+              ignore (Scheme.eval mach (Printf.sprintf "(define (%s %s) %s)" name params body));
+              let c = Heap.read_cell h (Machine.global_cell mach name) in
+              let code = Machine.code mach (Word.to_fixnum (Obj.field h c 0)) in
+              let names =
+                List.concat_map
+                  (fun (cl : Instr.clause) ->
+                    Array.to_list
+                      (Array.map
+                         (fun i -> List.hd (String.split_on_char ' ' (Format.asprintf "%a" Instr.pp_instr i)))
+                         cl.instrs))
+                  code.clauses
+              in
+              check (name ^ " holds " ^ String.concat "; " run) true (has run names);
+              List.map (Printf.sprintf "(%s %s)" name) args)
+            defs
+        in
+        let all = Printf.sprintf "(list %s)" (String.concat " " calls) in
+        let expected = Scheme.eval mach all in
+        ignore
+          (Scheme.eval mach
+             "(define log '())
+              (define (logged name p) (lambda args (set! log (cons name log)) (apply p args)))
+              (set! + (logged '+ +)) (set! - (logged '- -)) (set! < (logged '< <))
+              (set! car (logged 'car car)) (set! cdr (logged 'cdr cdr))
+              (set! null? (logged 'null? null?)) (set! eq? (logged 'eq? eq?))");
+        check_str "same answers" expected (Scheme.eval mach all);
+        check_str "each op called generically"
+          "(+ + < < - - car + car + car < car < car car cdr cdr null? null? eq? eq? cdr null? cdr null?)"
+          (Scheme.eval mach "(reverse log)"));
+    Alcotest.test_case "call/cc inside a fused op-and-branch" `Quick (fun () ->
+        (* [<] captures inside the generic call of a fused [local; push;
+           imm; op; brf] run; re-entering with #f resumes at the brf. *)
+        let mach = Scheme.create () in
+        check_str "re-entry" "(big 3)"
+          (Scheme.eval mach
+             "(define (size x) (if (< x 10) 'small 'big))
+              (define saved #f)
+              (set! < (let ([lt <]) (lambda (a b) (call/cc (lambda (k) (set! saved k) (lt a b))))))
+              (let ([n 0])
+             \  (let ([r (size 5)])
+             \    (set! n (- n -1))
+             \    (if (= n 3) (list r n) (saved #f))))"));
     Alcotest.test_case "car after a collection at its safepoint" `Quick (fun () ->
         (* Collections every 512 words; each round conses a fresh pair
            right before (car ...), so many collections fire at that op's
@@ -1019,9 +1090,10 @@ let dispatch =
     Alcotest.test_case "hostile code is a Scheme error" `Quick (fun () ->
         (* Hand-built one-clause codes: each is refused by add_code before
            anything runs, but the free slot, whose bound is the running
-           closure's.  Before the code check, the first seven escaped the
-           VM as OCaml exceptions and the code id, the forged op and the
-           join ran. *)
+           closure's, and the two box operands, whose type only a run
+           sees.  Before the code check, the first seven escaped the VM as
+           OCaml exceptions and the code id, the forged op and the join
+           ran; before the box test, the box cases failed an assert. *)
         let mach = Scheme.create () in
         let cell = Machine.global_cell mach "+" and add = Instr.ops.(0) in
         let one ?(frame = 0) instrs =
@@ -1046,6 +1118,11 @@ let dispatch =
             ( "mismatched join",
               false,
               one [| Instr.Imm Word.false_; Instr.Branch_false 3; Instr.Push; Instr.Halt |] );
+            ("unbox a non-box", true, one [| Instr.Imm 1; Instr.Unbox; Instr.Halt |]);
+            ( "set a non-box",
+              true,
+              one ~frame:1 [| Instr.Imm 1; Instr.Local_set 0; Instr.Local_set_box 0; Instr.Halt |] );
+            ("execution-only", false, one ~frame:1 [| Instr.Local_push 0; Instr.Halt |]);
           ]
         in
         List.iter
@@ -1059,6 +1136,76 @@ let dispatch =
             Machine.reset mach;
             check_str (name ^ ": machine still works") "3" (Scheme.eval mach "(+ 1 2)"))
           cases);
+    Alcotest.test_case "free box operands are checked" `Quick (fun () ->
+        (* A closure forged with a fixnum where its code expects a box:
+           [free 0; unbox] runs fused, [free-set-box 0] plain. *)
+        let mach = Scheme.create () in
+        let h = Machine.heap mach in
+        List.iter
+          (fun (name, instrs) ->
+            let id =
+              (Machine.linker mach).Compile.add_code
+                { Instr.name; clauses = [ { Instr.required = 0; rest = false; frame = 0; instrs } ] }
+            in
+            let c = Obj.make_typed h ~code:Obj.code_closure ~len:2 ~init:(Word.of_fixnum 7) () in
+            Obj.set_field h c 0 (Word.of_fixnum id);
+            Heap.write_cell h (Machine.global_cell mach "badc") c;
+            (match Machine.eval_string mach "(badc)" with
+            | v -> Alcotest.failf "%s: ran, giving %s" name (Printer.to_string h v)
+            | exception Machine.Error msg -> check_str name "not a box: 7" msg);
+            Machine.reset mach)
+          [
+            ("free unbox", [| Instr.Free_ref 0; Instr.Unbox; Instr.Return |]);
+            ("free set-box", [| Instr.Imm 1; Instr.Free_set_box 0; Instr.Return |]);
+          ]);
+    Alcotest.test_case "a branch into a fused run" `Quick (fun () ->
+        (* Pcs 5-6 are [local 0; push], one fused run; with flag #f the
+           brf lands on its push, with #f in acc. *)
+        let mach = Scheme.create () in
+        let flag = Machine.global_cell mach "flag" and list = Machine.global_cell mach "list" in
+        let instrs =
+          [| Instr.Imm (Word.of_fixnum 5); Instr.Local_set 0; Instr.Global_ref flag; Instr.Branch_false 6;
+             Instr.Imm (Word.of_fixnum 9); Instr.Local_ref 0; Instr.Push; Instr.Global_ref list;
+             Instr.Call 1; Instr.Halt |]
+        in
+        let code = { Instr.name = "join"; clauses = [ { Instr.required = 0; rest = false; frame = 1; instrs } ] } in
+        List.iter
+          (fun (v, expected) ->
+            ignore (Scheme.eval mach ("(define flag " ^ v ^ ")"));
+            check_str v expected (Printer.to_string (Machine.heap mach) (Machine.run_code mach code)))
+          [ ("#t", "(5)"); ("#f", "(#f)"); ("#t", "(5)") ]);
+    Alcotest.test_case "a poisoned heap raises at each safepoint" `Quick (fun () ->
+        (* Heap.poison forces the safepoint's limit low: a loop jump, an op
+           (plain and fused) and a call (plain and fused) raise with
+           nothing allocated since. *)
+        let mach = Scheme.create () in
+        let h = Machine.heap mach in
+        let top instrs =
+          { Instr.name = "top"; clauses = [ { Instr.required = 0; rest = false; frame = 0; instrs } ] }
+        in
+        let fx = Word.of_fixnum and list = Machine.global_cell mach "list" in
+        let add = Instr.Op { op = Instr.ops.(0); cell = Machine.global_cell mach "+"; tail = false } in
+        let codes =
+          [
+            ("loop", top [| Instr.Jump 2; Instr.Halt; Instr.Loop 1 |]);
+            ("op", top [| Instr.Imm (fx 1); Instr.Push; Instr.Imm (fx 2); Instr.Jump 4; add; Instr.Halt |]);
+            ("fused op", top [| Instr.Imm (fx 1); Instr.Push; Instr.Imm (fx 2); add; Instr.Halt |]);
+            ("call", top [| Instr.Global_ref list; Instr.Jump 2; Instr.Call 0; Instr.Halt |]);
+            ("fused call", top [| Instr.Global_ref list; Instr.Call 0; Instr.Halt |]);
+          ]
+        in
+        List.iter (fun (_, code) -> ignore (Machine.run_code mach code)) codes;
+        let words () = (Heap.stats h).Stats.words_allocated_since_gc in
+        let before = words () in
+        Heap.poison h "poisoned by the test";
+        List.iter
+          (fun (name, code) ->
+            (match Machine.run_code mach code with
+            | v -> Alcotest.failf "%s: ran, giving %s" name (Printer.to_string h v)
+            | exception Heap.Poisoned e -> check_str name "poisoned by the test" e);
+            Machine.reset mach)
+          codes;
+        Alcotest.(check int) "nothing allocated" before (words ()));
     Alcotest.test_case "local-slot operands are bounded" `Quick (fun () ->
         (* A clause's locals are its parameters (and rest list): any other
            local slot is refused when the code is added, before it runs. *)
