@@ -93,22 +93,6 @@ type instr =
           [cell] is the op's global cell *)
   | Return
   | Halt
-  (* Execution-only: [Machine.add_code] puts each at the first pc of the
-     run of instructions it stands for, in a clause's execution array, and
-     leaves the rest of the run in place.  {!check} rejects them, so no
-     image or listing holds one. *)
-  | Local_push of int  (** local k; push *)
-  | Free_push of int  (** free k; push *)
-  | Free_unbox of int  (** free k; unbox *)
-  | Global_call of { cell : int; n : int; tail : bool }  (** global c; call n (tailcall n) *)
-  | Local_call of { slot : int; n : int; tail : bool }  (** local k; call n (tailcall n) *)
-  | Push_global_call of { cell : int; n : int; tail : bool }
-      (** push; global c; call n (tailcall n) *)
-  | Imm_op of { slot : int; w : int; op : op; cell : int; tail : bool; brf : int }
-      (** [local slot;] push; imm w; op [; brf brf], [slot] and [brf] -1 where absent *)
-  | Local_op of { slot : int; op : op; cell : int; tail : bool; brf : int }
-      (** local slot; op [; brf brf], [brf] -1 where absent *)
-  | Op_brf of { op : op; cell : int; target : int }  (** op; brf target *)
 
 type clause = {
   required : int;  (** required parameter count *)
@@ -158,9 +142,6 @@ let describe = function
   | Local_clear { slot; count } -> (21, "local-clear", [ Slots (slot, count) ])
   | Local_pop { slot; count } -> (22, "local-pop", [ Slots (slot, count) ])
   | Loop t -> (23, "loop", [ Target t ])
-  | Local_push _ | Free_push _ | Free_unbox _ | Global_call _ | Local_call _ | Push_global_call _
-  | Imm_op _ | Local_op _ | Op_brf _ ->
-      invalid_arg "Instr.describe: execution-only instruction"
 
 (** An operand's integers as an image stores them; an op is [index * 2 + tail]. *)
 let operand_ints = function
@@ -213,14 +194,11 @@ let check ~nconsts ~ncells ~ncodes code =
       | Count k -> if k < 0 then fail "count %d is negative" k
       | Open (op, _) when op.index < 0 || op.index >= Array.length ops || ops.(op.index) != op ->
           fail "open-coded op %s is not Instr.ops.(%d)" op.name op.index
+      | Raw w when Gbc_runtime.Word.(is_pointer w || w = forward_marker) ->
+          fail "raw word %d is not an immediate" w
       | Raw _ | Free _ | Slots _ | Open _ -> ()
     in
-    Array.iteri
-      (fun pc i ->
-        match describe i with
-        | _, _, o -> List.iter operand o
-        | exception Invalid_argument _ -> fail "execution-only instruction at %d" pc)
-      instrs;
+    Array.iter (fun i -> let _, _, o = describe i in List.iter operand o) instrs;
     let depth = Array.make n (-1) and work = Array.make n 0 and top = ref 0 in
     let reach pc d =
       if pc >= n then fail "pc %d past the end of the clause" pc

@@ -44,10 +44,9 @@ and t = {
   stats : Stats.t;  (** the heap's, for the VM call counters *)
   symtab : Symtab.t;
   codes : Instr.code Vec.Poly.t;
-  clauses : Instr.clause array Vec.Poly.t;
-      (** per code id, its clauses with their execution arrays ({!fuse}):
-          where calls and returns find their instructions *)
-  depths : int array array Vec.Poly.t;  (** per clause, {!Instr.check}'s depth at each pc *)
+  clauses : clause array Vec.Poly.t;
+      (** per code id, its clauses ready to run: where calls, returns and
+          continuations find their steps *)
   top_ids : int Code_ids.t;  (** {!run_code}'s registered top-level codes *)
   consts : Vec.Int.t;  (** heap words, rooted *)
   mutable stack : int array;
@@ -58,12 +57,9 @@ and t = {
   mutable control : int array;
       (** [frame_size] ints per frame: caller's code id, clause, pc, fp and
           closure.  Code id -1 marks a host boundary, the synthetic caller
-          of {!apply_closure}, which returns to a [Halt]. *)
+          of {!apply_closure}, which returns to {!halt}. *)
   mutable depth : int;  (** live control frames *)
-  mutable cur_code_id : int;  (** code id of the running clause, -1 = host *)
-  mutable cur_clause : int;
-  mutable next_pc : int;
-      (** where a call or return continues, in the array it returns *)
+  mutable base : int;  (** control depth of the running activation's base ({!enter}) *)
   global_names : (int, string) Hashtbl.t;
   prims : prim Vec.Poly.t;
   op_prims : Word.t array;
@@ -76,6 +72,20 @@ and t = {
   mutable gc_ring : Telemetry.Ring.t option;
 }
 
+(* A checked clause as the machine runs it. *)
+and clause = {
+  shape : Instr.clause;  (** its bytecode, arity and frame *)
+  steps : (t -> Word.t) array;
+      (** per pc, the closure that runs from there ({!steps}), built when
+          the clause is first entered; one more, past the last pc, halts *)
+  depths : int array;  (** {!Instr.check}'s stack depth above the frame per pc *)
+  build : unit -> unit;  (** builds [steps], once *)
+}
+
+(* A call site: where its call returns, by the caller's code id (-1 for
+   the host), clause and pc, and the step at that pc. *)
+and site = { code_id : int; clause_no : int; pc : int; next : t -> Word.t }
+
 (* Never a value a cell or an operand holds (the collector's forwarding
    marker): an unfilled [op_prims] slot, and "take the generic path". *)
 let no_word = Word.forward_marker
@@ -83,9 +93,6 @@ let no_word = Word.forward_marker
 let dummy_code : Instr.code = { name = "dummy"; clauses = [] }
 
 let frame_size = 5
-
-(* What a host-boundary frame returns to. *)
-let host_return = [| Instr.Halt |]
 
 let dummy_prim =
   { pname = ""; arity_min = 0; arity_max = 0; special = Plain; fn = (fun _ _ _ -> Word.void) }
@@ -101,7 +108,6 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
       symtab = Symtab.create heap;
       codes = Vec.Poly.create ~dummy:dummy_code ();
       clauses = Vec.Poly.create ~dummy:[||] ();
-      depths = Vec.Poly.create ~dummy:[||] ();
       top_ids = Code_ids.create 16;
       consts = Vec.Int.create ();
       stack = Array.make 4096 0;
@@ -111,9 +117,7 @@ let create ?(ctx : Gbc.Ctx.t option) ?config () =
       clos = Word.nil;
       control = Array.make (256 * frame_size) 0;
       depth = 0;
-      cur_code_id = -1;
-      cur_clause = -1;
-      next_pc = 0;
+      base = 0;
       global_names = Hashtbl.create 64;
       prims = Vec.Poly.create ~dummy:dummy_prim ();
       op_prims = Array.make (Array.length Instr.ops) no_word;
@@ -226,57 +230,9 @@ let add_const m d =
   Vec.Int.push m.consts w;
   Vec.Int.length m.consts - 1
 
-(* A checked clause's execution array: its instructions, but at each pc
-   where one of the runs below starts, the fused form that does the whole
-   run's work and continues past it (or at its branch).  The rest of a run
-   stays in place, so a jump into it, a resume pc and [depths] keep their
-   meaning. *)
-let fuse (instrs : Instr.instr array) =
-  let at i = if i < Array.length instrs then instrs.(i) else Instr.Halt in
-  let brf tail i = match at i with Instr.Branch_false t when not tail -> t | _ -> -1 in
-  Array.mapi
-    (fun i (instr : Instr.instr) ->
-      match (instr, at (i + 1), at (i + 2), at (i + 3)) with
-      | Local_ref slot, Push, Imm w, Op { op; cell; tail } ->
-          Instr.Imm_op { slot; w; op; cell; tail; brf = brf tail (i + 4) }
-      | Push, Imm w, Op { op; cell; tail }, _ ->
-          Imm_op { slot = -1; w; op; cell; tail; brf = brf tail (i + 3) }
-      | Local_ref slot, Op { op; cell; tail }, _, _ ->
-          Local_op { slot; op; cell; tail; brf = brf tail (i + 2) }
-      | Op { op; cell; tail = false }, Branch_false target, _, _ -> Op_brf { op; cell; target }
-      | Local_ref slot, Call n, _, _ -> Local_call { slot; n; tail = false }
-      | Local_ref slot, Tail_call n, _, _ -> Local_call { slot; n; tail = true }
-      | Local_ref k, Push, _, _ -> Local_push k
-      | Free_ref k, Push, _, _ -> Free_push k
-      | Free_ref k, Unbox, _, _ -> Free_unbox k
-      | Global_ref cell, Call n, _, _ -> Global_call { cell; n; tail = false }
-      | Global_ref cell, Tail_call n, _, _ -> Global_call { cell; n; tail = true }
-      | Push, Global_ref cell, Call n, _ -> Push_global_call { cell; n; tail = false }
-      | Push, Global_ref cell, Tail_call n, _ -> Push_global_call { cell; n; tail = true }
-      | _ -> instr)
-    instrs
-
-(* The compiler, run_code and image restore all add code here, where it
-   is checked once against the tables as they stand. *)
-let add_code m (code : Instr.code) =
-  let ncells = m.heap.Heap.global_cells_len and ncodes = Vec.Poly.length m.codes in
-  let depths = Instr.check ~nconsts:(Vec.Int.length m.consts) ~ncells ~ncodes code in
-  Vec.Poly.push m.codes code;
-  let execution (c : Instr.clause) = { c with instrs = fuse c.instrs } in
-  Vec.Poly.push m.clauses (Array.of_list (List.map execution code.clauses));
-  Vec.Poly.push m.depths depths;
-  Vec.Poly.length m.codes - 1
-
 let code m id =
   if id < 0 || id >= Vec.Poly.length m.codes then error "closure: code id %d out of range" id;
   Vec.Poly.get m.codes id
-
-let linker m : Compile.linker =
-  {
-    Compile.global_cell = global_cell m;
-    add_const = add_const m;
-    add_code = add_code m;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Primitives                                                          *)
@@ -288,6 +244,13 @@ let make_closure_obj m ~code_id ~nfree =
   let c = Obj.make_typed m.heap ~code:Obj.code_closure ~len:(1 + nfree) ~init:Word.nil () in
   Obj.set_field m.heap c 0 (Word.of_fixnum code_id);
   c
+
+(* Field 0 of closure [c], through the one check of its kind: a code id,
+   or -1 - prim id. *)
+let closure_id m c =
+  let w = if Obj.typed_len m.heap c > 0 then Heap.load m.heap (Word.addr c + 1) else Word.void in
+  if not (Word.is_fixnum w) then error "closure: no code id in field 0";
+  Word.to_fixnum w
 
 let is_procedure m w =
   Obj.has_code m.heap w Obj.code_closure || Obj.has_code m.heap w Obj.code_continuation
@@ -316,45 +279,13 @@ let define_prim m ~name ~arity_min ?(arity_max = arity_min) fn =
      restored image, say) leaves the slot empty: every call is generic. *)
   match (Instr.find_op name, lookup_global m name) with
   | Some op, Some c
-    when Obj.has_code m.heap c Obj.code_closure
-         && Word.to_fixnum (Obj.field m.heap c 0) = -1 - prim_id ->
+    when Obj.has_code m.heap c Obj.code_closure && Obj.typed_len m.heap c = 1
+         && Word.equal (Obj.field m.heap c 0) (Word.of_fixnum (-1 - prim_id)) ->
       m.op_prims.(op.Instr.index) <- c
   | _ -> ()
 
 (** Value-stack slot [i]: a primitive's arguments are [base .. base + n - 1]. *)
 let arg m i = m.stack.(i)
-
-(* ------------------------------------------------------------------ *)
-(* Heap-image support                                                  *)
-
-(* The compiled-code table and the constants table live on the OCaml
-   side; Scheme_image carries them through a heap image as extra
-   sections.  Everything else a restored machine needs is either in the
-   heap (globals, symbols' global-cell links) or reinstalled by the
-   caller (primitives). *)
-
-let image_codes m = Array.init (Vec.Poly.length m.codes) (Vec.Poly.get m.codes)
-let image_consts m = Array.init (Vec.Int.length m.consts) (Vec.Int.get m.consts)
-
-let restore_image_state m ~codes ~consts ~symbols =
-  Vec.Poly.clear m.codes;
-  Vec.Poly.clear m.clauses;
-  Vec.Poly.clear m.depths;
-  Code_ids.reset m.top_ids;
-  (* Constants first: the code check bounds constant indices by them. *)
-  Vec.Int.clear m.consts;
-  Array.iter (Vec.Int.push m.consts) consts;
-  Array.iter (fun c -> ignore (add_code m c)) codes;
-  Symtab.restore m.symtab symbols;
-  (* Global cells keep their indices through an image, so the reverse
-     name map (for error messages) rebuilds from the symbol section. *)
-  List.iter
-    (fun (name, w) ->
-      if Obj.is_symbol m.heap w then begin
-        let idx = Obj.symbol_global m.heap w in
-        if idx >= 0 then Hashtbl.replace m.global_names idx name
-      end)
-    symbols
 
 (* ------------------------------------------------------------------ *)
 (* Stack                                                               *)
@@ -379,10 +310,10 @@ let[@inline] push m w =
 (* Execution                                                           *)
 
 (* Index of the first clause from [i] accepting [n] arguments, or -1. *)
-let rec select_clause (clauses : Instr.clause array) n i =
+let rec select_clause (clauses : clause array) n i =
   if i = Array.length clauses then -1
   else
-    let c = clauses.(i) in
+    let c = clauses.(i).shape in
     if (c.required = n && not c.rest) || (c.required <= n && c.rest) then i
     else select_clause clauses n (i + 1)
 
@@ -417,27 +348,27 @@ let[@inline] push_frame m ~code_id ~clause ~pc ~fp ~clos =
   c.(o + 4) <- clos;
   m.depth <- m.depth + 1
 
+(* The end of an activation: a Halt's step, what a host-boundary frame
+   returns to, and the step past a clause's last pc. *)
+let halt m =
+  if m.depth <> m.base then error "halt with pending frames";
+  m.acc
+
+(* The caller {!apply_closure} makes: a host-boundary frame, which
+   returns to a halt. *)
+let host = { code_id = -1; clause_no = -1; pc = 0; next = halt }
+
 (* Pop the top control frame into the registers.  Like every call path
-   below, it returns the instruction array to continue in and leaves the
-   pc in [m.next_pc]. *)
-let[@inline] do_return m ~base =
-  if m.depth <= base then error "return past base frame";
+   below, it returns the step to continue with. *)
+let[@inline] do_return m =
+  if m.depth <= m.base then error "return past base frame";
   m.depth <- m.depth - 1;
   let c = m.control and o = m.depth * frame_size in
   let code_id = c.(o) and clause = c.(o + 1) in
   m.sp <- m.fp;
   m.fp <- c.(o + 3);
   m.clos <- c.(o + 4);
-  m.cur_code_id <- code_id;
-  m.cur_clause <- clause;
-  if code_id < 0 then begin
-    m.next_pc <- 0;
-    host_return
-  end
-  else begin
-    m.next_pc <- c.(o + 2);
-    (Vec.Poly.get m.clauses code_id).(clause).Instr.instrs
-  end
+  if code_id < 0 then halt else (Vec.Poly.get m.clauses code_id).(clause).steps.(c.(o + 2))
 
 (* The value of open-coded [kind] on [a] and [x] ([a] = [x] for arity 1),
    or [no_word] where the primitive's generic path is needed: a non-fixnum
@@ -463,10 +394,10 @@ let[@inline] op_value (kind : Instr.kind) a x =
   | Instr.Is_zero -> Word.of_bool (Word.equal x (Word.of_fixnum 0))
 
 (* Extend the frame from its parameters ([sp] = [fp] + parameters) to
-   [clause.frame] slots, filled with void so the root scanner never sees a
-   stale word. *)
-let[@inline] reserve_frame m (clause : Instr.clause) =
-  let top = m.fp + clause.Instr.frame in
+   [frame] slots, filled with void so the root scanner never sees a stale
+   word. *)
+let[@inline] reserve_frame m frame =
+  let top = m.fp + frame in
   if top > m.sp then begin
     ensure_stack m top;
     for i = m.sp to top - 1 do
@@ -475,7 +406,7 @@ let[@inline] reserve_frame m (clause : Instr.clause) =
     m.sp <- top
   end
 
-let call_code m pc ~tail callee code_id n =
+let call_code m site ~tail callee code_id n =
   let clauses = Vec.Poly.get m.clauses code_id in
   let clause_idx = select_clause clauses n 0 in
   if clause_idx < 0 then error "%s: no clause for %d arguments" (code m code_id).Instr.name n;
@@ -488,17 +419,14 @@ let call_code m pc ~tail callee code_id n =
     m.sp <- m.fp + n
   end
   else begin
-    push_frame m ~code_id:m.cur_code_id ~clause:m.cur_clause ~pc ~fp:m.fp ~clos:m.clos;
+    push_frame m ~code_id:site.code_id ~clause:site.clause_no ~pc:site.pc ~fp:m.fp ~clos:m.clos;
     m.fp <- m.sp - n
   end;
-  m.cur_code_id <- code_id;
-  m.cur_clause <- clause_idx;
   (* [select_clause] gave a rest clause at least its required arguments. *)
-  if clause.Instr.rest then build_rest m ~required:clause.Instr.required ~n;
-  reserve_frame m clause;
+  if clause.shape.rest then build_rest m ~required:clause.shape.required ~n;
+  reserve_frame m clause.shape.frame;
   m.clos <- callee;
-  m.next_pc <- 0;
-  clause.Instr.instrs
+  clause.steps.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Continuations                                                       *)
@@ -511,14 +439,14 @@ let call_code m pc ~tail callee code_id n =
    3 resume code id   4 resume clause   5 resume pc
    6 closure at capture *)
 
-let capture_continuation m pc ~tail =
+let capture_continuation m site ~tail =
   let h = m.heap and c = m.control in
   (* Resume point.  Non-tail: just after the Call instruction of the
      current clause.  Tail: the current frame is about to be discarded, so
      the continuation resumes at the caller recorded in the top control
      frame — exactly what Return would do. *)
   let sp_snap, fp_snap, clos_snap, resume_code, resume_clause, resume_pc, skip_top =
-    if not tail then (m.sp, m.fp, m.clos, m.cur_code_id, m.cur_clause, pc, 0)
+    if not tail then (m.sp, m.fp, m.clos, site.code_id, site.clause_no, site.pc, 0)
     else begin
       if m.depth = 0 then error "call/cc: no caller to return to";
       let o = (m.depth - 1) * frame_size in
@@ -552,16 +480,18 @@ let capture_continuation m pc ~tail =
 
 (* A continuation's resume point or saved frame, checked: code id, clause,
    pc, and frame plus depth at pc within [limit], the next frame's fp or the
-   snapshot's sp (a primitive's nested activation can leave a gap). *)
-let resume_instrs m ~limit ~code_id ~clause ~pc ~fp =
+   snapshot's sp (a primitive's nested activation can leave a gap).
+   Returns the clause. *)
+let check_resume m ~limit ~code_id ~clause ~pc ~fp =
   let bad what n = error "continuation: %s %d out of range" what n in
   if code_id < 0 || code_id >= Vec.Poly.length m.clauses then bad "code id" code_id;
   let clauses = Vec.Poly.get m.clauses code_id in
   if clause < 0 || clause >= Array.length clauses then bad "clause" clause;
-  let c = clauses.(clause) and depth = (Vec.Poly.get m.depths code_id).(clause) in
-  if pc < 0 || pc >= Array.length depth || depth.(pc) < 0 then bad "pc" pc;
-  if fp < 0 || fp + c.Instr.frame + depth.(pc) > limit then bad "fp" fp;
-  c.Instr.instrs
+  let c = clauses.(clause) in
+  if pc < 0 || pc >= Array.length c.depths || c.depths.(pc) < 0 then bad "pc" pc;
+  if fp < 0 || fp + c.shape.frame + c.depths.(pc) > limit then bad "fp" fp;
+  c.build ();
+  c
 
 (* Install continuation [k] with value [v].  A continuation can come from
    a heap image, so everything is checked before the first register is
@@ -583,11 +513,11 @@ let reinstate_continuation m k v =
     let o = i * frame_size in
     let limit = if i = nframes - 1 then fp else int (slot (o + frame_size + 3)) in
     ignore
-      (resume_instrs m ~limit ~code_id:(int (slot o)) ~clause:(int (slot (o + 1)))
+      (check_resume m ~limit ~code_id:(int (slot o)) ~clause:(int (slot (o + 1)))
          ~pc:(int (slot (o + 2))) ~fp:(int (slot (o + 3))))
   done;
   let clause = int (Obj.field h k 4) and pc = int (Obj.field h k 5) in
-  let instrs = resume_instrs m ~limit:sp ~code_id ~clause ~pc ~fp in
+  let step = (check_resume m ~limit:sp ~code_id ~clause ~pc ~fp).steps.(pc) in
   ensure_stack m sp;
   for i = 0 to sp - 1 do
     m.stack.(i) <- Obj.vector_ref h vstack i
@@ -601,24 +531,23 @@ let reinstate_continuation m k v =
     push_frame m ~code_id:(int (slot o)) ~clause:(int (slot (o + 1))) ~pc:(int (slot (o + 2)))
       ~fp:(int (slot (o + 3))) ~clos:(slot (o + 4))
   done;
-  m.cur_code_id <- code_id;
-  m.cur_clause <- clause;
-  m.next_pc <- pc;
   m.acc <- v;
-  instrs
+  step
 
 (* ------------------------------------------------------------------ *)
-(* Calls and the dispatch loop                                         *)
+(* Calls                                                               *)
 
-let rec do_call m instrs pc ~tail n =
+(* A call from [site]: a primitive's non-tail call continues at its
+   step at once, a code's on its return. *)
+let rec do_call m site ~tail n =
   (* Safepoint: everything live is rooted (stack, acc = callee, control). *)
   Runtime.safepoint m.heap;
   m.stats.Stats.vm_calls <- m.stats.Stats.vm_calls + 1;
-  apply_word m instrs pc ~tail m.acc n
+  apply_word m site ~tail m.acc n
 
 (* Apply [callee] to the [n] arguments on the stack top.  One header read
    classifies it; field 0 holds the code id, negative for a primitive. *)
-and apply_word m instrs pc ~tail callee n =
+and apply_word m site ~tail callee n =
   let h = m.heap in
   let kind = if Word.is_typed_ptr callee then Obj.typed_code h callee else -1 in
   if kind = Obj.code_continuation then begin
@@ -631,24 +560,24 @@ and apply_word m instrs pc ~tail callee n =
   else if kind <> Obj.code_closure then
     error "attempt to apply non-procedure: %s" (Printer.to_string h callee)
   else
-    let id = Word.to_fixnum (Heap.load h (Word.addr callee + 1)) in
+    let id = closure_id m callee in
     if id < 0 then begin
       if -1 - id >= Vec.Poly.length m.prims then error "closure: primitive id %d out of range" id;
-      call_prim m instrs pc ~tail (Vec.Poly.get m.prims (-1 - id)) n
+      call_prim m site ~tail (Vec.Poly.get m.prims (-1 - id)) n
     end
     else begin
       if id >= Vec.Poly.length m.clauses then error "closure: code id %d out of range" id;
-      call_code m pc ~tail callee id n
+      call_code m site ~tail callee id n
     end
 
-and call_prim m instrs pc ~tail prim n =
+and call_prim m site ~tail prim n =
   match prim.special with
   | Callcc ->
       if n <> 1 then error "call/cc: expected 1 argument";
       let f = m.stack.(m.sp - 1) in
       m.sp <- m.sp - 1;
-      push m (capture_continuation m pc ~tail);
-      apply_word m instrs pc ~tail f 1
+      push m (capture_continuation m site ~tail);
+      apply_word m site ~tail f 1
   | Apply ->
       (* apply: (apply proc arg ... lst): spread the final list. *)
       if n < 2 then error "apply: needs at least 2 arguments";
@@ -659,7 +588,7 @@ and call_prim m instrs pc ~tail prim n =
         m.stack.(m.sp - n + j) <- m.stack.(m.sp - n + 1 + j)
       done;
       m.sp <- m.sp - 2;
-      apply_word m instrs pc ~tail proc (spread_list m lst (n - 2))
+      apply_word m site ~tail proc (spread_list m lst (n - 2))
   | Plain ->
       if n < prim.arity_min || (prim.arity_max >= 0 && n > prim.arity_max) then
         error "%s: wrong number of arguments (%d)" prim.pname n;
@@ -668,24 +597,13 @@ and call_prim m instrs pc ~tail prim n =
       let base = m.sp - n in
       m.acc <- prim.fn m base n;
       m.sp <- base;
-      if tail then do_return m ~base:0
-      else begin
-        m.next_pc <- pc;
-        instrs
-      end
+      if tail then do_return m else site.next
 
 (* Global [cell]'s value, as Global_ref reads it. *)
 let[@inline] global_value m cell =
   let w = Heap.read_cell m.heap cell in
   if Word.equal w Word.unbound then error "variable %s is not bound" (global_name m cell);
   w
-
-(* An open-coded primitive's generic call: the last operand pushed, the
-   operator read from its cell as Global_ref does. *)
-let op_call m instrs pc (op : Instr.op) cell ~tail =
-  push m m.acc;
-  m.acc <- global_value m cell;
-  do_call m instrs pc ~tail op.arity
 
 (* An open-coded op's fast path on its operands in place (stack top and
    acc, or acc alone): [call_prim] of the op's primitive inlined, with the
@@ -730,151 +648,211 @@ let[@inline] box_set m w v =
   Heap.store m.heap addr v;
   Heap.note_mutation m.heap ~addr ~value:v
 
-(* One activation's dispatch loop, with the instruction array and pc as
-   arguments; it ends at a Halt at its base depth. *)
-let rec run m ~base (instrs : Instr.instr array) pc =
-  let next = pc + 1 in
-  match instrs.(pc) with
-  | Instr.Const k -> m.acc <- Vec.Int.get m.consts k; run m ~base instrs next
-  | Instr.Imm w -> m.acc <- w; run m ~base instrs next
-  | Instr.Local_ref k -> m.acc <- m.stack.(m.fp + k); run m ~base instrs next
-  | Instr.Local_set k -> m.stack.(m.fp + k) <- m.acc; run m ~base instrs next
-  | Instr.Local_clear { slot; count } ->
-      Array.fill m.stack (m.fp + slot) count Word.void;
-      run m ~base instrs next
-  | Instr.Local_pop { slot; count } ->
-      (* The popped words sit above the frame: no overlap. *)
-      let sp = m.sp - count and dst = m.fp + slot in
-      for j = 0 to count - 1 do
-        m.stack.(dst + j) <- m.stack.(sp + j)
-      done;
-      m.sp <- sp;
-      run m ~base instrs next
-  | Instr.Free_ref k -> m.acc <- free_slot m k; run m ~base instrs next
-  | Instr.Unbox -> m.acc <- Heap.load m.heap (box_addr m m.acc); run m ~base instrs next
-  | Instr.Local_set_box k ->
-      box_set m m.stack.(m.fp + k) m.acc;
-      m.acc <- Word.void;
-      run m ~base instrs next
-  | Instr.Free_set_box k ->
-      box_set m (free_slot m k) m.acc;
-      m.acc <- Word.void;
-      run m ~base instrs next
-  | Instr.Global_ref cell -> m.acc <- global_value m cell; run m ~base instrs next
-  | Instr.Global_set cell ->
-      if Word.equal (Heap.read_cell m.heap cell) Word.unbound then
-        error "cannot set! unbound variable %s" (global_name m cell);
-      Heap.write_cell m.heap cell m.acc;
-      m.acc <- Word.void;
-      run m ~base instrs next
-  | Instr.Global_define cell -> Heap.write_cell m.heap cell m.acc; run m ~base instrs next
-  | Instr.Push -> push m m.acc; run m ~base instrs next
-  | Instr.Box_local k ->
-      m.stack.(m.fp + k) <- Obj.make_box m.heap m.stack.(m.fp + k);
-      run m ~base instrs next
-  | Instr.Make_closure { code_id; nfree } ->
-      let c = make_closure_obj m ~code_id ~nfree in
-      for j = 0 to nfree - 1 do
-        Obj.set_field m.heap c (1 + j) m.stack.(m.sp - nfree + j)
-      done;
-      m.sp <- m.sp - nfree;
-      m.acc <- c;
-      run m ~base instrs next
-  | Instr.Branch_false target -> run m ~base instrs (if Word.is_false m.acc then target else next)
-  | Instr.Jump target -> run m ~base instrs target
-  | Instr.Loop target ->
-      (* Everything live is in the frame and acc: a loop that allocates
-         only closures and boxes still serves collect requests. *)
-      Runtime.safepoint m.heap;
-      run m ~base instrs target
-  | Instr.Call n ->
-      let instrs = do_call m instrs next ~tail:false n in
-      run m ~base instrs m.next_pc
-  | Instr.Tail_call n ->
-      let instrs = do_call m instrs next ~tail:true n in
-      run m ~base instrs m.next_pc
-  | Instr.Op { op; cell; tail } -> open_op m ~base instrs op cell ~tail ~next ~brf:(-1)
-  | Instr.Return ->
-      let instrs = do_return m ~base in
-      run m ~base instrs m.next_pc
-  | Instr.Halt ->
-      if m.depth <> base then error "halt with pending frames";
-      m.acc
-  (* The fused runs ({!fuse}): each instruction's work in order, one dispatch. *)
-  | Instr.Local_push k ->
-      m.acc <- m.stack.(m.fp + k);
-      push m m.acc;
-      run m ~base instrs (pc + 2)
-  | Instr.Free_push k ->
-      m.acc <- free_slot m k;
-      push m m.acc;
-      run m ~base instrs (pc + 2)
-  | Instr.Free_unbox k ->
-      m.acc <- free_slot m k;
-      m.acc <- Heap.load m.heap (box_addr m m.acc);
-      run m ~base instrs (pc + 2)
-  | Instr.Global_call { cell; n; tail } ->
-      m.acc <- global_value m cell;
-      let instrs = do_call m instrs (pc + 2) ~tail n in
-      run m ~base instrs m.next_pc
-  | Instr.Local_call { slot; n; tail } ->
-      m.acc <- m.stack.(m.fp + slot);
-      let instrs = do_call m instrs (pc + 2) ~tail n in
-      run m ~base instrs m.next_pc
-  | Instr.Push_global_call { cell; n; tail } ->
-      push m m.acc;
-      m.acc <- global_value m cell;
-      let instrs = do_call m instrs (pc + 3) ~tail n in
-      run m ~base instrs m.next_pc
-  | Instr.Imm_op { slot; w; op; cell; tail; brf } ->
+(* ------------------------------------------------------------------ *)
+(* Steps                                                               *)
+
+(* Fill [st] with a checked clause's steps, built from its last pc back.  Each does its
+   pc's work and tail-calls the step to continue with: the next pc's,
+   which it holds, a jump target's, read from the array when taken, or
+   one a call path returns.  At the first pc of each common run below,
+   the step does the whole run, in order, and continues past it (or at
+   its branch); the run's other pcs keep their own steps, so a jump into
+   a run, a resume pc and [depths] keep their meaning.  An op is preceded
+   by [local slot] where [slot] >= 0 and by [push; imm w] where [imm]. *)
+let steps st ~code_id ~clause_no (instrs : Instr.instr array) =
+  let n = Array.length instrs in
+  let at i = if i < n then instrs.(i) else Instr.Halt in
+  let is_tail = function Instr.Tail_call _ -> true | _ -> false in
+  let site pc = { code_id; clause_no; pc; next = st.(pc) } in
+  let op_step pc ~slot ~imm ~w (op : Instr.op) cell ~tail =
+    let ret = pc + 1 + Bool.to_int (slot >= 0) + (2 * Bool.to_int imm) in
+    let target = match at ret with Instr.Branch_false t when not tail -> t | _ -> -1 in
+    let after = st.(ret) and skip = if target < 0 then halt else st.(ret + 1) in
+    let site = site ret in
+    fun m ->
       if slot >= 0 then m.acc <- m.stack.(m.fp + slot);
-      push m m.acc;
-      m.acc <- w;
-      open_op m ~base instrs op cell ~tail ~next:(pc + 3 + Bool.to_int (slot >= 0)) ~brf
-  | Instr.Local_op { slot; op; cell; tail; brf } ->
-      m.acc <- m.stack.(m.fp + slot);
-      open_op m ~base instrs op cell ~tail ~next:(pc + 2) ~brf
-  | Instr.Op_brf { op; cell; target } ->
-      open_op m ~base instrs op cell ~tail:false ~next ~brf:target
+      if imm then (push m m.acc; m.acc <- w);
+      if op_fast m op cell then
+        if tail then do_return m m
+        else if target < 0 then after m
+        else (if Word.is_false m.acc then st.(target) else skip) m
+      else begin
+        (* The generic call: the last operand pushed, the operator read
+           from its cell as Global_ref does. *)
+        push m m.acc;
+        m.acc <- global_value m cell;
+        (do_call m site ~tail op.arity) m
+      end
+  in
+  for pc = n - 1 downto 0 do
+    let next = st.(pc + 1) in
+    st.(pc) <-
+      (match (instrs.(pc), at (pc + 1), at (pc + 2), at (pc + 3)) with
+      | Local_ref slot, Push, Imm w, Op { op; cell; tail } -> op_step pc ~slot ~imm:true ~w op cell ~tail
+      | Push, Imm w, Op { op; cell; tail }, _ -> op_step pc ~slot:(-1) ~imm:true ~w op cell ~tail
+      | Local_ref slot, Op { op; cell; tail }, _, _ -> op_step pc ~slot ~imm:false ~w:0 op cell ~tail
+      | Op { op; cell; tail }, _, _, _ -> op_step pc ~slot:(-1) ~imm:false ~w:0 op cell ~tail
+      | Local_ref slot, ((Call k | Tail_call k) as call), _, _ ->
+          let site = site (pc + 2) and tail = is_tail call in
+          fun m ->
+            m.acc <- m.stack.(m.fp + slot);
+            (do_call m site ~tail k) m
+      | Local_ref k, Push, _, _ ->
+          let after = st.(pc + 2) in
+          fun m -> m.acc <- m.stack.(m.fp + k); push m m.acc; after m
+      | Free_ref k, Push, _, _ ->
+          let after = st.(pc + 2) in
+          fun m -> m.acc <- free_slot m k; push m m.acc; after m
+      | Free_ref k, Unbox, _, _ ->
+          let after = st.(pc + 2) in
+          fun m -> m.acc <- Heap.load m.heap (box_addr m (free_slot m k)); after m
+      | Global_ref cell, ((Call k | Tail_call k) as call), _, _ ->
+          let site = site (pc + 2) and tail = is_tail call in
+          fun m ->
+            m.acc <- global_value m cell;
+            (do_call m site ~tail k) m
+      | Push, Global_ref cell, ((Call k | Tail_call k) as call), _ ->
+          let site = site (pc + 3) and tail = is_tail call in
+          fun m ->
+            push m m.acc;
+            m.acc <- global_value m cell;
+            (do_call m site ~tail k) m
+      | ((Call k | Tail_call k) as call), _, _, _ ->
+          let site = site (pc + 1) and tail = is_tail call in
+          fun m -> (do_call m site ~tail k) m
+      | Const k, _, _, _ -> fun m -> m.acc <- Vec.Int.get m.consts k; next m
+      | Imm w, _, _, _ -> fun m -> m.acc <- w; next m
+      | Local_ref k, _, _, _ -> fun m -> m.acc <- m.stack.(m.fp + k); next m
+      | Local_set k, _, _, _ -> fun m -> m.stack.(m.fp + k) <- m.acc; next m
+      | Local_clear { slot; count }, _, _, _ ->
+          fun m -> Array.fill m.stack (m.fp + slot) count Word.void; next m
+      | Local_pop { slot; count }, _, _, _ ->
+          fun m ->
+            (* The popped words sit above the frame: no overlap. *)
+            let sp = m.sp - count and dst = m.fp + slot in
+            for j = 0 to count - 1 do
+              m.stack.(dst + j) <- m.stack.(sp + j)
+            done;
+            m.sp <- sp;
+            next m
+      | Free_ref k, _, _, _ -> fun m -> m.acc <- free_slot m k; next m
+      | Unbox, _, _, _ -> fun m -> m.acc <- Heap.load m.heap (box_addr m m.acc); next m
+      | Local_set_box k, _, _, _ ->
+          fun m -> box_set m m.stack.(m.fp + k) m.acc; m.acc <- Word.void; next m
+      | Free_set_box k, _, _, _ -> fun m -> box_set m (free_slot m k) m.acc; m.acc <- Word.void; next m
+      | Global_ref cell, _, _, _ -> fun m -> m.acc <- global_value m cell; next m
+      | Global_set cell, _, _, _ ->
+          fun m ->
+            if Word.equal (Heap.read_cell m.heap cell) Word.unbound then
+              error "cannot set! unbound variable %s" (global_name m cell);
+            Heap.write_cell m.heap cell m.acc;
+            m.acc <- Word.void;
+            next m
+      | Global_define cell, _, _, _ -> fun m -> Heap.write_cell m.heap cell m.acc; next m
+      | Push, _, _, _ -> fun m -> push m m.acc; next m
+      | Box_local k, _, _, _ -> fun m -> m.stack.(m.fp + k) <- Obj.make_box m.heap m.stack.(m.fp + k); next m
+      | Make_closure { code_id; nfree }, _, _, _ ->
+          fun m ->
+            let c = make_closure_obj m ~code_id ~nfree in
+            for j = 0 to nfree - 1 do
+              Obj.set_field m.heap c (1 + j) m.stack.(m.sp - nfree + j)
+            done;
+            m.sp <- m.sp - nfree;
+            m.acc <- c;
+            next m
+      | Branch_false t, _, _, _ -> fun m -> (if Word.is_false m.acc then st.(t) else next) m
+      | Jump t, _, _, _ -> fun m -> st.(t) m
+      | Loop t, _, _, _ ->
+          (* Everything live is in the frame and acc: a loop that allocates
+             only closures and boxes still serves collect requests. *)
+          fun m -> Runtime.safepoint m.heap; st.(t) m
+      | Return, _, _, _ -> fun m -> do_return m m
+      | Halt, _, _, _ -> halt)
+  done
 
-(* An open-coded op whose next pc is [next]; [brf] >= 0 is the target of
-   the Branch_false at [next], which the fast path takes at once. *)
-and open_op m ~base instrs op cell ~tail ~next ~brf =
-  if op_fast m op cell then
-    if tail then
-      let instrs = do_return m ~base:0 in
-      run m ~base instrs m.next_pc
-    else if brf < 0 then run m ~base instrs next
-    else run m ~base instrs (if Word.is_false m.acc then brf else next + 1)
-  else
-    let instrs = op_call m instrs next op cell ~tail in
-    run m ~base instrs m.next_pc
+(* ------------------------------------------------------------------ *)
+(* Code                                                                *)
 
-let enter m instrs = run m ~base:m.depth instrs 0
+(* The compiler, run_code and image restore all add code here, where it
+   is checked once against the tables as they stand. *)
+let add_code m (code : Instr.code) =
+  let ncells = m.heap.Heap.global_cells_len and ncodes = Vec.Poly.length m.codes in
+  let depths = Instr.check ~nconsts:(Vec.Int.length m.consts) ~ncells ~ncodes code in
+  Vec.Poly.push m.codes code;
+  let code_id = Vec.Poly.length m.codes - 1 in
+  (* Most clauses a machine holds never run, so each is built when first
+     entered: at pc 0 by a call or run_code, or by a continuation's
+     check.  Every other entry is from a frame or a step it built. *)
+  let clause i (c : Instr.clause) =
+    let st = Array.make (Array.length c.instrs + 1) halt and built = ref false in
+    let build () = if not !built then (built := true; steps st ~code_id ~clause_no:i c.instrs) in
+    st.(0) <- (fun m -> build (); st.(0) m);
+    { shape = c; steps = st; depths = depths.(i); build }
+  in
+  Vec.Poly.push m.clauses (Array.of_list (List.mapi clause code.clauses));
+  code_id
+
+let linker m : Compile.linker =
+  {
+    Compile.global_cell = global_cell m;
+    add_const = add_const m;
+    add_code = add_code m;
+  }
+
+(* The compiled-code table and the constants table live on the OCaml
+   side; Scheme_image carries them through a heap image as extra
+   sections.  Everything else a restored machine needs is either in the
+   heap (globals, symbols' global-cell links) or reinstalled by the
+   caller (primitives). *)
+
+let image_codes m = Array.init (Vec.Poly.length m.codes) (Vec.Poly.get m.codes)
+let image_consts m = Array.init (Vec.Int.length m.consts) (Vec.Int.get m.consts)
+
+let restore_image_state m ~codes ~consts ~symbols =
+  Vec.Poly.clear m.codes;
+  Vec.Poly.clear m.clauses;
+  Code_ids.reset m.top_ids;
+  (* Constants first: the code check bounds constant indices by them. *)
+  Vec.Int.clear m.consts;
+  Array.iter (Vec.Int.push m.consts) consts;
+  Array.iter (fun c -> ignore (add_code m c)) codes;
+  Symtab.restore m.symtab symbols;
+  (* Global cells keep their indices through an image, so the reverse
+     name map (for error messages) rebuilds from the symbol section. *)
+  List.iter
+    (fun (name, w) ->
+      if Obj.is_symbol m.heap w then begin
+        let idx = Obj.symbol_global m.heap w in
+        if idx >= 0 then Hashtbl.replace m.global_names idx name
+      end)
+    symbols
+
+(* Run [step] as an activation above the current control frames, to its
+   halt at this depth; the enclosing activation's base is back on any
+   exit. *)
+let enter m step =
+  let base = m.base in
+  m.base <- m.depth;
+  match step m with
+  | v -> m.base <- base; v
+  | exception e -> m.base <- base; raise e
 
 (* ------------------------------------------------------------------ *)
 (* Re-entrant application (for collect-request handlers etc.)          *)
 
 (* Call [clos_w] with [args] from OCaml: saves the register file on the
-   (rooted) value stack, runs a nested interpreter activation, restores. *)
+   (rooted) value stack, runs a nested activation, restores. *)
 let apply_closure m clos_w args =
   (* Root everything we must restore. *)
   push m m.acc;
   push m m.clos;
   let saved_fp = m.fp and saved_sp_after = m.sp in
-  let saved_code = m.cur_code_id and saved_clause = m.cur_clause in
-  m.cur_code_id <- -1;
-  m.cur_clause <- -1;
   List.iter (push m) args;
   m.acc <- clos_w;
-  (* Synthetic caller whose next instruction is Halt.  Its Call pushes a
-     host-boundary frame, which the callee's Return pops to a Halt,
-     stopping the nested activation. *)
-  let synthetic = [| Instr.Call (List.length args); Instr.Halt |] in
-  let result = enter m synthetic in
-  (* enter runs from pc 0: executes the Call, the body, Return, Halt. *)
-  m.cur_code_id <- saved_code;
-  m.cur_clause <- saved_clause;
+  (* The synthetic caller: its call pushes a host-boundary frame, which
+     the callee's return pops to a halt, ending the activation. *)
+  let n = List.length args in
+  let result = enter m (fun m -> (do_call m host ~tail:false n) m) in
   m.fp <- saved_fp;
   m.sp <- saved_sp_after;
   m.clos <- m.stack.(m.sp - 1);
@@ -892,7 +870,6 @@ let call_with_error_handler m ~thunk ~handler =
   let handler_cell = Heap.new_cell m.heap handler in
   let saved_sp = m.sp and saved_fp = m.fp in
   let saved_depth = m.depth in
-  let saved_code = m.cur_code_id and saved_clause = m.cur_clause in
   Fun.protect
     ~finally:(fun () -> Heap.free_cell m.heap handler_cell)
     (fun () ->
@@ -903,8 +880,6 @@ let call_with_error_handler m ~thunk ~handler =
           m.sp <- saved_sp;
           m.fp <- saved_fp;
           m.depth <- min m.depth saved_depth;
-          m.cur_code_id <- saved_code;
-          m.cur_clause <- saved_clause;
           m.acc <- Word.void;
           m.clos <- Word.nil;
           let msg_w = Obj.string_of_ocaml m.heap msg in
@@ -928,12 +903,8 @@ let run_code m (code : Instr.code) =
       in
       let clause = (Vec.Poly.get m.clauses id).(0) and saved_fp = m.fp in
       m.fp <- m.sp;
-      reserve_frame m clause;
-      m.cur_code_id <- id;
-      m.cur_clause <- 0;
-      let result = enter m clause.Instr.instrs in
-      m.cur_code_id <- -1;
-      m.cur_clause <- -1;
+      reserve_frame m clause.shape.frame;
+      let result = enter m clause.steps.(0) in
       m.sp <- m.fp;
       m.fp <- saved_fp;
       result
@@ -946,7 +917,8 @@ let reset m =
   m.fp <- 0;
   m.acc <- Word.void;
   m.clos <- Word.nil;
-  m.depth <- 0
+  m.depth <- 0;
+  m.base <- 0
 
 (** Evaluate one datum; returns the resulting heap word (valid until the
     next collection). *)

@@ -70,6 +70,9 @@ val code : t -> int -> Instr.code
 
 val is_procedure : t -> Word.t -> bool
 
+val closure_id : t -> Word.t -> int
+(** A closure's field 0: a code id, or [-1 - prim id]; {!Error} where no fixnum is there. *)
+
 val define_prim :
   t ->
   name:string ->

@@ -518,7 +518,7 @@ let install (m : Machine.t) =
   p1 "disassemble" (fun m w ->
       let h = Machine.heap m in
       if not (Obj.has_code h w Obj.code_closure) then err "disassemble: expected a closure";
-      let id = Word.to_fixnum (Obj.field h w 0) in
+      let id = Machine.closure_id m w in
       if id < 0 then Machine.print_string m (Printf.sprintf "#<primitive %d>\n" (-1 - id))
       else Machine.print_string m (Format.asprintf "%a" Instr.pp_code (Machine.code m id));
       Word.void);

@@ -989,6 +989,17 @@ let test_code_stack_rejected () =
       [| Instr.Imm (Word.of_fixnum 1);
          Instr.Op { op = Instr.ops.(0); cell = Machine.global_cell m "+"; tail = true } |])
 
+(* An imm operand is a raw word the machine puts in acc as it is: a
+   pair-tagged one would forge a pointer to whatever sits at its address. *)
+let test_code_immediate_rejected () =
+  let w = Word.pair_ptr 12345 in
+  match load_scheme (scheme_image_with (fun _ -> [| Instr.Imm w; Instr.Halt |])) with
+  | () -> Alcotest.fail "pair-tagged imm accepted"
+  | exception Image.Error msg ->
+      check_str "message"
+        (Printf.sprintf "gbc-image: scheme/codes: crafted: raw word %d is not an immediate" w)
+        msg
+
 let () =
   Alcotest.run "image"
     [
@@ -1064,6 +1075,7 @@ let () =
           Alcotest.test_case "code: argument count" `Quick test_code_argument_count_rejected;
           Alcotest.test_case "code: open-coded op" `Quick test_code_open_coded_op_rejected;
           Alcotest.test_case "code: stack depth" `Quick test_code_stack_rejected;
+          Alcotest.test_case "code: forged immediate" `Quick test_code_immediate_rejected;
         ] );
       ( "crc",
         [

@@ -893,10 +893,10 @@ let call_path =
           (Scheme.eval restored "(define y 7) (list (f 1) (+ y y) (let ([x 5]) (+ x 1)))"));
   ]
 
-(* The dispatch loop keeps the instruction array and pc in registers and
-   control frames as ints: a frame names its caller by code id and
-   clause, a host-boundary frame returns to a Halt, and continuations
-   are checked against the clause table when they are reinstated. *)
+(* Each clause runs as a chain of steps, and control frames are ints: a
+   frame names its caller by code id, clause and pc, a host-boundary
+   frame returns to a halt, and continuations are checked against the
+   clause table when they are reinstated. *)
 
 let case_lambda_src =
   "(define k #f)\n\
@@ -994,20 +994,32 @@ let dispatch =
         check_str "resumed" "42" (Scheme.eval mach "(kk 41)"));
     Alcotest.test_case "forged closure ids are Scheme errors" `Quick (fun () ->
         (* Field 0 of a closure names a code id, or a primitive id when
-           negative; one past either table must not escape the VM. *)
+           negative; one past either table, a non-fixnum there, or no
+           field 0 at all must not escape the VM, on a call or in
+           [disassemble] (which prints any primitive id). *)
         List.iter
-          (fun (name, id) ->
+          (fun (name, fields, srcs) ->
             let mach = Scheme.create () in
             let h = Machine.heap mach in
-            let c = Obj.make_typed h ~code:Obj.code_closure ~len:1 ~init:(Word.of_fixnum id) () in
+            let len = List.length fields in
+            let c = Obj.make_typed h ~code:Obj.code_closure ~len ~init:Word.nil () in
+            List.iteri (Obj.set_field h c) fields;
             Heap.write_cell h (Machine.global_cell mach "badc") c;
-            (match Scheme.eval mach "(badc)" with
-            | exception Machine.Error msg ->
-                check (name ^ ": " ^ msg) true (String.starts_with ~prefix:"closure: " msg)
-            | v -> Alcotest.failf "%s: expected a Scheme error, got %s" name v);
-            Machine.reset mach;
-            check_str (name ^ ": machine still works") "3" (Scheme.eval mach "(+ 1 2)"))
-          [ ("code id", 9999); ("prim id", -9999) ]);
+            List.iter
+              (fun src ->
+                (match Scheme.eval mach src with
+                | exception Machine.Error msg ->
+                    check (name ^ " " ^ src ^ ": " ^ msg) true (String.starts_with ~prefix:"closure: " msg)
+                | v -> Alcotest.failf "%s %s: expected a Scheme error, got %s" name src v);
+                Machine.reset mach;
+                check_str (name ^ ": machine still works") "3" (Scheme.eval mach "(+ 1 2)"))
+              srcs)
+          [
+            ("code id", [ Word.of_fixnum 9999 ], [ "(badc)"; "(disassemble badc)" ]);
+            ("prim id", [ Word.of_fixnum (-9999) ], [ "(badc)" ]);
+            ("field 0 true", [ Word.true_ ], [ "(badc)"; "(disassemble badc)" ]);
+            ("no fields", [], [ "(badc)"; "(disassemble badc)" ]);
+          ]);
     Alcotest.test_case "malformed continuations are Scheme errors" `Quick (fun () ->
         (* The raw continuation, not [call/cc]'s dynamic-wind wrapper. *)
         let captured = "(%call/cc-prim (lambda (c) c))" in
@@ -1077,7 +1089,7 @@ let dispatch =
             ( "run_code far out",
               fun mach -> Machine.run_code mach (top [| Instr.Free_ref 100000; Instr.Halt |]) );
             ( "set through a free slot",
-              fun mach -> Machine.run_code mach (top [| Instr.Imm 1; Instr.Free_set_box (-1); Instr.Halt |]) );
+              fun mach -> Machine.run_code mach (top [| Instr.Imm (Word.of_fixnum 1); Instr.Free_set_box (-1); Instr.Halt |]) );
             ( "forged closure with no free variables",
               fun mach ->
                 let h = Machine.heap mach in
@@ -1096,6 +1108,7 @@ let dispatch =
            ran; before the box test, the box cases failed an assert. *)
         let mach = Scheme.create () in
         let cell = Machine.global_cell mach "+" and add = Instr.ops.(0) in
+        let car = Option.get (Instr.find_op "car") and fx = Word.of_fixnum in
         let one ?(frame = 0) instrs =
           { Instr.name = "hostile"; clauses = [ { Instr.required = 0; rest = false; frame; instrs } ] }
         in
@@ -1106,8 +1119,8 @@ let dispatch =
             ("jump", false, one [| Instr.Jump 5; Instr.Halt |]);
             ("global cell", false, one [| Instr.Global_ref 99999999; Instr.Halt |]);
             ("closure pops", false, one [| Instr.Make_closure { code_id = 0; nfree = 3 }; Instr.Halt |]);
-            ("op pops", false, one [| Instr.Imm 1; Instr.Op { op = add; cell; tail = false }; Instr.Halt |]);
-            ("no terminator", false, one [| Instr.Imm 1 |]);
+            ("op pops", false, one [| Instr.Imm (Word.of_fixnum 1); Instr.Op { op = add; cell; tail = false }; Instr.Halt |]);
+            ("no terminator", false, one [| Instr.Imm (Word.of_fixnum 1) |]);
             ("vast frame", false, one ~frame:(1 lsl 40) [| Instr.Halt |]);
             ("code id", false, one [| Instr.Make_closure { code_id = 99999; nfree = 0 }; Instr.Halt |]);
             ("local slot", false, one [| Instr.Local_ref 100000; Instr.Halt |]);
@@ -1118,11 +1131,28 @@ let dispatch =
             ( "mismatched join",
               false,
               one [| Instr.Imm Word.false_; Instr.Branch_false 3; Instr.Push; Instr.Halt |] );
-            ("unbox a non-box", true, one [| Instr.Imm 1; Instr.Unbox; Instr.Halt |]);
+            ("unbox a non-box", true, one [| Instr.Imm (Word.of_fixnum 1); Instr.Unbox; Instr.Halt |]);
             ( "set a non-box",
               true,
-              one ~frame:1 [| Instr.Imm 1; Instr.Local_set 0; Instr.Local_set_box 0; Instr.Halt |] );
-            ("execution-only", false, one ~frame:1 [| Instr.Local_push 0; Instr.Halt |]);
+              one ~frame:1 [| Instr.Imm (Word.of_fixnum 1); Instr.Local_set 0; Instr.Local_set_box 0; Instr.Halt |] );
+            (* Raw words that are not immediates: before the check, the
+               first two escaped as Invalid_argument, the third read the
+               pair at address 0, and the forwarding marker made a pair
+               that a collection turned into its cdr, with Verify clean. *)
+            ("typed-tagged imm", false, one [| Instr.Imm ((1 lsl 40) lor 3); Instr.Unbox; Instr.Halt |]);
+            ( "pair-tagged imm",
+              false,
+              one
+                [| Instr.Imm ((1 lsl 40) lor 1);
+                   Instr.Op { op = car; cell = Machine.global_cell mach "car"; tail = false };
+                   Instr.Halt |] );
+            ("imm 1", false, one [| Instr.Imm 1; Instr.Unbox; Instr.Halt |]);
+            ( "forwarding-marker imm",
+              false,
+              one
+                [| Instr.Imm Word.forward_marker; Instr.Push; Instr.Imm (fx 7); Instr.Push;
+                   Instr.Global_ref (Machine.global_cell mach "cons"); Instr.Call 2;
+                   Instr.Global_define (Machine.global_cell mach "xx"); Instr.Halt |] );
           ]
         in
         List.iter
@@ -1156,7 +1186,7 @@ let dispatch =
             Machine.reset mach)
           [
             ("free unbox", [| Instr.Free_ref 0; Instr.Unbox; Instr.Return |]);
-            ("free set-box", [| Instr.Imm 1; Instr.Free_set_box 0; Instr.Return |]);
+            ("free set-box", [| Instr.Imm (Word.of_fixnum 1); Instr.Free_set_box 0; Instr.Return |]);
           ]);
     Alcotest.test_case "a branch into a fused run" `Quick (fun () ->
         (* Pcs 5-6 are [local 0; push], one fused run; with flag #f the
@@ -1174,6 +1204,95 @@ let dispatch =
             ignore (Scheme.eval mach ("(define flag " ^ v ^ ")"));
             check_str v expected (Printer.to_string (Machine.heap mach) (Machine.run_code mach code)))
           [ ("#t", "(5)"); ("#f", "(#f)"); ("#t", "(5)") ]);
+    Alcotest.test_case "a branch into every fused run" `Quick (fun () ->
+        (* One code per family of fused runs, run as a closure whose free
+           slots hold 7 and a box of 8.  With flag '() the code runs the
+           whole run from its first pc; with flag #f a brf lands on the
+           run's second instruction, with #f in acc, and that pc runs on
+           its own.  A run that starts with a push is entered at depth 0
+           and the brf is taken at depth 1, past a local-pop. *)
+        let mach = Scheme.create () in
+        let h = Machine.heap mach and cell = Machine.global_cell mach in
+        let fx = Word.of_fixnum and flag = Instr.Global_ref (cell "flag") in
+        let op name = Instr.Op { op = Option.get (Instr.find_op name); cell = cell name; tail = false } in
+        let list = Instr.Global_ref (cell "list") and pop = Instr.Local_pop { slot = 0; count = 1 } in
+        let slot5 = [| Instr.Imm (fx 5); Instr.Local_set 0; flag; Instr.Branch_false 5 |] in
+        let pushed5 = [| Instr.Imm (fx 5); Instr.Push; flag; Instr.Branch_false 6; pop |] in
+        let cases =
+          [
+            ("local; push", slot5, [| Instr.Local_ref 0; Instr.Push; list; Instr.Call 1; Instr.Return |], "(5)", "(#f)");
+            ("free; push", slot5, [| Instr.Free_ref 0; Instr.Push; list; Instr.Call 1; Instr.Return |], "(7)", "(#f)");
+            ("free; unbox", slot5, [| Instr.Free_ref 1; Instr.Unbox; Instr.Return |], "8", "not a box: #f");
+            ( "global; call",
+              [| Instr.Imm (fx 5); Instr.Push; flag; Instr.Branch_false 5 |],
+              [| list; Instr.Call 1; Instr.Return |],
+              "(5)",
+              "attempt to apply non-procedure: #f" );
+            ( "local; call",
+              [| list; Instr.Local_set 0; Instr.Imm (fx 5); Instr.Push; flag; Instr.Branch_false 7 |],
+              [| Instr.Local_ref 0; Instr.Call 1; Instr.Return |],
+              "(5)",
+              "attempt to apply non-procedure: #f" );
+            ("push; global; call", pushed5, [| Instr.Push; list; Instr.Call 1; Instr.Return |], "(())", "(5)");
+            ( "local; push; imm; op; brf",
+              slot5,
+              [| Instr.Local_ref 0; Instr.Push; Instr.Imm Word.false_; op "eq?"; Instr.Branch_false 11;
+                 Instr.Imm (fx 1); Instr.Return; Instr.Imm (fx 2); Instr.Return |],
+              "2",
+              "1" );
+            ("push; imm; op", pushed5, [| Instr.Push; Instr.Imm Word.nil; op "eq?"; Instr.Return |], "#t", "#f");
+            ("local; op", slot5, [| Instr.Local_ref 0; op "not"; Instr.Return |], "#f", "#t");
+            ( "op; brf",
+              slot5,
+              [| op "null?"; Instr.Branch_false 8; Instr.Imm (fx 1); Instr.Return; Instr.Imm (fx 2); Instr.Return |],
+              "1",
+              "2" );
+          ]
+        in
+        List.iter
+          (fun (name, prefix, run, on_nil, on_false) ->
+            let instrs = Array.append prefix run in
+            let id =
+              (Machine.linker mach).Compile.add_code
+                { Instr.name; clauses = [ { Instr.required = 0; rest = false; frame = 1; instrs } ] }
+            in
+            let box = Obj.make_box h (fx 8) in
+            let c = Obj.make_typed h ~code:Obj.code_closure ~len:3 ~init:box () in
+            Obj.set_field h c 0 (fx id);
+            Obj.set_field h c 1 (fx 7);
+            Heap.write_cell h (cell "f") c;
+            List.iter
+              (fun (v, expected) ->
+                let got =
+                  match Scheme.eval mach (Printf.sprintf "(define flag %s) (f)" v) with
+                  | got -> got
+                  | exception Machine.Error msg -> Machine.reset mach; msg
+                in
+                check_str (name ^ " with flag " ^ v) expected got)
+              [ ("'()", on_nil); ("#f", on_false) ])
+          cases);
+    Alcotest.test_case "unreachable tails build" `Quick (fun () ->
+        (* Dead code past a halt: a fused run, or a call or an op at the
+           clause's last pc, whose step would continue past the end.  The
+           code is accepted and runs. *)
+        let mach = Scheme.create () in
+        let cell = Machine.global_cell mach and fx = Word.of_fixnum in
+        let op name = Instr.Op { op = Option.get (Instr.find_op name); cell = cell name; tail = false } in
+        List.iter
+          (fun (name, dead) ->
+            let instrs = Array.append [| Instr.Imm (fx 1); Instr.Halt |] dead in
+            let code = { Instr.name; clauses = [ { Instr.required = 0; rest = false; frame = 1; instrs } ] } in
+            check_str name "1" (Printer.to_string (Machine.heap mach) (Machine.run_code mach code)))
+          [
+            ("local; push", [| Instr.Local_ref 0; Instr.Push |]);
+            ("free; unbox", [| Instr.Free_ref 0; Instr.Unbox |]);
+            ("push; global; call", [| Instr.Push; Instr.Global_ref (cell "list"); Instr.Call 0 |]);
+            ("call", [| Instr.Call 0 |]);
+            ("tail call", [| Instr.Tail_call 0 |]);
+            ("push; imm; op", [| Instr.Push; Instr.Imm (fx 2); op "+" |]);
+            ("local; op", [| Instr.Local_ref 0; op "car" |]);
+            ("op", [| op "cdr" |]);
+          ]);
     Alcotest.test_case "a poisoned heap raises at each safepoint" `Quick (fun () ->
         (* Heap.poison forces the safepoint's limit low: a loop jump, an op
            (plain and fused) and a call (plain and fused) raise with
